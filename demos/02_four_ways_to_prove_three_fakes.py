@@ -12,10 +12,9 @@ least aggregate information of the lot.
 from discreet_weighings import (
     BUILDERS,
     ProblemInstance,
-    best_single_guess,
     classify_privacy,
-    consistent_assignments,
     revealing_metrics,
+    uniform_best_guess,
     verify_proof,
 )
 
@@ -37,9 +36,7 @@ for name in ("leftover-reveal", "reference-pile", "official", "triple-case"):
     assert verdict.valid
     privacy = classify_privacy(instance, transcript)
     metrics = revealing_metrics(instance.t, instance.f, verdict.consistent_count_f)
-    _, guess = best_single_guess(
-        consistent_assignments(instance.t, instance.f, transcript)
-    )
+    _, guess = uniform_best_guess(instance.t, instance.f, transcript)
     rows.append(
         (
             name,

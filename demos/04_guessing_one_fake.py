@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from discreet_weighings import (
     ProblemInstance,
-    best_single_guess,
     build_triple_case,
     case_marginals,
-    consistent_assignments,
+    count_consistent,
     minimax_distribution,
+    uniform_best_guess,
 )
 
 instance = ProblemInstance(t=80, f=3, d=2)
@@ -41,11 +41,11 @@ print(f"  baseline before any weighing: f/t = {Fraction(instance.f, instance.t)}
 # A completely different question: if the lawyer committed to one fixed
 # placement and the judge treats every surviving fake set as equally likely,
 # the judge's best coin is one of the A3 coins:
-survivors = consistent_assignments(instance.t, instance.f, bundle.transcript())
-coin, prob = best_single_guess(survivors)
+transcript = bundle.transcript()
+coin, prob = uniform_best_guess(instance.t, instance.f, transcript)
 print(
     f"\nuniform-over-survivors view: coin {coin} appears in {prob} of the "
-    f"{len(survivors)} surviving sets"
+    f"{count_consistent(instance.t, instance.f, transcript)} surviving sets"
 )
 print("(that is 576/13254 ~ 1/23, worse for the lawyer than the minimax 1/25;")
 print(" uniform weighting over sets is not how an optimal lawyer plays)")

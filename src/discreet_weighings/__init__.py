@@ -5,10 +5,13 @@ a judge-side deduction engine, and bounded searches for discreet plans."""
 from .judge import (
     InvalidProofError,
     PrivacyReport,
+    ProofEvaluation,
     ProofVerdict,
     classify_privacy,
     consistent_assignments,
     count_consistent,
+    evaluate_proof,
+    uniform_best_guess,
     verify_proof,
 )
 from .metrics import (

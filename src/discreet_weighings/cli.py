@@ -2,24 +2,20 @@
 
 Subcommands: construct, verify, metrics, guess, search, reproduce.  JSON is
 the machine format; pass --human where available for a readable rendering.
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
+141 when the reader closes standard output early (as `| head` does).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .judge import (
-    InvalidProofError,
-    classify_privacy,
-    consistent_assignments,
-    verify_proof,
-)
+from .judge import InvalidProofError, evaluate_proof
 from .metrics import (
-    best_single_guess,
     equal_piles_factor,
     equal_piles_factor_limit,
     minimax_distribution,
@@ -29,6 +25,7 @@ from .metrics import (
 from .model import (
     ProblemInstance,
     ValidationError,
+    coins_from_json,
     plan_from_json,
     plan_to_json,
     simulate_transcript,
@@ -54,7 +51,8 @@ def _bundle_from_args(args):
 
 def _evaluate(instance, transcript, placement, name, cases=None):
     """Full judge + metrics pass; returns (report dict, exit code)."""
-    verdict = verify_proof(instance, transcript, placement)
+    evaluation = evaluate_proof(instance, transcript, placement)
+    verdict = evaluation.verdict
     report = {
         "strategy": name,
         "instance": instance.to_json(),
@@ -68,10 +66,8 @@ def _evaluate(instance, transcript, placement, name, cases=None):
     }
     if not verdict.valid:
         return report, 1
-    privacy = classify_privacy(instance, transcript)
     metrics = revealing_metrics(instance.t, instance.f, verdict.consistent_count_f)
-    survivors = consistent_assignments(instance.t, instance.f, transcript)
-    coin, prob = best_single_guess(survivors)
+    coin, prob = evaluation.guess
     guess = {"uniform": {"coin": coin, "prob": rational_to_json(prob, display=False)}}
     if cases is not None:
         distribution, value = minimax_distribution(cases)
@@ -79,7 +75,7 @@ def _evaluate(instance, transcript, placement, name, cases=None):
             "distribution": [rational_to_json(p, display=False) for p in distribution],
             "value": rational_to_json(value, display=False),
         }
-    report["privacy"] = privacy.to_json()
+    report["privacy"] = evaluation.privacy.to_json()
     report["metrics"] = metrics.to_json()
     report["guess"] = guess
     return report, 0
@@ -152,9 +148,10 @@ def _cmd_verify(args) -> int:
             data = json.load(handle)
     plan = plan_from_json(data)
     try:
-        placement = frozenset(int(c) for c in data["placement"])
-    except (KeyError, TypeError, ValueError) as exc:
+        values = data["placement"]
+    except KeyError as exc:
         raise ValidationError(f"malformed placement in JSON: {exc}") from exc
+    placement = coins_from_json(values, "placement")
     instance = ProblemInstance(plan.t, args.f, args.d)
     if "outcomes" in data:
         transcript = transcript_from_json(data)
@@ -186,12 +183,10 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_guess(args) -> int:
     bundle = _bundle_from_args(args)
-    transcript = bundle.transcript()
-    verdict = verify_proof(bundle.instance, transcript, bundle.placement)
-    if not verdict.valid:
+    evaluation = evaluate_proof(bundle.instance, bundle.transcript(), bundle.placement)
+    if not evaluation.verdict.valid:
         raise InvalidProofError(f"{bundle.name} did not produce a valid proof")
-    survivors = consistent_assignments(bundle.instance.t, bundle.instance.f, transcript)
-    coin, prob = best_single_guess(survivors)
+    coin, prob = evaluation.guess
     distribution, value = minimax_distribution(bundle.cases)
     out = {
         "strategy": bundle.name,
@@ -316,6 +311,18 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # The reader closed the pipe early, as `| head` does.  Point stdout
+        # at devnull so the interpreter's final flush does not fail again,
+        # and exit the way a process killed by SIGPIPE would.
+        try:
+            stdout = sys.stdout.fileno()
+        except OSError:
+            return 141  # not a file descriptor, so no flush can reach the pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout)
+        os.close(devnull)
+        return 141
     except InvalidProofError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,6 @@
 """The judge's deduction engine.
 
-Given a transcript, the judge enumerates every fake-set hypothesis that is
+Given a transcript, the judge considers every fake-set hypothesis that is
 consistent with what the scale showed, under a two-point prior on the fake
 count: either ``d`` or ``f``.  A proof is valid when at least one size-f set
 survives, no size-d set does, and the lawyer's actual placement is among the
@@ -11,30 +11,35 @@ coins sharing an itinerary are interchangeable: a weighing's outcome depends
 only on how many fakes each class contributes to each pan.  So the consistent
 size-s sets are exactly the unions of per-class choices described by a small
 set of "class count vectors", and their number is a sum of products of
-binomials.  That keeps counting at t = 80 (and beyond) instant without ever
-materializing subsets.
+binomials.  The same vectors also say, per class, how many surviving sets
+hold each of its coins, which is all the privacy report and the judge's
+uniform best guess need.  Only `consistent_assignments` lists subsets, and
+one pass over the size-f and size-d vectors answers a whole request:
+
+    >>> from discreet_weighings import ProblemInstance, build_official
+    >>> inst = ProblemInstance(80, 3, 2)
+    >>> bundle = build_official(inst)
+    >>> result = evaluate_proof(inst, bundle.transcript(), bundle.placement)
+    >>> result.verdict.consistent_count_f, result.privacy.discreet
+    (8000, True)
+    >>> result.guess  # coin 0 is fake in 1 of every 20 surviving sets
+    (0, Fraction(1, 20))
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from .model import (
-    Outcome,
     ProblemInstance,
     Transcript,
     ValidationError,
     partition_by_itinerary,
     validate_plan,
 )
-
-_OUTCOME_CODE = {Outcome.BALANCED: 0, Outcome.LEFT_LIGHTER: 1, Outcome.RIGHT_LIGHTER: -1}
-
-_ASSIGNMENT_CHUNK = 1 << 16
 
 
 class InvalidProofError(RuntimeError):
@@ -70,18 +75,32 @@ class PrivacyReport:
         }
 
 
+@dataclass(frozen=True)
+class ProofEvaluation:
+    """Everything the judge concludes from one transcript and placement.
+    `privacy` and `guess` (coin, probability) are None unless the proof is
+    valid."""
+
+    verdict: ProofVerdict
+    privacy: PrivacyReport | None
+    guess: tuple | None
+
+
 def _checked_plan(t: int, transcript: Transcript):
     if t != transcript.plan.t:
         raise ValueError(f"t={t} does not match the plan's t={transcript.plan.t}")
     problems = validate_plan(transcript.plan)
     if problems:
         raise ValidationError("; ".join(problems))
-    return transcript.plan
 
 
 def _classes(transcript: Transcript) -> list:
     """(itinerary, coins) pairs for the plan, sorted by itinerary."""
     return list(partition_by_itinerary(transcript.plan).items())
+
+
+def _signs(transcript: Transcript) -> tuple:
+    return tuple(o.sign for o in transcript.outcomes)
 
 
 def consistent_count_vectors(symbols, sizes, codes, size: int) -> list:
@@ -129,68 +148,112 @@ def consistent_count_vectors(symbols, sizes, codes, size: int) -> list:
     return found
 
 
-def _consistent_class_vectors(classes, codes, size: int) -> list:
-    return consistent_count_vectors(
-        [itin for itin, _ in classes], [len(coins) for _, coins in classes], codes, size
-    )
+@dataclass(frozen=True)
+class _Tally:
+    """The consistent size-s sets of one transcript, summarised per
+    itinerary class.
+
+    A vector `vec` stands for ways(vec) = prod_j C(n_j, vec[j]) sets, and
+    `weights[j]` = sum of ways(vec) * vec[j] counts the (set, coin) pairs
+    with the coin fake and in class j.  So each coin of class j is fake in
+    weights[j] / n_j of the `count` sets."""
+
+    classes: list  # (itinerary, coins), sorted by itinerary
+    vectors: list
+    count: int
+    weights: tuple
+
+    def never_fake(self, j: int) -> bool:
+        """Class j holds no fake in any consistent set."""
+        return self.weights[j] == 0
+
+    def always_fake(self, j: int) -> bool:
+        """Class j is all fake in every consistent set."""
+        return self.weights[j] == len(self.classes[j][1]) * self.count
+
+    def privacy(self) -> PrivacyReport:
+        revealed_real = []
+        revealed_fake = []
+        for j, (_, coins) in enumerate(self.classes):
+            if self.never_fake(j):
+                revealed_real.extend(coins)
+            elif self.always_fake(j):
+                revealed_fake.extend(coins)
+        return PrivacyReport(
+            discreet=not revealed_real and not revealed_fake,
+            revealed_real=frozenset(revealed_real),
+            revealed_fake=frozenset(revealed_fake),
+        )
+
+    def best_guess(self):
+        """(coin, probability) of the best one-coin guess when every
+        consistent set is equally likely; ties go to the lowest index."""
+        if not self.count:
+            raise ValueError("cannot guess against an empty family of fake sets")
+        if not any(self.weights):
+            raise ValueError("the consistent sets contain no coins to guess")
+        # C(n, c) * c = n * C(n - 1, c - 1), so every weight divides exactly
+        sets_per_coin = [w // len(coins) for (_, coins), w in zip(self.classes, self.weights)]
+        top = max(sets_per_coin)
+        coin = min(
+            min(coins) for (_, coins), n in zip(self.classes, sets_per_coin) if n == top
+        )
+        return coin, Fraction(top, self.count)
+
+
+def _tally(classes, codes, size: int) -> _Tally:
+    sizes = [len(coins) for _, coins in classes]
+    vectors = consistent_count_vectors([itin for itin, _ in classes], sizes, codes, size)
+    count = 0
+    weights = [0] * len(classes)
+    for vec in vectors:
+        ways = 1
+        for n, c in zip(sizes, vec):
+            ways *= comb(n, c)
+        count += ways
+        for j, c in enumerate(vec):
+            if c:
+                weights[j] += ways * c
+    return _Tally(classes, vectors, count, tuple(weights))
+
+
+def _checked_tally(t: int, s: int, transcript: Transcript) -> _Tally:
+    _checked_plan(t, transcript)
+    if not 0 <= s <= t:
+        raise ValueError(f"hypothesis size {s} outside 0..{t}")
+    return _tally(_classes(transcript), _signs(transcript), s)
 
 
 def count_consistent(t: int, s: int, transcript: Transcript) -> int:
     """Number of size-s fake sets consistent with the transcript, computed
     from class count vectors without storing any subset."""
-    _checked_plan(t, transcript)
-    if not 0 <= s <= t:
-        raise ValueError(f"hypothesis size {s} outside 0..{t}")
-    classes = _classes(transcript)
-    codes = tuple(_OUTCOME_CODE[o] for o in transcript.outcomes)
-    total = 0
-    for vec in _consistent_class_vectors(classes, codes, s):
-        product = 1
-        for (_, coins), c in zip(classes, vec):
-            product *= comb(len(coins), c)
-        total += product
-    return total
+    return _checked_tally(t, s, transcript).count
+
+
+def uniform_best_guess(t: int, s: int, transcript: Transcript):
+    """The judge's best one-coin guess when every consistent size-s set is
+    equally likely: (coin, success probability), ties broken by lowest
+    index.  Equal to `metrics.best_single_guess` over
+    `consistent_assignments(t, s, transcript)`, without listing the sets."""
+    return _checked_tally(t, s, transcript).best_guess()
 
 
 def consistent_assignments(t: int, s: int, transcript: Transcript) -> list:
     """All size-s fake sets consistent with the transcript, in lexicographic
-    order of their sorted coin indices."""
-    plan = _checked_plan(t, transcript)
-    if not 0 <= s <= t:
-        raise ValueError(f"hypothesis size {s} outside 0..{t}")
-    if s == 0:
-        empty_ok = all(o is Outcome.BALANCED for o in transcript.outcomes)
-        return [frozenset()] if empty_ok else []
-    if not plan.weighings:
-        return [frozenset(c) for c in itertools.combinations(range(t), s)]
-
-    num_weighings = len(plan.weighings)
-    contrib = np.zeros((t, num_weighings), dtype=np.int16)
-    for i, w in enumerate(plan.weighings):
-        for c in w.left:
-            contrib[c, i] = 1
-        for c in w.right:
-            contrib[c, i] = -1
-    target = np.array([_OUTCOME_CODE[o] for o in transcript.outcomes], dtype=np.int16)
-
-    result = []
-    combos = itertools.combinations(range(t), s)
-    while True:
-        chunk = list(itertools.islice(combos, _ASSIGNMENT_CHUNK))
-        if not chunk:
-            break
-        idx = np.array(chunk, dtype=np.intp)
-        signs = np.sign(contrib[idx].sum(axis=1))
-        keep = np.flatnonzero((signs == target).all(axis=1))
-        result.extend(frozenset(chunk[i]) for i in keep)
-    return result
+    order of their sorted coin indices.  Memory grows with the number of
+    sets; prefer the counting functions whenever a number will do."""
+    tally = _checked_tally(t, s, transcript)
+    members = [sorted(coins) for _, coins in tally.classes]
+    found = []
+    for vec in tally.vectors:
+        choices = [itertools.combinations(coins, c) for coins, c in zip(members, vec)]
+        for parts in itertools.product(*choices):
+            found.append(tuple(sorted(itertools.chain.from_iterable(parts))))
+    found.sort()
+    return [frozenset(combo) for combo in found]
 
 
-def verify_proof(
-    instance: ProblemInstance, transcript: Transcript, placement
-) -> ProofVerdict:
-    """Decide whether the transcript proves "exactly f fakes" to a judge whose
-    prior allows only the counts d and f."""
+def _checked_placement(instance: ProblemInstance, transcript: Transcript, placement):
     placement = frozenset(placement)
     if len(placement) != instance.f:
         raise ValueError(
@@ -200,20 +263,27 @@ def verify_proof(
     stray = [c for c in placement if not 0 <= c < instance.t]
     if stray:
         raise ValidationError(f"placement coins {sorted(stray)} out of range")
+    return placement
 
-    count_f = count_consistent(instance.t, instance.f, transcript)
-    count_d = count_consistent(instance.t, instance.d, transcript)
+
+def _verdict(transcript: Transcript, placement, count_f: int, count_d: int) -> ProofVerdict:
     placement_consistent = all(
-        _OUTCOME_CODE[o] == _simulated_code(w, placement)
+        w.outcome(placement) is o
         for w, o in zip(transcript.plan.weighings, transcript.outcomes)
     )
     valid = placement_consistent and count_f >= 1 and count_d == 0
     return ProofVerdict(valid, count_f, count_d)
 
 
-def _simulated_code(weighing, fakes) -> int:
-    diff = len(fakes & weighing.left) - len(fakes & weighing.right)
-    return (diff > 0) - (diff < 0)
+def verify_proof(
+    instance: ProblemInstance, transcript: Transcript, placement
+) -> ProofVerdict:
+    """Decide whether the transcript proves "exactly f fakes" to a judge whose
+    prior allows only the counts d and f."""
+    placement = _checked_placement(instance, transcript, placement)
+    count_f = count_consistent(instance.t, instance.f, transcript)
+    count_d = count_consistent(instance.t, instance.d, transcript)
+    return _verdict(transcript, placement, count_f, count_d)
 
 
 def classify_privacy(instance: ProblemInstance, transcript: Transcript) -> PrivacyReport:
@@ -222,22 +292,27 @@ def classify_privacy(instance: ProblemInstance, transcript: Transcript) -> Priva
     inhabited.  Only meaningful after a valid proof."""
     _checked_plan(instance.t, transcript)
     classes = _classes(transcript)
-    codes = tuple(_OUTCOME_CODE[o] for o in transcript.outcomes)
-    vectors_f = _consistent_class_vectors(classes, codes, instance.f)
-    if not vectors_f or _consistent_class_vectors(classes, codes, instance.d):
+    codes = _signs(transcript)
+    tally_f = _tally(classes, codes, instance.f)
+    if not tally_f.count or _tally(classes, codes, instance.d).count:
         raise InvalidProofError(
             "privacy classification is only defined for a valid proof"
         )
-    revealed_real = []
-    revealed_fake = []
-    for j, (_, coins) in enumerate(classes):
-        if all(vec[j] == 0 for vec in vectors_f):
-            revealed_real.extend(coins)
-        elif all(vec[j] == len(coins) for vec in vectors_f):
-            revealed_fake.extend(coins)
-    report = PrivacyReport(
-        discreet=not revealed_real and not revealed_fake,
-        revealed_real=frozenset(revealed_real),
-        revealed_fake=frozenset(revealed_fake),
-    )
-    return report
+    return tally_f.privacy()
+
+
+def evaluate_proof(
+    instance: ProblemInstance, transcript: Transcript, placement
+) -> ProofEvaluation:
+    """The verdict of `verify_proof` and, for a valid proof, the report of
+    `classify_privacy` and the uniform best guess, from one computation of
+    the size-f and size-d class vectors."""
+    placement = _checked_placement(instance, transcript, placement)
+    classes = _classes(transcript)
+    codes = _signs(transcript)
+    tally_f = _tally(classes, codes, instance.f)
+    tally_d = _tally(classes, codes, instance.d)
+    verdict = _verdict(transcript, placement, tally_f.count, tally_d.count)
+    if not verdict.valid:
+        return ProofEvaluation(verdict, None, None)
+    return ProofEvaluation(verdict, tally_f.privacy(), tally_f.best_guess())

@@ -270,5 +270,8 @@ def minimax_distribution(structure: CaseStructure):
         raise RuntimeError("minimax vertex enumeration found no feasible vertex")
     probabilities, value = best
     achieved = max(case_marginals(structure, probabilities).values())
-    assert achieved == value
+    if achieved != value:
+        raise RuntimeError(
+            f"minimax vertex value {value} disagrees with the achieved guess {achieved}"
+        )
     return probabilities, value

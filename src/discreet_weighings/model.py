@@ -11,6 +11,7 @@ All values here are immutable; every operation is a pure function.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -28,6 +29,21 @@ class Outcome(enum.Enum):
     BALANCED = "balanced"
     LEFT_LIGHTER = "left_lighter"
     RIGHT_LIGHTER = "right_lighter"
+
+    @property
+    def sign(self) -> int:
+        """Sign of (fakes on the left pan - fakes on the right pan)."""
+        return _OUTCOME_SIGN[self]
+
+    @classmethod
+    def from_sign(cls, value: int) -> "Outcome":
+        """The outcome shown when the left pan holds `value` more fakes than
+        the right one; only the sign of `value` matters."""
+        return _SIGN_OUTCOME[(value > 0) - (value < 0)]
+
+
+_OUTCOME_SIGN = {Outcome.BALANCED: 0, Outcome.LEFT_LIGHTER: 1, Outcome.RIGHT_LIGHTER: -1}
+_SIGN_OUTCOME = {sign: outcome for outcome, sign in _OUTCOME_SIGN.items()}
 
 
 @dataclass(frozen=True)
@@ -79,6 +95,11 @@ class Weighing:
         if bad:
             problems.append(f"invalid coin indices {sorted(map(repr, bad))}")
         return problems
+
+    def outcome(self, fakes: frozenset) -> Outcome:
+        """What this weighing shows when `fakes` are the fake coins; the
+        weighing is assumed valid."""
+        return Outcome.from_sign(len(fakes & self.left) - len(fakes & self.right))
 
 
 @dataclass(frozen=True)
@@ -139,12 +160,7 @@ def simulate_outcome(weighing: Weighing, fakes: Iterable) -> Outcome:
     with more fakes is the lighter one.
     """
     _check_weighing(weighing)
-    fakes = frozenset(fakes)
-    on_left = len(fakes & weighing.left)
-    on_right = len(fakes & weighing.right)
-    if on_left == on_right:
-        return Outcome.BALANCED
-    return Outcome.LEFT_LIGHTER if on_left > on_right else Outcome.RIGHT_LIGHTER
+    return weighing.outcome(frozenset(fakes))
 
 
 def simulate_transcript(plan: WeighingPlan, fakes: Iterable) -> Transcript:
@@ -209,14 +225,33 @@ def plan_to_json(plan: WeighingPlan) -> dict:
     }
 
 
+def _int_from_json(value, what: str) -> int:
+    """`value` if it is a JSON integer.  Booleans, strings and other numbers
+    are refused rather than coerced: ``int(0.9)`` or ``int(True)`` would
+    silently name a different coin."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {json.dumps(value, default=repr)}")
+    return value
+
+
+def coins_from_json(values, what: str) -> frozenset:
+    """A list of coin indices from JSON, each checked by `_int_from_json`."""
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"{what} must be a list of coin indices")
+    return frozenset(_int_from_json(c, f"coin index in {what}") for c in values)
+
+
 def plan_from_json(data: Mapping) -> WeighingPlan:
     try:
-        t = int(data["t"])
+        t = _int_from_json(data["t"], "t")
         weighings = tuple(
-            Weighing(frozenset(map(int, w["left"])), frozenset(map(int, w["right"])))
-            for w in data["weighings"]
+            Weighing(
+                coins_from_json(w["left"], f"weighing {i} left pan"),
+                coins_from_json(w["right"], f"weighing {i} right pan"),
+            )
+            for i, w in enumerate(data["weighings"])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValidationError) as exc:
         raise ValidationError(f"malformed plan JSON: {exc}") from exc
     return WeighingPlan(t, weighings)
 

@@ -8,10 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .judge import classify_privacy, consistent_assignments, verify_proof
+from .judge import classify_privacy, uniform_best_guess, verify_proof
 from .metrics import (
     approx3,
-    best_single_guess,
     equal_piles_factor,
     minimax_distribution,
     revealing_metrics,
@@ -117,7 +116,7 @@ def run_reference_checks(name_filter: str | None = None) -> list:
         0.903, lambda: approx3(s4["metrics"].coefficient_r))
     add("official-guess", "guess", "80-3-2 official: best single-coin guess 1/20",
         Fraction(1, 20),
-        lambda: best_single_guess(consistent_assignments(80, 3, s4["transcript"]))[1])
+        lambda: uniform_best_guess(80, 3, s4["transcript"])[1])
 
     # three piles of 26 plus a revealed chain (80-3-2)
     add("leftover-valid", "strategy", "80-3-2 leftover-reveal: valid but indiscreet",
@@ -132,10 +131,10 @@ def run_reference_checks(name_filter: str | None = None) -> list:
         0.794, lambda: approx3(s2["metrics"].coefficient_r))
     add("leftover-guess", "guess", "80-3-2 leftover-reveal: best single-coin guess 1/25",
         Fraction(1, 25),
-        lambda: best_single_guess(consistent_assignments(80, 3, s2["transcript"]))[1])
+        lambda: uniform_best_guess(80, 3, s2["transcript"])[1])
     add("leftover-guess-bound", "guess", "80-3-2 leftover-reveal: guess equals 1/(floor(t/f)-ceil(d/f))",
         Fraction(1, 26 - 1),
-        lambda: best_single_guess(consistent_assignments(80, 3, s2["transcript"]))[1])
+        lambda: uniform_best_guess(80, 3, s2["transcript"])[1])
 
     # four piles of 20 against a reference pile (80-3-2)
     add("reference-revealed", "strategy", "80-3-2 reference-pile: the whole 20-coin pile exposed",
@@ -146,7 +145,7 @@ def run_reference_checks(name_filter: str | None = None) -> list:
         Fraction(82160, 8000), lambda: s3["metrics"].factor_x)
     add("reference-guess", "guess", "80-3-2 reference-pile: best single-coin guess 1/20",
         Fraction(1, 20),
-        lambda: best_single_guess(consistent_assignments(80, 3, s3["transcript"]))[1])
+        lambda: uniform_best_guess(80, 3, s3["transcript"])[1])
 
     # nine piles, three indistinguishable cases (80-3-2)
     add("triple-valid", "strategy", "80-3-2 triple-case: proof valid and discreet",

@@ -35,8 +35,6 @@ MAX_SEARCH_T = 12
 MAX_SEARCH_WEIGHINGS = 4
 PAIR_ENUMERATION_LIMIT = 40  # beyond this the closed forms take over
 
-_CODE_OUTCOME = {0: Outcome.BALANCED, 1: Outcome.LEFT_LIGHTER, -1: Outcome.RIGHT_LIGHTER}
-
 SEARCH_MODES = ("pruned", "exhaustive")
 
 
@@ -204,7 +202,7 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int, mode: str):
 def _expand_witness(instance: ProblemInstance, classes, codes) -> StrategyBundle:
     profile = ItineraryProfile(classes)
     plan = profile.to_plan()
-    outcomes = tuple(_CODE_OUTCOME[c] for c in codes)
+    outcomes = tuple(Outcome.from_sign(c) for c in codes)
     transcript = Transcript(plan, outcomes)
     placement = consistent_assignments(instance.t, instance.f, transcript)[0]
     symbols = [itin for itin, _ in profile.counts]

@@ -10,6 +10,9 @@ import random
 
 from discreet_weighings import Outcome, Weighing, WeighingPlan
 
+# The oracle's own copy of the outcome signs, kept apart from
+# `Outcome.sign` on purpose so that a wrong sign in the library cannot also
+# fool the reference it is checked against.
 OUTCOME_CODE = {
     Outcome.BALANCED: 0,
     Outcome.LEFT_LIGHTER: 1,

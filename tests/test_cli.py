@@ -219,3 +219,69 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["--threads", "0", "reproduce"]) == 2
     capsys.readouterr()
+
+
+def verify_json(capsys, monkeypatch, data, f="2", d="1"):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    return run_cli(capsys, "verify", "-", "--f", f, "--d", d)
+
+
+PAIR_PLAN = {"t": 8, "weighings": [{"left": [0, 1], "right": [2, 3]}]}
+
+
+def test_verify_rejects_fractional_placement(capsys, monkeypatch):
+    # int() would read these as coins {0, 5}
+    code, out, err = verify_json(capsys, monkeypatch, {**PAIR_PLAN, "placement": [0.9, 5.5]})
+    assert code == 2 and not out
+    assert "must be an integer, got 0.9" in err
+
+
+def test_verify_rejects_bool_and_string_placement(capsys, monkeypatch):
+    # int() would read these as coins {1, 3}
+    code, out, err = verify_json(capsys, monkeypatch, {**PAIR_PLAN, "placement": [True, "3"]})
+    assert code == 2 and not out
+    assert "must be an integer, got true" in err
+
+
+def test_verify_rejects_bool_and_string_pans(capsys, monkeypatch):
+    # int() would read both pans as coin 1 and report overlapping pans
+    data = {"t": 4, "weighings": [{"left": [True], "right": ["1"]}], "placement": [0, 2]}
+    code, out, err = verify_json(capsys, monkeypatch, data)
+    assert code == 2 and not out
+    assert "must be an integer, got true" in err
+    assert "overlap" not in err
+
+
+def test_construct_large_instance_counts_without_listing(capsys):
+    # C(30, 3)^2 = 16,483,600 surviving sets: far too many to list
+    code, out, _ = run_cli(
+        capsys,
+        "construct", "equal-piles", "--t", "60", "--f", "6", "--d", "5", "--a", "2",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"]["consistent_f"] == 16483600
+    assert report["guess"]["uniform"] == {"coin": 0, "prob": {"num": 1, "den": 10}}
+
+
+def test_closed_stdout_exits_quietly():
+    import os
+    import subprocess
+    import sys
+
+    import discreet_weighings
+
+    src = os.path.dirname(os.path.dirname(discreet_weighings.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "discreet_weighings.cli",
+         "construct", "official", "--t", "80", "--f", "3", "--d", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before anything is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

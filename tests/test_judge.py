@@ -12,11 +12,14 @@ from discreet_weighings import (
     WeighingPlan,
     build_leftover_reveal,
     build_official,
+    best_single_guess,
     build_reference_pile,
     classify_privacy,
     consistent_assignments,
     count_consistent,
+    evaluate_proof,
     simulate_transcript,
+    uniform_best_guess,
     verify_proof,
 )
 from helpers import brute_consistent, random_fakes, random_plan
@@ -199,3 +202,63 @@ def test_any_weighing_removes_some_possibility():
         transcript = simulate_transcript(plan, fakes)
         count = count_consistent(t, f, transcript)
         assert 1 <= count < comb(t, f)
+
+
+def _random_transcripts(rng, count):
+    """Small random transcripts with the placement the lawyer claims: the
+    empty plan, plans of 1..3 weighings, outcomes either simulated from the
+    placement or from another fake set (so many proofs are invalid)."""
+    for _ in range(count):
+        t = rng.randint(2, 9)
+        plan = random_plan(rng, t, rng.choice((0, 1, 1, 2, 2, 3)))
+        f = rng.randint(1, t - 1)
+        placement = random_fakes(rng, t, f)
+        source = placement if rng.random() < 0.5 else random_fakes(rng, t, rng.randint(0, t))
+        yield t, f, placement, simulate_transcript(plan, source)
+
+
+def test_single_pass_matches_brute_force_on_random_plans():
+    rng = random.Random(2024)
+    valid_seen = 0
+    for t, f, placement, transcript in _random_transcripts(rng, 400):
+        survivors = brute_consistent(t, f, transcript)
+        for d in {0, t, rng.randint(0, t)} - {f}:
+            instance = ProblemInstance(t, f, d)
+            count_d = len(brute_consistent(t, d, transcript))
+            result = evaluate_proof(instance, transcript, placement)
+            assert result.verdict == verify_proof(instance, transcript, placement)
+            assert result.verdict.consistent_count_f == len(survivors)
+            assert result.verdict.consistent_count_d == count_d
+            valid = placement in survivors and count_d == 0
+            assert result.verdict.valid == valid
+            if not valid:
+                assert result.privacy is None and result.guess is None
+                continue
+            valid_seen += 1
+            somewhere = frozenset().union(*survivors)
+            everywhere = frozenset(range(t)).intersection(*survivors)
+            assert result.privacy.revealed_real == frozenset(range(t)) - somewhere
+            assert result.privacy.revealed_fake == everywhere
+            assert result.privacy == classify_privacy(instance, transcript)
+            assert result.guess == best_single_guess(survivors)
+    assert valid_seen >= 100
+
+
+def test_uniform_guess_matches_brute_force_on_random_plans():
+    rng = random.Random(77)
+    for t, _f, _placement, transcript in _random_transcripts(rng, 300):
+        for s in range(t + 1):
+            survivors = brute_consistent(t, s, transcript)
+            if s and survivors:
+                assert uniform_best_guess(t, s, transcript) == best_single_guess(survivors)
+            else:
+                with pytest.raises(ValueError):
+                    uniform_best_guess(t, s, transcript)
+
+
+def test_consistent_assignments_equal_sorted_brute_force():
+    rng = random.Random(8)
+    for t, _f, _placement, transcript in _random_transcripts(rng, 300):
+        for s in range(t + 1):
+            listed = [tuple(sorted(c)) for c in consistent_assignments(t, s, transcript)]
+            assert listed == sorted(tuple(sorted(c)) for c in brute_consistent(t, s, transcript))

@@ -193,3 +193,13 @@ def test_minimax_floor_is_reached_by_equal_piles():
         cases = build_equal_piles(ProblemInstance(t, f, d), a).cases
         _, value = minimax_distribution(cases)
         assert value == Fraction(f, t)
+
+
+def test_minimax_self_check_survives_optimisation(monkeypatch):
+    # the result check must raise, not assert: `python -O` drops asserts
+    import discreet_weighings.metrics as metrics
+
+    structure = CaseStructure(((Pile(frozenset({0, 1})),), (Pile(frozenset({2})),)))
+    monkeypatch.setattr(metrics, "case_marginals", lambda s, p: {0: Fraction(1)})
+    with pytest.raises(RuntimeError):
+        metrics.minimax_distribution(structure)
