@@ -24,10 +24,29 @@ one pass over the size-f and size-d vectors answers a whole request:
     (8000, True)
     >>> result.guess  # coin 0 is fake in 1 of every 20 surviving sets
     (0, Fraction(1, 20))
+
+`consistent_count_vectors` finds the vectors by a depth-first walk over the
+classes, not by listing every composition of s:
+
+- **Order.** Classes that touch the most weighings go first, ties by class
+  index, so shared reference piles are placed before the piles they are
+  compared with.
+- **Early closure.** Once the last class touching a weighing is placed, the
+  weighing's sign is checked and the weighing leaves the live frontier.
+- **Bounds.** A partial vector is dropped when some open weighing can no
+  longer reach its sign: its pan difference can still grow by at most
+  min(fakes left to place, coins left on that pan) on either side.
+- **Set-up per plan.** The order, the closing and open weighings at each
+  step and the coins left on each pan depend only on the classes, so they
+  are built once and reused across signs and hypothesis sizes.
+
+The vectors are sorted once at the end, which gives the lexicographic
+order of an enumeration.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +57,6 @@ from .model import (
     Transcript,
     ValidationError,
     partition_by_itinerary,
-    validate_plan,
 )
 
 
@@ -86,16 +104,11 @@ class ProofEvaluation:
     guess: tuple | None
 
 
-def _checked_plan(t: int, transcript: Transcript):
+def _checked_classes(t: int, transcript: Transcript) -> list:
+    """(itinerary, coins) pairs for the plan, sorted by itinerary.  The
+    partition validates the plan; that is the judge's only check of it."""
     if t != transcript.plan.t:
         raise ValueError(f"t={t} does not match the plan's t={transcript.plan.t}")
-    problems = validate_plan(transcript.plan)
-    if problems:
-        raise ValidationError("; ".join(problems))
-
-
-def _classes(transcript: Transcript) -> list:
-    """(itinerary, coins) pairs for the plan, sorted by itinerary."""
     return list(partition_by_itinerary(transcript.plan).items())
 
 
@@ -103,48 +116,109 @@ def _signs(transcript: Transcript) -> tuple:
     return tuple(o.sign for o in transcript.outcomes)
 
 
+@functools.lru_cache(maxsize=32)
+def _walk_plan(symbols: tuple, sizes: tuple) -> tuple:
+    """The part of a walk that depends only on the classes, built once and
+    reused: the search asks about the same classes for every outcome sign
+    and both hypothesis sizes, and the judge asks twice per request.
+
+    Returns (order, rest, steps, touched): `order[p]` is the class placed at
+    position p, `rest[p]` the coins of the classes after it, and
+    `steps[p]` = (terms, closes, live) where `terms` are the (weighing,
+    +1 for L / -1 for R) pairs class order[p] touches, `closes` the
+    weighings it touches last, and `live` the (weighing, coins left on the
+    left pan, coins left on the right pan) of every weighing still open
+    after it.  `touched` holds the weighings some class touches; every
+    other weighing always balances."""
+    num_weighings = len(symbols[0]) if symbols else 0
+    touches = [
+        tuple((i, 1 if s == "L" else -1) for i, s in enumerate(itin) if s != "O")
+        for itin in symbols
+    ]
+    order = sorted(range(len(symbols)), key=lambda j: (-len(touches[j]), j))
+    last = {}
+    for p, j in enumerate(order):
+        for i, _ in touches[j]:
+            last[i] = p
+    left = [0] * num_weighings
+    right = [0] * num_weighings
+    for j in order:
+        for i, a in touches[j]:
+            (left if a > 0 else right)[i] += sizes[j]
+    steps = []
+    rest = []
+    remaining = sum(sizes)
+    for p, j in enumerate(order):
+        for i, a in touches[j]:
+            (left if a > 0 else right)[i] -= sizes[j]
+        remaining -= sizes[j]
+        rest.append(remaining)
+        closes = tuple(i for i, _ in touches[j] if last[i] == p)
+        live = tuple((i, left[i], right[i]) for i, q in sorted(last.items()) if q > p)
+        steps.append((touches[j], closes, live))
+    return tuple(order), tuple(rest), tuple(steps), frozenset(last)
+
+
 def consistent_count_vectors(symbols, sizes, codes, size: int) -> list:
     """All ways to spread `size` fakes over itinerary classes so that every
-    weighing shows the given outcome sign.
+    weighing shows the given outcome sign, in lexicographic order.
 
     `symbols[j]` is class j's itinerary, `sizes[j]` its coin count, and
     `codes[i]` the sign of (fakes on left - fakes on right) in weighing i.
+    The vectors are found by a depth-first walk over the classes that
+    checks each weighing once its last class is placed and drops every
+    partial vector that some open weighing can no longer satisfy.
     """
-    k = len(symbols)
-    suffix = [0] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + sizes[j]
-    num_weighings = len(codes)
-
-    def matches(vec) -> bool:
-        for i in range(num_weighings):
-            diff = 0
-            for j in range(k):
-                s = symbols[j][i]
-                if s == "L":
-                    diff += vec[j]
-                elif s == "R":
-                    diff -= vec[j]
-            if (diff > 0) - (diff < 0) != codes[i]:
-                return False
-        return True
-
-    found = []
+    order, rest, steps, touched = _walk_plan(tuple(symbols), tuple(sizes))
+    if size > sum(sizes) or any(c for i, c in enumerate(codes) if i not in touched):
+        return []
+    k = len(order)
+    # weighing i shows its sign iff floor[i] <= diff[i] <= ceil[i]; no pan
+    # difference can pass +-(size + 1)
+    floor = [1 if c > 0 else 0 if c == 0 else -size - 1 for c in codes]
+    ceil = [-1 if c < 0 else 0 if c == 0 else size + 1 for c in codes]
+    diff = [0] * len(codes)
     vec = [0] * k
+    found = []
 
-    def assign(j: int, remaining: int) -> None:
-        if remaining > suffix[j]:
+    def walk(p: int, r: int) -> None:
+        if p == k:
+            found.append(tuple(vec))
             return
-        if j == k:
-            if matches(vec):
-                found.append(tuple(vec))
-            return
-        for c in range(min(remaining, sizes[j]) + 1):
-            vec[j] = c
-            assign(j + 1, remaining - c)
+        terms, closes, live = steps[p]
+        j = order[p]
+        lo = r - rest[p] if r > rest[p] else 0
+        hi = r if r < sizes[j] else sizes[j]
+        for i, a in terms:
+            diff[i] += a * lo
+        for c in range(lo, hi + 1):
+            if c > lo:
+                for i, a in terms:
+                    diff[i] += a
+            for i in closes:
+                if not floor[i] <= diff[i] <= ceil[i]:
+                    break
+            else:
+                left = r - c
+                # an open weighing can still gain at most min(left, coins
+                # left on a pan) fakes on that pan
+                for i, on_left, on_right in live:
+                    d = diff[i]
+                    if d < floor[i]:
+                        if floor[i] - d > (left if left < on_left else on_left):
+                            break
+                    elif d > ceil[i]:
+                        if d - ceil[i] > (left if left < on_right else on_right):
+                            break
+                else:
+                    vec[j] = c
+                    walk(p + 1, left)
+        for i, a in terms:
+            diff[i] -= a * hi
         vec[j] = 0
 
-    assign(0, size)
+    walk(0, size)
+    found.sort()
     return found
 
 
@@ -218,10 +292,10 @@ def _tally(classes, codes, size: int) -> _Tally:
 
 
 def _checked_tally(t: int, s: int, transcript: Transcript) -> _Tally:
-    _checked_plan(t, transcript)
+    classes = _checked_classes(t, transcript)
     if not 0 <= s <= t:
         raise ValueError(f"hypothesis size {s} outside 0..{t}")
-    return _tally(_classes(transcript), _signs(transcript), s)
+    return _tally(classes, _signs(transcript), s)
 
 
 def count_consistent(t: int, s: int, transcript: Transcript) -> int:
@@ -253,17 +327,19 @@ def consistent_assignments(t: int, s: int, transcript: Transcript) -> list:
     return [frozenset(combo) for combo in found]
 
 
-def _checked_placement(instance: ProblemInstance, transcript: Transcript, placement):
+def _sized_placement(instance: ProblemInstance, placement) -> frozenset:
     placement = frozenset(placement)
     if len(placement) != instance.f:
         raise ValueError(
             f"placement has {len(placement)} coins but the instance has f={instance.f}"
         )
-    _checked_plan(instance.t, transcript)
+    return placement
+
+
+def _check_in_range(instance: ProblemInstance, placement: frozenset) -> None:
     stray = [c for c in placement if not 0 <= c < instance.t]
     if stray:
         raise ValidationError(f"placement coins {sorted(stray)} out of range")
-    return placement
 
 
 def _verdict(transcript: Transcript, placement, count_f: int, count_d: int) -> ProofVerdict:
@@ -280,8 +356,10 @@ def verify_proof(
 ) -> ProofVerdict:
     """Decide whether the transcript proves "exactly f fakes" to a judge whose
     prior allows only the counts d and f."""
-    placement = _checked_placement(instance, transcript, placement)
+    placement = _sized_placement(instance, placement)
+    # the plan is checked (by this count) before the placement's range
     count_f = count_consistent(instance.t, instance.f, transcript)
+    _check_in_range(instance, placement)
     count_d = count_consistent(instance.t, instance.d, transcript)
     return _verdict(transcript, placement, count_f, count_d)
 
@@ -290,8 +368,7 @@ def classify_privacy(instance: ProblemInstance, transcript: Transcript) -> Priva
     """Split coins into revealed-real (in no consistent set), revealed-fake
     (in all of them), and undetermined.  Discreet means neither set is
     inhabited.  Only meaningful after a valid proof."""
-    _checked_plan(instance.t, transcript)
-    classes = _classes(transcript)
+    classes = _checked_classes(instance.t, transcript)
     codes = _signs(transcript)
     tally_f = _tally(classes, codes, instance.f)
     if not tally_f.count or _tally(classes, codes, instance.d).count:
@@ -307,8 +384,9 @@ def evaluate_proof(
     """The verdict of `verify_proof` and, for a valid proof, the report of
     `classify_privacy` and the uniform best guess, from one computation of
     the size-f and size-d class vectors."""
-    placement = _checked_placement(instance, transcript, placement)
-    classes = _classes(transcript)
+    placement = _sized_placement(instance, placement)
+    classes = _checked_classes(instance.t, transcript)
+    _check_in_range(instance, placement)
     codes = _signs(transcript)
     tally_f = _tally(classes, codes, instance.f)
     tally_d = _tally(classes, codes, instance.d)

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .judge import consistent_assignments, consistent_count_vectors
+from .judge import consistent_count_vectors
 from .metrics import CaseStructure, Pile
 from .model import (
     ITINERARY_SYMBOLS,
     Outcome,
     ProblemInstance,
-    Transcript,
     Weighing,
     WeighingPlan,
     conjugate,
@@ -201,26 +200,29 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int, mode: str):
 
 def _expand_witness(instance: ProblemInstance, classes, codes) -> StrategyBundle:
     profile = ItineraryProfile(classes)
-    plan = profile.to_plan()
-    outcomes = tuple(Outcome.from_sign(c) for c in codes)
-    transcript = Transcript(plan, outcomes)
-    placement = consistent_assignments(instance.t, instance.f, transcript)[0]
     symbols = [itin for itin, _ in profile.counts]
     sizes = [n for _, n in profile.counts]
     ranges = profile.class_ranges()
+    vectors = consistent_count_vectors(symbols, sizes, codes, instance.f)
+    # A vector's lexicographically first set takes the lowest coins of each
+    # class; the first of these over all vectors is the first consistent set.
+    placement = min(
+        sorted(coin for itin, c in zip(symbols, vec) for coin in sorted(ranges[itin])[:c])
+        for vec in vectors
+    )
     cases = CaseStructure(
         tuple(
             tuple(Pile(ranges[itin], c) for itin, c in zip(symbols, vec) if c)
-            for vec in consistent_count_vectors(symbols, sizes, codes, instance.f)
+            for vec in vectors
         )
     )
     return StrategyBundle(
         name="search-witness",
         instance=instance,
-        plan=plan,
-        placement=placement,
+        plan=profile.to_plan(),
+        placement=frozenset(placement),
         cases=cases,
-        expected_outcomes=outcomes,
+        expected_outcomes=tuple(Outcome.from_sign(c) for c in codes),
         expected_discreet=True,
         revealed_expected=frozenset(),
     )

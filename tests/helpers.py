@@ -86,3 +86,43 @@ def random_plan(rng: random.Random, t: int, num_weighings: int) -> WeighingPlan:
 
 def random_fakes(rng: random.Random, t: int, f: int) -> frozenset:
     return frozenset(rng.sample(range(t), f))
+
+
+def brute_count_vectors(symbols, sizes, codes, size):
+    """Every composition of `size` over the classes (`sizes[j]` coins
+    following itinerary `symbols[j]`) whose pan differences show `codes`,
+    in lexicographic order, by generating all of them and filtering."""
+    k = len(symbols)
+    suffix = [0] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + sizes[j]
+
+    def matches(vec):
+        for i, code in enumerate(codes):
+            diff = 0
+            for j in range(k):
+                if symbols[j][i] == "L":
+                    diff += vec[j]
+                elif symbols[j][i] == "R":
+                    diff -= vec[j]
+            if (diff > 0) - (diff < 0) != code:
+                return False
+        return True
+
+    found = []
+    vec = [0] * k
+
+    def assign(j, remaining):
+        if remaining > suffix[j]:
+            return
+        if j == k:
+            if matches(vec):
+                found.append(tuple(vec))
+            return
+        for c in range(min(remaining, sizes[j]) + 1):
+            vec[j] = c
+            assign(j + 1, remaining - c)
+        vec[j] = 0
+
+    assign(0, size)
+    return found

@@ -138,6 +138,43 @@ def test_verify_malformed_json(tmp_path, capsys):
     assert "error" in err
 
 
+def test_verify_reports_an_invalid_plan_before_stray_placement_coins(tmp_path, capsys):
+    # both the plan and the placement are wrong; the plan's problems come
+    # first, all of them, in weighing order
+    data = {
+        "t": 4,
+        "weighings": [{"left": [0, 1], "right": [1, 2]}, {"left": [0], "right": [5, 2]}],
+        "placement": [0, 7],
+    }
+    expected = (
+        "error: weighing 0: pans overlap on coins [1]; "
+        "weighing 1: unequal pans: 1 vs 2 coins; weighing 1: coins [5] outside 0..3\n"
+    )
+    path = tmp_path / "bad.json"
+    for outcomes in (None, ["balanced", "left_lighter"]):
+        if outcomes is not None:
+            data["outcomes"] = outcomes
+        path.write_text(json.dumps(data))
+        assert run_cli(capsys, "verify", str(path), "--f", "2", "--d", "1") == (2, "", expected)
+    data["weighings"] = [{"left": [0], "right": [1]}]
+    data["outcomes"] = ["balanced"]
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "verify", str(path), "--f", "2", "--d", "1") == (
+        2,
+        "",
+        "error: placement coins [7] out of range\n",
+    )
+
+
+def test_construct_triple_case_with_ten_fakes(capsys):
+    code, out, _ = run_cli(
+        capsys, "construct", "triple-case", "--t", "401", "--f", "10", "--d", "9"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"]["valid"] and report["privacy"]["discreet"]
+
+
 def test_metrics_subcommand(capsys):
     code, out, _ = run_cli(capsys, "metrics", "--t", "80", "--f", "3", "--new", "8000")
     assert code == 0

@@ -1,5 +1,6 @@
+import itertools
 import random
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -8,12 +9,14 @@ from discreet_weighings import (
     Outcome,
     ProblemInstance,
     Transcript,
+    ValidationError,
     Weighing,
     WeighingPlan,
     build_leftover_reveal,
     build_official,
     best_single_guess,
     build_reference_pile,
+    build_triple_case,
     classify_privacy,
     consistent_assignments,
     count_consistent,
@@ -22,7 +25,9 @@ from discreet_weighings import (
     uniform_best_guess,
     verify_proof,
 )
-from helpers import brute_consistent, random_fakes, random_plan
+from discreet_weighings import model
+from discreet_weighings.judge import consistent_count_vectors
+from helpers import brute_consistent, brute_count_vectors, random_fakes, random_plan
 
 BALANCED_PAIR = Transcript(
     WeighingPlan(4, (Weighing({0, 1}, {2, 3}),)), (Outcome.BALANCED,)
@@ -70,6 +75,66 @@ def test_counting_path_matches_brute_force_on_random_plans():
             expected = brute_consistent(t, s, transcript)
             assert set(consistent_assignments(t, s, transcript)) == expected
             assert count_consistent(t, s, transcript) == len(expected)
+
+
+def test_count_vectors_match_the_enumerator_on_random_classes():
+    # every sign vector and every size 0..t+1; the cost of the enumerator
+    # oracle grows with compositions * sign vectors, which caps each draw
+    rng = random.Random(31)
+    structures = 0
+    while structures < 100:
+        w = rng.randint(0, 4)
+        k = rng.randint(0, 9)
+        sizes = [rng.randint(1, 3) for _ in range(k)]
+        if prod(n + 1 for n in sizes) * 3**w > 30000:
+            continue
+        structures += 1
+        symbols = ["".join(rng.choice("LRO") for _ in range(w)) for _ in range(k)]
+        t = sum(sizes)
+        for codes in itertools.product((0, 1, -1), repeat=w):
+            for s in range(t + 2):
+                expected = brute_count_vectors(symbols, sizes, codes, s)
+                assert consistent_count_vectors(symbols, sizes, codes, s) == expected
+
+
+@pytest.mark.parametrize("t,f", [(251, 7), (301, 8), (401, 10)])
+def test_triple_case_counts_at_scale(t, f):
+    # closed form: one fake in every A pile, every B pile or every C pile
+    k, r = divmod(t, f)
+    a_sizes = [k - 2] * r + [k - 3] * (f - r)
+    b_sizes = [1] * r + [2] * (f - r)
+    c_sizes = [2] * r + [1] * (f - r)
+    instance = ProblemInstance(t, f, f - 1)
+    bundle = build_triple_case(instance)
+    result = evaluate_proof(instance, bundle.transcript(), bundle.placement)
+    assert result.verdict.consistent_count_f == prod(a_sizes) + prod(b_sizes) + prod(c_sizes)
+    assert result.verdict.consistent_count_d == 0
+    assert result.verdict.valid and result.privacy.discreet
+
+
+def test_evaluate_proof_validates_the_plan_once(monkeypatch):
+    calls = []
+    original = model.validate_plan
+
+    def counted(plan):
+        calls.append(plan)
+        return original(plan)
+
+    monkeypatch.setattr(model, "validate_plan", counted)
+    instance = ProblemInstance(80, 3, 2)
+    bundle = build_official(instance)
+    transcript = bundle.transcript()
+    calls.clear()
+    assert evaluate_proof(instance, transcript, bundle.placement).verdict.valid
+    assert calls == [transcript.plan]
+
+
+def test_plan_problems_come_before_stray_placement_coins():
+    transcript = Transcript(WeighingPlan(4, (Weighing({0, 1}, {1, 2}),)), (Outcome.BALANCED,))
+    instance = ProblemInstance(4, 2, 1)
+    for judge in (verify_proof, evaluate_proof):
+        with pytest.raises(ValidationError, match=r"^weighing 0: pans overlap on coins \[1\]$"):
+            judge(instance, transcript, {0, 7})
 
 
 def test_official_strategy_counts():

@@ -17,7 +17,7 @@ from discreet_weighings.search import (
     all_discreet_profiles,
     check_odd_t_itineraries,
 )
-from helpers import brute_optimal_pairs
+from helpers import brute_consistent, brute_optimal_pairs
 
 
 def test_bounds_are_enforced():
@@ -99,6 +99,18 @@ def test_pruned_and_exhaustive_searches_agree(t, f, d):
         assert exhaustive is not None
         assert pruned.plan == exhaustive.plan
         assert pruned.placement == exhaustive.placement
+
+
+@pytest.mark.parametrize(
+    "t,f,d,max_w,mode",
+    [(4, 2, 1, 1, "pruned"), (4, 2, 1, 3, "pruned"), (9, 2, 1, 2, "pruned"),
+     (10, 2, 1, 2, "pruned"), (4, 2, 1, 3, "exhaustive"), (4, 2, 3, 3, "pruned"),
+     (4, 2, 3, 3, "exhaustive")],
+)
+def test_witness_placement_is_the_first_consistent_set(t, f, d, max_w, mode):
+    witness = search_discreet(t, f, d, max_w, mode=mode)
+    survivors = brute_consistent(t, f, witness.transcript())
+    assert sorted(witness.placement) == min(sorted(s) for s in survivors)
 
 
 def test_search_is_deterministic():
