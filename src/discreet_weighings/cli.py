@@ -214,12 +214,12 @@ def _cmd_search(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     rows = run_reference_checks(args.filter)
+    if not rows:
+        print(f"error: no reference checks match filter {args.filter!r}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps([row.to_json() for row in rows], indent=2))
     else:
-        if not rows:
-            print(f"no reference checks match filter {args.filter!r}")
-            return 2
         width_id = max(len(r.id) for r in rows)
         width_exp = max(len(r.expected) for r in rows)
         for row in rows:
@@ -252,12 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="discreet-weighings",
         description="Construct, verify, and measure privacy-preserving coin weighings.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap internal parallelism (the current implementation runs on one thread)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -306,9 +300,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
     except BrokenPipeError:

@@ -147,19 +147,15 @@ def validate_plan(plan: WeighingPlan) -> list[str]:
     return problems
 
 
-def _check_weighing(weighing: Weighing) -> None:
-    problems = weighing.violations()
-    if problems:
-        raise ValidationError("; ".join(problems))
-
-
 def simulate_outcome(weighing: Weighing, fakes: Iterable) -> Outcome:
     """Outcome of one weighing given the hidden fake set.
 
     Balanced iff both pans hold the same number of fakes; otherwise the pan
     with more fakes is the lighter one.
     """
-    _check_weighing(weighing)
+    problems = weighing.violations()
+    if problems:
+        raise ValidationError("; ".join(problems))
     return weighing.outcome(frozenset(fakes))
 
 
@@ -172,7 +168,7 @@ def simulate_transcript(plan: WeighingPlan, fakes: Iterable) -> Transcript:
     stray = [c for c in fakes if not 0 <= c < plan.t]
     if stray:
         raise ValidationError(f"fake coins {sorted(stray)} outside 0..{plan.t - 1}")
-    return Transcript(plan, tuple(simulate_outcome(w, fakes) for w in plan.weighings))
+    return Transcript(plan, tuple(w.outcome(fakes) for w in plan.weighings))
 
 
 def itinerary_of(plan: WeighingPlan, coin: int) -> str:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .judge import classify_privacy, uniform_best_guess, verify_proof
+from .judge import evaluate_proof
 from .metrics import (
     approx3,
     equal_piles_factor,
@@ -64,14 +64,18 @@ def _row(check_id, group, description, expected, computed) -> CheckRow:
     )
 
 
-def _evaluated(name, t, f, d, builder, **kwargs) -> dict:
+def _evaluated(t, f, d, builder, **kwargs) -> dict:
     instance = ProblemInstance(t, f, d)
     bundle = builder(instance, **kwargs)
-    transcript = bundle.transcript()
-    verdict = verify_proof(instance, transcript, bundle.placement)
-    out = {"bundle": bundle, "transcript": transcript, "verdict": verdict}
+    evaluation = evaluate_proof(instance, bundle.transcript(), bundle.placement)
+    verdict = evaluation.verdict
+    out = {
+        "bundle": bundle,
+        "verdict": verdict,
+        "privacy": evaluation.privacy,
+        "guess": evaluation.guess,
+    }
     if verdict.valid:
-        out["privacy"] = classify_privacy(instance, transcript)
         out["metrics"] = revealing_metrics(t, f, verdict.consistent_count_f)
     return out
 
@@ -91,11 +95,11 @@ def run_reference_checks(name_filter: str | None = None) -> list:
             return
         rows.append(_row(check_id, group, description, expected, computed_fn()))
 
-    s1 = _evaluated("s1", 80, 2, 1, build_equal_piles, a=2)
-    s2 = _evaluated("s2", 80, 3, 2, build_leftover_reveal)
-    s3 = _evaluated("s3", 80, 3, 2, build_reference_pile)
-    s4 = _evaluated("s4", 80, 3, 2, build_official)
-    s5 = _evaluated("s5", 80, 3, 2, build_triple_case)
+    s1 = _evaluated(80, 2, 1, build_equal_piles, a=2)
+    s2 = _evaluated(80, 3, 2, build_leftover_reveal)
+    s3 = _evaluated(80, 3, 2, build_reference_pile)
+    s4 = _evaluated(80, 3, 2, build_official)
+    s5 = _evaluated(80, 3, 2, build_triple_case)
 
     # two equal piles of 40, one fake in each (80-2-1)
     add("equal-piles-2-count", "judge", "80-2-1 equal piles: surviving fake pairs",
@@ -115,8 +119,7 @@ def run_reference_checks(name_filter: str | None = None) -> list:
     add("official-coefficient", "metrics", "80-3-2 official: revealing coefficient ~0.903",
         0.903, lambda: approx3(s4["metrics"].coefficient_r))
     add("official-guess", "guess", "80-3-2 official: best single-coin guess 1/20",
-        Fraction(1, 20),
-        lambda: uniform_best_guess(80, 3, s4["transcript"])[1])
+        Fraction(1, 20), lambda: s4["guess"][1])
 
     # three piles of 26 plus a revealed chain (80-3-2)
     add("leftover-valid", "strategy", "80-3-2 leftover-reveal: valid but indiscreet",
@@ -130,11 +133,9 @@ def run_reference_checks(name_filter: str | None = None) -> list:
     add("leftover-coefficient", "metrics", "80-3-2 leftover-reveal: revealing coefficient ~0.794",
         0.794, lambda: approx3(s2["metrics"].coefficient_r))
     add("leftover-guess", "guess", "80-3-2 leftover-reveal: best single-coin guess 1/25",
-        Fraction(1, 25),
-        lambda: uniform_best_guess(80, 3, s2["transcript"])[1])
+        Fraction(1, 25), lambda: s2["guess"][1])
     add("leftover-guess-bound", "guess", "80-3-2 leftover-reveal: guess equals 1/(floor(t/f)-ceil(d/f))",
-        Fraction(1, 26 - 1),
-        lambda: uniform_best_guess(80, 3, s2["transcript"])[1])
+        Fraction(1, 26 - 1), lambda: s2["guess"][1])
 
     # four piles of 20 against a reference pile (80-3-2)
     add("reference-revealed", "strategy", "80-3-2 reference-pile: the whole 20-coin pile exposed",
@@ -144,8 +145,7 @@ def run_reference_checks(name_filter: str | None = None) -> list:
     add("reference-factor", "metrics", "80-3-2 reference-pile: revealing factor equals the official plan's",
         Fraction(82160, 8000), lambda: s3["metrics"].factor_x)
     add("reference-guess", "guess", "80-3-2 reference-pile: best single-coin guess 1/20",
-        Fraction(1, 20),
-        lambda: uniform_best_guess(80, 3, s3["transcript"])[1])
+        Fraction(1, 20), lambda: s3["guess"][1])
 
     # nine piles, three indistinguishable cases (80-3-2)
     add("triple-valid", "strategy", "80-3-2 triple-case: proof valid and discreet",
@@ -155,8 +155,8 @@ def run_reference_checks(name_filter: str | None = None) -> list:
         lambda: minimax_distribution(s5["bundle"].cases))
 
     # equal piles for 80-4-3: fewer piles reveal less
-    e4 = _evaluated("equal4", 80, 4, 3, build_equal_piles, a=4)
-    e2 = _evaluated("equal2", 80, 4, 3, build_equal_piles, a=2)
+    e4 = _evaluated(80, 4, 3, build_equal_piles, a=4)
+    e2 = _evaluated(80, 4, 3, build_equal_piles, a=2)
     add("equal-piles-4-count", "judge", "80-4-3 four piles: surviving options 20^4",
         160000, lambda: e4["verdict"].consistent_count_f)
     add("equal-piles-4-factor", "metrics", "80-4-3 four piles: revealing factor ~9.885 (~9.9)",

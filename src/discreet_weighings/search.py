@@ -32,7 +32,6 @@ from .strategies import StrategyBundle
 
 MAX_SEARCH_T = 12
 MAX_SEARCH_WEIGHINGS = 4
-PAIR_ENUMERATION_LIMIT = 40  # beyond this the closed forms take over
 
 SEARCH_MODES = ("pruned", "exhaustive")
 
@@ -268,6 +267,9 @@ def all_discreet_profiles(
 # number sum(a_j * b_j) over the conjugate pair sizes (a_j, b_j).  Maximizing
 # that sum over all pair distributions gives the least revealing strategy.
 # Odd totals additionally force at least three pairs of odd combined size.
+# A pair of combined size s >= 2 contributes floor(s/2) * ceil(s/2) at best,
+# so the optimum is an unbounded knapsack over pair sizes whose state also
+# tracks the number of odd pairs (capped at 3): O(t^2) and exact for every t.
 
 
 def optimal_f2_new_possibilities(t: int):
@@ -276,44 +278,31 @@ def optimal_f2_new_possibilities(t: int):
     no admissible distribution exists."""
     if t < 3:
         raise ValueError(f"two fakes need at least 3 coins, got t={t}")
-    required_odd_pairs = 3 if t % 2 else 0
-
-    if t > PAIR_ENUMERATION_LIMIT:
-        if t % 2 == 0:
-            half = t // 2
-            return half * half, ((half, half),)
-        k = t // 2
-        return (k - 2) * (k - 3) + 4, ((k - 2, k - 3), (2, 1), (2, 1))
-
-    best_value = None
-    best_parts = None
-    parts: list = []
-
-    def descend(remaining: int, max_part: int, odd_parts: int, value: int) -> None:
-        nonlocal best_value, best_parts
-        if remaining == 0:
-            if odd_parts >= required_odd_pairs and (
-                best_value is None or value > best_value
-            ):
-                best_value, best_parts = value, tuple(parts)
-            return
-        for s in range(min(remaining, max_part), 1, -1):
-            if remaining - s == 1:
-                continue  # a lone coin cannot form a conjugate pair
-            parts.append(s)
-            descend(
-                remaining - s,
-                s,
-                odd_parts + (s & 1),
-                value + (s // 2) * ((s + 1) // 2),
-            )
-            parts.pop()
-
-    descend(t, t, 0, 0)
-    if best_value is None:
+    # best[n][o]: (value, last pair size, previous o) over distributions of
+    # n coins into pairs of size >= 2, o of them odd (capped at 3)
+    best = [[None] * 4 for _ in range(t + 1)]
+    best[0][0] = (0, 0, 0)
+    for n in range(2, t + 1):
+        for s in range(2, n + 1):
+            gain = (s // 2) * ((s + 1) // 2)
+            for o, prev in enumerate(best[n - s]):
+                if prev is None:
+                    continue
+                odd = min(o + (s & 1), 3)
+                if best[n][odd] is None or prev[0] + gain > best[n][odd][0]:
+                    best[n][odd] = (prev[0] + gain, s, o)
+    finals = [o for o in ((3,) if t % 2 else range(4)) if best[t][o] is not None]
+    if not finals:
         return None
-    witness = tuple(((s + 1) // 2, s // 2) for s in best_parts)
-    return best_value, witness
+    odd = max(finals, key=lambda o: best[t][o][0])
+    value = best[t][odd][0]
+    sizes, n = [], t
+    while n:
+        _, s, odd = best[n][odd]
+        sizes.append(s)
+        n -= s
+    sizes.sort(reverse=True)
+    return value, tuple(((s + 1) // 2, s // 2) for s in sizes)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from discreet_weighings import ProblemInstance, build_leftover_reveal, build_official
 from discreet_weighings.cli import main
 from discreet_weighings.model import plan_to_json
@@ -249,13 +251,23 @@ def test_reproduce_human_filter(capsys):
     assert "all" in out and "passed" in out
 
 
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_reproduce_unmatched_filter(capsys, mode):
+    code, out, err = run_cli(capsys, "reproduce", *mode, "--filter", "no-such-check")
+    assert code == 2 and not out
+    assert err == "error: no reference checks match filter 'no-such-check'\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["construct"]) == 2
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
-    assert main(["--threads", "0", "reproduce"]) == 2
-    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "--threads", "1", "reproduce")
+    assert code == 2 and not out
+    code, out, err = run_cli(capsys, "reproduce", "--threads", "1")
+    assert code == 2 and not out
+    assert "unrecognized arguments: --threads 1" in err
 
 
 def verify_json(capsys, monkeypatch, data, f="2", d="1"):

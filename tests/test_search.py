@@ -167,7 +167,7 @@ def test_odd_t_itinerary_conditions():
 
 
 def test_optimal_pairs_even_t():
-    for t in range(4, 21, 2):
+    for t in range(4, 31, 2):
         value, witness = optimal_f2_new_possibilities(t)
         assert value == (t // 2) ** 2
         assert value == brute_optimal_pairs(t)
@@ -175,7 +175,7 @@ def test_optimal_pairs_even_t():
 
 
 def test_optimal_pairs_odd_t():
-    for t in range(9, 22, 2):
+    for t in range(9, 30, 2):
         value, witness = optimal_f2_new_possibilities(t)
         k = t // 2
         assert value == (k - 2) * (k - 3) + 1 * 2 + 2 * 1
@@ -185,9 +185,7 @@ def test_optimal_pairs_odd_t():
 
 
 def test_optimal_pairs_witness_is_consistent_with_value():
-    rng = random.Random(3)
-    for _ in range(10):
-        t = rng.randint(4, 30)
+    for t in range(3, 121):
         result = optimal_f2_new_possibilities(t)
         if result is None:
             continue
@@ -199,16 +197,25 @@ def test_optimal_pairs_witness_is_consistent_with_value():
 
 
 def test_optimal_pairs_impossible_and_errors():
-    assert optimal_f2_new_possibilities(3) is None
-    assert optimal_f2_new_possibilities(5) is None
-    assert optimal_f2_new_possibilities(7) is None
+    for t in range(3, 121):
+        assert (optimal_f2_new_possibilities(t) is None) == (t in (3, 5, 7))
+    for t in (3, 5, 7):
+        assert brute_optimal_pairs(t) is None
     with pytest.raises(ValueError):
         optimal_f2_new_possibilities(2)
 
 
-def test_enumeration_agrees_with_closed_forms_in_overlap():
-    # the enumeration runs through t = 40; the closed forms take over beyond
-    for t in range(4, 41, 2):
-        assert optimal_f2_new_possibilities(t)[0] == (t // 2) ** 2
-    for t in range(9, 41, 2):
-        assert optimal_f2_new_possibilities(t)[0] == (t // 2 - 2) * (t // 2 - 3) + 4
+def closed_form_optimum(t):
+    """The optimum and its pair distribution for every admissible t >= 4:
+    one pair of t/2 + t/2 coins for even t; for odd t one pair as large as
+    possible beside two (2, 1) pairs, the least that gives three odd pairs."""
+    if t % 2 == 0:
+        return (t // 2) ** 2, ((t // 2, t // 2),)
+    k = t // 2
+    return (k - 2) * (k - 3) + 4, ((k - 2, k - 3), (2, 1), (2, 1))
+
+
+def test_optimal_pairs_match_closed_forms():
+    for t in [*range(4, 121), 200, 401]:
+        if t not in (5, 7):
+            assert optimal_f2_new_possibilities(t) == closed_form_optimum(t)
