@@ -67,18 +67,24 @@ def _evaluate(instance, transcript, placement, name, cases=None):
     if not verdict.valid:
         return report, 1
     metrics = revealing_metrics(instance.t, instance.f, verdict.consistent_count_f)
-    coin, prob = evaluation.guess
-    guess = {"uniform": {"coin": coin, "prob": rational_to_json(prob, display=False)}}
+    report["privacy"] = evaluation.privacy.to_json()
+    report["metrics"] = metrics.to_json()
+    report["guess"] = _guess_json(evaluation.guess, cases)
+    return report, 0
+
+
+def _guess_json(guess, cases=None) -> dict:
+    """The uniform best guess and, given the case structure, the lawyer's
+    minimax placement."""
+    coin, prob = guess
+    out = {"uniform": {"coin": coin, "prob": rational_to_json(prob, display=False)}}
     if cases is not None:
         distribution, value = minimax_distribution(cases)
-        guess["minimax"] = {
+        out["minimax"] = {
             "distribution": [rational_to_json(p, display=False) for p in distribution],
             "value": rational_to_json(value, display=False),
         }
-    report["privacy"] = evaluation.privacy.to_json()
-    report["metrics"] = metrics.to_json()
-    report["guess"] = guess
-    return report, 0
+    return out
 
 
 def _frac(data) -> str:
@@ -186,23 +192,17 @@ def _cmd_guess(args) -> int:
     evaluation = evaluate_proof(bundle.instance, bundle.transcript(), bundle.placement)
     if not evaluation.verdict.valid:
         raise InvalidProofError(f"{bundle.name} did not produce a valid proof")
-    coin, prob = evaluation.guess
-    distribution, value = minimax_distribution(bundle.cases)
     out = {
         "strategy": bundle.name,
         "instance": bundle.instance.to_json(),
-        "uniform": {"coin": coin, "prob": rational_to_json(prob, display=False)},
-        "minimax": {
-            "distribution": [rational_to_json(p, display=False) for p in distribution],
-            "value": rational_to_json(value, display=False),
-        },
+        **_guess_json(evaluation.guess, bundle.cases),
     }
     print(json.dumps(out, indent=2))
     return 0
 
 
 def _cmd_search(args) -> int:
-    witness = search_discreet(args.t, args.f, args.d, args.max_weighings, args.mode)
+    witness = search_discreet(args.t, args.f, args.d, args.max_weighings)
     if witness is None:
         print(json.dumps({"exhausted": True, "bound": args.max_weighings}, indent=2))
     else:
@@ -283,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="bounded search for a discreet strategy")
     _add_instance_arguments(p)
     p.add_argument("--max-weighings", type=int, required=True)
-    p.add_argument("--mode", choices=["pruned", "exhaustive"], default="pruned")
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("reproduce", help="recompute all golden reference numbers")

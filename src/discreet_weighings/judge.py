@@ -180,46 +180,62 @@ def consistent_count_vectors(symbols, sizes, codes, size: int) -> list:
     diff = [0] * len(codes)
     vec = [0] * k
     found = []
-
-    def walk(p: int, r: int) -> None:
+    # An explicit stack, since a plan may have more classes than Python may
+    # recurse: positions 0..p hold their counts in vec[order[0..p]], and r
+    # fakes are left for the positions after p.
+    p, r = 0, size
+    while True:
         if p == k:
             found.append(tuple(vec))
-            return
-        terms, closes, live = steps[p]
-        j = order[p]
-        lo = r - rest[p] if r > rest[p] else 0
-        hi = r if r < sizes[j] else sizes[j]
-        for i, a in terms:
-            diff[i] += a * lo
-        for c in range(lo, hi + 1):
-            if c > lo:
+            p -= 1
+        else:
+            # start one below the least count that leaves no more fakes than
+            # the later classes hold; the loop below steps it up first
+            j = order[p]
+            c = r - rest[p] - 1 if r > rest[p] else -1
+            vec[j] = c
+            r -= c
+            for i, a in steps[p][0]:
+                diff[i] += a * c
+        while p >= 0:
+            terms, closes, live = steps[p]
+            j = order[p]
+            c = vec[j]
+            while r and c < sizes[j]:
+                c += 1
+                r -= 1
                 for i, a in terms:
                     diff[i] += a
-            for i in closes:
-                if not floor[i] <= diff[i] <= ceil[i]:
-                    break
-            else:
-                left = r - c
-                # an open weighing can still gain at most min(left, coins
-                # left on a pan) fakes on that pan
-                for i, on_left, on_right in live:
-                    d = diff[i]
-                    if d < floor[i]:
-                        if floor[i] - d > (left if left < on_left else on_left):
-                            break
-                    elif d > ceil[i]:
-                        if d - ceil[i] > (left if left < on_right else on_right):
-                            break
+                for i in closes:
+                    if not floor[i] <= diff[i] <= ceil[i]:
+                        break
                 else:
-                    vec[j] = c
-                    walk(p + 1, left)
-        for i, a in terms:
-            diff[i] -= a * hi
-        vec[j] = 0
-
-    walk(0, size)
-    found.sort()
-    return found
+                    # an open weighing can still gain at most min(r, coins
+                    # left on a pan) fakes on that pan
+                    for i, on_left, on_right in live:
+                        d = diff[i]
+                        if d < floor[i]:
+                            if floor[i] - d > (r if r < on_left else on_left):
+                                break
+                        elif d > ceil[i]:
+                            if d - ceil[i] > (r if r < on_right else on_right):
+                                break
+                    else:
+                        break  # count c fits: go on to the next position
+            else:
+                # every count was tried: back up to the previous position
+                for i, a in terms:
+                    diff[i] -= a * c
+                r += c
+                vec[j] = 0
+                p -= 1
+                continue
+            vec[j] = c
+            p += 1
+            break
+        else:
+            found.sort()
+            return found
 
 
 @dataclass(frozen=True)

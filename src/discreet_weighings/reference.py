@@ -80,6 +80,14 @@ def _evaluated(t, f, d, builder, **kwargs) -> dict:
     return out
 
 
+def _search_result(searches) -> str:
+    """A search row's result: "exhausted" when none of the searches finds a
+    witness, else "witness found" (no search runs after the first witness)."""
+    if all(search_discreet(*args) is None for args in searches):
+        return "exhausted"
+    return "witness found"
+
+
 def run_reference_checks(name_filter: str | None = None) -> list:
     """Recompute all reference values.  When `name_filter` is given, only
     rows whose group equals it, or whose id or description contains it, are
@@ -170,38 +178,21 @@ def run_reference_checks(name_filter: str | None = None) -> list:
 
     # impossibility sweeps (bounded: plans of at most 3 weighings)
     add("impossible-3-5-7", "search", "no discreet plan within 3 weighings for (3,2,1), (5,2,1), (7,2,1)",
-        "exhausted",
-        lambda: "exhausted"
-        if all(search_discreet(t, 2, 1, 3) is None for t in (3, 5, 7))
-        else "witness found")
+        "exhausted", lambda: _search_result((t, 2, 1, 3) for t in (3, 5, 7)))
     add("impossible-one-fake", "search", "no discreet plan within 3 weighings for one fake, t <= 6",
         "exhausted",
-        lambda: "exhausted"
-        if all(
-            search_discreet(t, 1, d, 3) is None
-            for t in range(2, 7)
-            for d in range(0, t + 1)
-            if d != 1
-        )
-        else "witness found")
+        lambda: _search_result(
+            (t, 1, d, 3) for t in range(2, 7) for d in range(0, t + 1) if d != 1
+        ))
     add("impossible-one-real", "search", "no discreet plan within 3 weighings for one real coin, t <= 6",
         "exhausted",
-        lambda: "exhausted"
-        if all(
-            search_discreet(t, t - 1, d, 3) is None
-            for t in range(3, 7)
-            for d in range(0, t + 1)
-            if d != t - 1
-        )
-        else "witness found")
+        lambda: _search_result(
+            (t, t - 1, d, 3) for t in range(3, 7) for d in range(0, t + 1) if d != t - 1
+        ))
     add("impossible-2-0", "search", "no discreet plan within 3 weighings proving 2 fakes against 0, t <= 8",
-        "exhausted",
-        lambda: "exhausted"
-        if all(search_discreet(t, 2, 0, 3) is None for t in range(3, 9))
-        else "witness found")
+        "exhausted", lambda: _search_result((t, 2, 0, 3) for t in range(3, 9)))
     add("witness-9-coins", "search", "discreet plan exists for (9,2,1) within 2 weighings",
-        "witness found",
-        lambda: "witness found" if search_discreet(9, 2, 1, 2) is not None else "exhausted")
+        "witness found", lambda: _search_result([(9, 2, 1, 2)]))
 
     # optimal surviving-option counts for two fakes, one to disprove
     add("optimal-even", "optimal", "even t in 4..20: optimum equals (t/2)^2",

@@ -1,4 +1,4 @@
-"""Bounded exhaustive search for discreet strategies at small sizes, plus the
+"""Bounded search for discreet strategies at small sizes, plus the
 exact optimum of the two-fakes/one-to-disprove family.
 
 Coins with the same itinerary are interchangeable, so plans are enumerated up
@@ -7,6 +7,10 @@ string.  That collapses the plan space from exponential in t to compositions
 of t over at most 3^w classes, which is what makes the exhaustions below
 finish at desk scale.  Plans that differ only by swapping the pans of one
 weighing are also identified.
+
+The walk adds one weighing and outcome at a time and drops a branch once
+some class is pinned (never fake, or all fake, in every consistent size-f
+set).  That is exact: a pinned class stays pinned under more weighings.
 
 Every result is relative to the weighing bound it was run with: exhausting
 the search certifies that no plan with at most `max_weighings` weighings
@@ -32,8 +36,6 @@ from .strategies import StrategyBundle
 
 MAX_SEARCH_T = 12
 MAX_SEARCH_WEIGHINGS = 4
-
-SEARCH_MODES = ("pruned", "exhaustive")
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class ItineraryProfile:
         )
 
 
-def _check_search_bounds(t: int, max_weighings: int) -> None:
+def _checked_instance(t: int, f: int, d: int, max_weighings: int) -> ProblemInstance:
     if t > MAX_SEARCH_T:
         raise ValueError(f"search is bounded to t <= {MAX_SEARCH_T}, got t={t}")
     if not 1 <= max_weighings <= MAX_SEARCH_WEIGHINGS:
@@ -111,6 +113,7 @@ def _check_search_bounds(t: int, max_weighings: int) -> None:
             f"search is bounded to 1..{MAX_SEARCH_WEIGHINGS} weighings, "
             f"got {max_weighings}"
         )
+    return ProblemInstance(t, f, d)
 
 
 def _splits(sizes):
@@ -141,6 +144,7 @@ def _splits(sizes):
                 assign(j + 1, balance + l - r, on_left + l)
 
     assign(0, 0, 0)
+    del assign  # it refers to itself: free the splits now, not at the next gc
     return results
 
 
@@ -156,10 +160,9 @@ def _apply_split(classes, split):
     return tuple(sorted(children))
 
 
-def _revealed_class(sizes, vectors) -> bool:
-    """True when some class is already pinned: never fake in any consistent
-    vector, or entirely fake in all of them.  Both conditions are permanent
-    under further weighings."""
+def _pinned_class(sizes, vectors) -> bool:
+    """True when some class is pinned: never fake in any consistent vector,
+    or entirely fake in all of them."""
     for j, n in enumerate(sizes):
         if all(vec[j] == 0 for vec in vectors):
             return True
@@ -168,10 +171,14 @@ def _revealed_class(sizes, vectors) -> bool:
     return False
 
 
-def _iter_witnesses(t: int, f: int, d: int, max_weighings: int, mode: str):
+def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     """Depth-first over (profile, outcome sequence) nodes, yielding every
-    discreet-valid node.  Deterministic order; `pruned` additionally skips
-    subtrees in which some coin's identity is already revealed."""
+    discreet-valid node in a fixed order.
+
+    A node is skipped, subtree and all, when no size-f vector shows its
+    outcomes or some class is pinned.  That loses no witness: a child's
+    consistent vectors refine its parent's and each child class lies inside
+    one parent class, so a pinned class stays pinned below it."""
 
     def recurse(classes, codes):
         if len(codes) >= max_weighings:
@@ -183,15 +190,10 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int, mode: str):
             for code in (0, 1, -1):
                 child_codes = codes + (code,)
                 vectors_f = consistent_count_vectors(symbols, sizes, child_codes, f)
-                if not vectors_f:
-                    continue  # no placement of f fakes can show these outcomes
-                revealed = _revealed_class(sizes, vectors_f)
-                if not revealed and not consistent_count_vectors(
-                    symbols, sizes, child_codes, d
-                ):
-                    yield child, child_codes
-                if revealed and mode == "pruned":
+                if not vectors_f or _pinned_class(sizes, vectors_f):
                     continue
+                if not consistent_count_vectors(symbols, sizes, child_codes, d):
+                    yield child, child_codes
                 yield from recurse(child, child_codes)
 
     yield from recurse((("", t),), ())
@@ -227,36 +229,24 @@ def _expand_witness(instance: ProblemInstance, classes, codes) -> StrategyBundle
     )
 
 
-def search_discreet(
-    t: int, f: int, d: int, max_weighings: int, mode: str = "pruned"
-):
+def search_discreet(t: int, f: int, d: int, max_weighings: int):
     """Look for any plan with at most `max_weighings` weighings and any
     placement of f fakes that validly disproves d without revealing a single
     coin.  Returns a witness bundle, or None once the bounded space is
     exhausted (which says nothing about longer plans)."""
-    _check_search_bounds(t, max_weighings)
-    if mode not in SEARCH_MODES:
-        raise ValueError(f"mode must be one of {SEARCH_MODES}, got {mode!r}")
-    instance = ProblemInstance(t, f, d)
-    for classes, codes in _iter_witnesses(t, f, d, max_weighings, mode):
+    instance = _checked_instance(t, f, d, max_weighings)
+    for classes, codes in _iter_witnesses(t, f, d, max_weighings):
         return _expand_witness(instance, classes, codes)
     return None
 
 
-def all_discreet_profiles(
-    t: int, f: int, d: int, max_weighings: int, mode: str = "pruned"
-) -> list:
+def all_discreet_profiles(t: int, f: int, d: int, max_weighings: int) -> list:
     """Every profile admitting a discreet valid proof within the bound, in
     discovery order, deduplicated."""
-    _check_search_bounds(t, max_weighings)
-    if mode not in SEARCH_MODES:
-        raise ValueError(f"mode must be one of {SEARCH_MODES}, got {mode!r}")
-    ProblemInstance(t, f, d)
+    _checked_instance(t, f, d, max_weighings)
     seen: dict = {}
-    for classes, _codes in _iter_witnesses(t, f, d, max_weighings, mode):
-        profile = ItineraryProfile(classes)
-        if profile not in seen:
-            seen[profile] = None
+    for classes, _codes in _iter_witnesses(t, f, d, max_weighings):
+        seen.setdefault(ItineraryProfile(classes), None)
     return list(seen)
 
 

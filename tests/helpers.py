@@ -59,6 +59,32 @@ def brute_optimal_pairs(t):
     return best[0]
 
 
+def brute_pair_count(transcript):
+    """Number of size-2 fake sets matching the transcript, coin by coin: a
+    coin's partners are the coins whose pan in every weighing makes the pair
+    show that weighing's sign.  Sets of coins are Python int bitmasks, so
+    thousands of coins stay cheap."""
+    t = transcript.plan.t
+    everyone = (1 << t) - 1
+    tables = []
+    for w, outcome in zip(transcript.plan.weighings, transcript.outcomes):
+        on = {1: sum(1 << c for c in w.left), -1: sum(1 << c for c in w.right)}
+        on[0] = everyone & ~on[1] & ~on[-1]
+        code = OUTCOME_CODE[outcome]
+        allowed = {pan: 0 for pan in on}
+        for pan, other in itertools.product(on, on):
+            if (pan + other > 0) - (pan + other < 0) == code:
+                allowed[pan] |= on[other]
+        tables.append((w, allowed))
+    pairs = 0
+    for coin in range(t):
+        partners = everyone & ~(1 << coin)
+        for w, allowed in tables:
+            partners &= allowed[1 if coin in w.left else -1 if coin in w.right else 0]
+        pairs += bin(partners).count("1")
+    return pairs // 2
+
+
 def labeled_plans(t, max_weighings):
     """Every labeled plan with equal, disjoint, nonempty pans and at most
     max_weighings weighings.  No symmetry reduction whatsoever; this is the
@@ -72,6 +98,35 @@ def labeled_plans(t, max_weighings):
     for length in range(1, max_weighings + 1):
         for combo in itertools.product(singles, repeat=length):
             yield WeighingPlan(t, combo)
+
+
+def brute_discreet_instances(plans):
+    """The (f, d) with 0 < f < t for which some plan in `plans` and some
+    placement of f fakes validly prove f against d without pinning a coin
+    (fake in every consistent set, or in none).  Every fake set of every
+    size is simulated on every plan and grouped by the outcomes it shows."""
+    found = set()
+    for plan in plans:
+        t = plan.t
+        pans = [(w.left, w.right) for w in plan.weighings]
+        shows = {}  # (size, outcome signs) -> the fake sets showing them
+        for size in range(t + 1):
+            for combo in itertools.combinations(range(t), size):
+                fakes = frozenset(combo)
+                signs = []
+                for left, right in pans:
+                    diff = len(fakes & left) - len(fakes & right)
+                    signs.append((diff > 0) - (diff < 0))
+                shows.setdefault((size, tuple(signs)), []).append(fakes)
+        for (f, signs), sets in shows.items():
+            if not 0 < f < t:
+                continue
+            if frozenset.intersection(*sets) or len(frozenset.union(*sets)) < t:
+                continue
+            for d in range(t + 1):
+                if d != f and (d, signs) not in shows:
+                    found.add((f, d))
+    return found
 
 
 def random_plan(rng: random.Random, t: int, num_weighings: int) -> WeighingPlan:

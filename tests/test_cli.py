@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -268,6 +269,12 @@ def test_usage_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "reproduce", "--threads", "1")
     assert code == 2 and not out
     assert "unrecognized arguments: --threads 1" in err
+    code, out, err = run_cli(
+        capsys, "search", "--t", "4", "--f", "2", "--d", "1", "--max-weighings", "1",
+        "--mode", "exhaustive",
+    )
+    assert code == 2 and not out
+    assert "unrecognized arguments: --mode exhaustive" in err
 
 
 def verify_json(capsys, monkeypatch, data, f="2", d="1"):
@@ -301,6 +308,21 @@ def test_verify_rejects_bool_and_string_pans(capsys, monkeypatch):
     assert code == 2 and not out
     assert "must be an integer, got true" in err
     assert "overlap" not in err
+
+
+def test_verify_plan_with_more_classes_than_the_recursion_limit(capsys, monkeypatch):
+    # about 1500 itinerary classes; the judge used to recurse once per class
+    rng = random.Random(1)
+    weighings = []
+    for _ in range(12):
+        coins = rng.sample(range(1500), 1000)
+        weighings.append({"left": sorted(coins[:500]), "right": sorted(coins[500:])})
+    data = {"t": 1500, "weighings": weighings, "placement": [0, 1]}
+    code, out, err = verify_json(capsys, monkeypatch, data)
+    assert code == 0 and not err
+    report = json.loads(out)
+    assert report["verdict"] == {"valid": True, "consistent_f": 4, "consistent_d": 0}
+    assert report["privacy"]["discreet"] is False
 
 
 def test_construct_large_instance_counts_without_listing(capsys):

@@ -27,7 +27,13 @@ from discreet_weighings import (
 )
 from discreet_weighings import model
 from discreet_weighings.judge import consistent_count_vectors
-from helpers import brute_consistent, brute_count_vectors, random_fakes, random_plan
+from helpers import (
+    brute_consistent,
+    brute_count_vectors,
+    brute_pair_count,
+    random_fakes,
+    random_plan,
+)
 
 BALANCED_PAIR = Transcript(
     WeighingPlan(4, (Weighing({0, 1}, {2, 3}),)), (Outcome.BALANCED,)
@@ -110,6 +116,23 @@ def test_triple_case_counts_at_scale(t, f):
     assert result.verdict.consistent_count_f == prod(a_sizes) + prod(b_sizes) + prod(c_sizes)
     assert result.verdict.consistent_count_d == 0
     assert result.verdict.valid and result.privacy.discreet
+
+
+def test_counting_plans_with_more_classes_than_the_recursion_limit():
+    # twelve random 500 v 500 weighings of 1500 coins put nearly every coin
+    # in a class of its own: far more classes than Python may recurse
+    rng = random.Random(1)
+    weighings = []
+    for _ in range(12):
+        coins = rng.sample(range(1500), 1000)
+        weighings.append(Weighing(frozenset(coins[:500]), frozenset(coins[500:])))
+    plan = WeighingPlan(1500, tuple(weighings))
+    assert len(model.partition_by_itinerary(plan)) > 1000
+    for fakes in ({0, 1}, {10, 1400}):
+        transcript = simulate_transcript(plan, fakes)
+        assert count_consistent(1500, 2, transcript) == brute_pair_count(transcript)
+        singles = brute_consistent(1500, 1, transcript)
+        assert count_consistent(1500, 1, transcript) == len(singles)
 
 
 def test_evaluate_proof_validates_the_plan_once(monkeypatch):

@@ -4,6 +4,8 @@ import pytest
 
 from discreet_weighings import (
     ProblemInstance,
+    Weighing,
+    WeighingPlan,
     build_triple_case,
     classify_privacy,
     count_consistent,
@@ -17,7 +19,12 @@ from discreet_weighings.search import (
     all_discreet_profiles,
     check_odd_t_itineraries,
 )
-from helpers import brute_consistent, brute_optimal_pairs
+from helpers import (
+    brute_consistent,
+    brute_discreet_instances,
+    brute_optimal_pairs,
+    labeled_plans,
+)
 
 
 def test_bounds_are_enforced():
@@ -25,8 +32,6 @@ def test_bounds_are_enforced():
         search_discreet(13, 2, 1, 3)
     with pytest.raises(ValueError):
         search_discreet(8, 2, 1, 5)
-    with pytest.raises(ValueError):
-        search_discreet(8, 2, 1, 3, mode="clever")
     with pytest.raises(ValueError):
         check_odd_t_itineraries(9, 4)
     with pytest.raises(ValueError):
@@ -89,26 +94,32 @@ def test_known_impossible_families(t, f, d):
     assert search_discreet(t, f, d, 3) is None
 
 
-@pytest.mark.parametrize("t,f,d", [(3, 2, 1), (4, 2, 1), (5, 2, 1), (4, 2, 3), (5, 3, 1)])
-def test_pruned_and_exhaustive_searches_agree(t, f, d):
-    pruned = search_discreet(t, f, d, 3, mode="pruned")
-    exhaustive = search_discreet(t, f, d, 3, mode="exhaustive")
-    if pruned is None:
-        assert exhaustive is None
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_search_agrees_with_brute_force_over_labeled_plans(t):
+    if t < 5:
+        plans = list(labeled_plans(t, 3))
     else:
-        assert exhaustive is not None
-        assert pruned.plan == exhaustive.plan
-        assert pruned.placement == exhaustive.placement
+        # relabeling the coins moves any first weighing of s v s coins to
+        # {0..s-1} v {s..2s-1} and keeps every proof and its discretion
+        plans = []
+        for s in range(1, t // 2 + 1):
+            first = Weighing(frozenset(range(s)), frozenset(range(s, 2 * s)))
+            plans.append(WeighingPlan(t, (first,)))
+            plans.extend(WeighingPlan(t, (first, *p.weighings)) for p in labeled_plans(t, 2))
+    possible = brute_discreet_instances(plans)
+    for f in range(1, t):
+        for d in range(t + 1):
+            if d != f:
+                found = search_discreet(t, f, d, 3) is not None
+                assert found == ((f, d) in possible), (t, f, d)
 
 
 @pytest.mark.parametrize(
-    "t,f,d,max_w,mode",
-    [(4, 2, 1, 1, "pruned"), (4, 2, 1, 3, "pruned"), (9, 2, 1, 2, "pruned"),
-     (10, 2, 1, 2, "pruned"), (4, 2, 1, 3, "exhaustive"), (4, 2, 3, 3, "pruned"),
-     (4, 2, 3, 3, "exhaustive")],
+    "t,f,d,max_w",
+    [(4, 2, 1, 1), (4, 2, 1, 3), (9, 2, 1, 2), (10, 2, 1, 2), (4, 2, 3, 3)],
 )
-def test_witness_placement_is_the_first_consistent_set(t, f, d, max_w, mode):
-    witness = search_discreet(t, f, d, max_w, mode=mode)
+def test_witness_placement_is_the_first_consistent_set(t, f, d, max_w):
+    witness = search_discreet(t, f, d, max_w)
     survivors = brute_consistent(t, f, witness.transcript())
     assert sorted(witness.placement) == min(sorted(s) for s in survivors)
 
