@@ -181,3 +181,41 @@ def brute_count_vectors(symbols, sizes, codes, size):
 
     assign(0, size)
     return found
+
+
+def exhaustive_search_discreet(t, f, d, max_weighings):
+    """The bounded search with no pruning: walk every (profile, outcome
+    sequence) node in the library's order and judge each one on its own with
+    `brute_count_vectors`, so a pruning rule that drops a witness shows up as
+    a different (or missing) first witness.  Returns the same bundle as
+    `search_discreet`, or None."""
+    from discreet_weighings import ProblemInstance
+    from discreet_weighings.search import _apply_split, _expand_witness, _splits
+
+    def discreet(sizes, vectors_f):
+        return all(
+            any(vec[j] for vec in vectors_f) and any(vec[j] < n for vec in vectors_f)
+            for j, n in enumerate(sizes)
+        )
+
+    def walk(classes, codes):
+        if len(codes) >= max_weighings:
+            return
+        for split in _splits([n for _, n in classes]):
+            child = _apply_split(classes, split)
+            symbols = [itin for itin, _ in child]
+            sizes = [n for _, n in child]
+            for code in (0, 1, -1):
+                child_codes = codes + (code,)
+                vectors_f = brute_count_vectors(symbols, sizes, child_codes, f)
+                if not vectors_f:
+                    continue  # no placement of f fakes shows these outcomes
+                if discreet(sizes, vectors_f) and not brute_count_vectors(
+                    symbols, sizes, child_codes, d
+                ):
+                    yield child, child_codes
+                yield from walk(child, child_codes)
+
+    for classes, codes in walk((("", t),), ()):
+        return _expand_witness(ProblemInstance(t, f, d), classes, codes)
+    return None

@@ -23,8 +23,11 @@ from helpers import (
     brute_consistent,
     brute_discreet_instances,
     brute_optimal_pairs,
+    exhaustive_search_discreet,
     labeled_plans,
 )
+
+SEARCHES = {"pruned": search_discreet, "exhaustive": exhaustive_search_discreet}
 
 
 def test_bounds_are_enforced():
@@ -114,12 +117,26 @@ def test_search_agrees_with_brute_force_over_labeled_plans(t):
                 assert found == ((f, d) in possible), (t, f, d)
 
 
+@pytest.mark.parametrize("t,f,d", [(3, 2, 1), (4, 2, 1), (5, 2, 1), (4, 2, 3), (5, 3, 1)])
+def test_pruned_and_exhaustive_searches_agree(t, f, d):
+    pruned = search_discreet(t, f, d, 3)
+    exhaustive = exhaustive_search_discreet(t, f, d, 3)
+    if pruned is None:
+        assert exhaustive is None
+    else:
+        assert exhaustive is not None
+        assert pruned.plan == exhaustive.plan
+        assert pruned.placement == exhaustive.placement
+
+
 @pytest.mark.parametrize(
-    "t,f,d,max_w",
-    [(4, 2, 1, 1), (4, 2, 1, 3), (9, 2, 1, 2), (10, 2, 1, 2), (4, 2, 3, 3)],
+    "t,f,d,max_w,mode",
+    [(4, 2, 1, 1, "pruned"), (4, 2, 1, 3, "pruned"), (9, 2, 1, 2, "pruned"),
+     (10, 2, 1, 2, "pruned"), (4, 2, 1, 3, "exhaustive"), (4, 2, 3, 3, "pruned"),
+     (4, 2, 3, 3, "exhaustive")],
 )
-def test_witness_placement_is_the_first_consistent_set(t, f, d, max_w):
-    witness = search_discreet(t, f, d, max_w)
+def test_witness_placement_is_the_first_consistent_set(t, f, d, max_w, mode):
+    witness = SEARCHES[mode](t, f, d, max_w)
     survivors = brute_consistent(t, f, witness.transcript())
     assert sorted(witness.placement) == min(sorted(s) for s in survivors)
 
