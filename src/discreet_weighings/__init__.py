@@ -61,7 +61,6 @@ from .strategies import (
     build_official,
     build_reference_pile,
     build_triple_case,
-    consistent_family_from_cases,
 )
 
 __version__ = "0.1.0"

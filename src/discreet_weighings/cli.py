@@ -316,10 +316,7 @@ def main(argv=None) -> int:
     except InvalidProofError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ValidationError and ConstructionError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,6 @@ appear in display fields, rounded half-even to three places.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,32 +189,6 @@ def best_single_guess(consistent: Iterable, weights: Sequence | None = None):
 
 
 # --- exact minimax over placement cases ---
-#
-# The lawyer mixes over cases with probabilities p; the judge then picks the
-# single coin with the highest marginal.  The marginal of a coin is linear in
-# p, so the objective max_coin(marginal) is piecewise linear and the optimum
-# sits at a vertex of { p in simplex, v >= every coin row }.  With at most 6
-# cases we simply enumerate candidate vertices exactly over Fractions.
-
-MAX_MINIMAX_CASES = 6
-
-
-def _solve_linear(rows: list, rhs: list):
-    """Gaussian elimination over Fractions; None if the system is singular."""
-    n = len(rows)
-    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 def _coin_rows(structure: CaseStructure) -> list:
@@ -236,39 +209,49 @@ def minimax_distribution(structure: CaseStructure):
 
     Returns (probabilities, value), both exact; value equals the maximum of
     `case_marginals` at the returned distribution.
-    """
-    k = len(structure.cases)
-    if k > MAX_MINIMAX_CASES:
-        raise ValueError(f"minimax supports at most {MAX_MINIMAX_CASES} cases, got {k}")
-    rows = _coin_rows(structure)
-    zero, one = Fraction(0), Fraction(1)
 
-    # Variables (p_0..p_{k-1}, v).  The simplex equality is always active;
-    # choose k more tight constraints among coin rows (row.p = v) and
-    # nonnegativity (p_c = 0), solve, and keep the best feasible vertex.
-    simplex_row = [one] * k + [zero]
-    candidates = [(tuple(row) + (-one,), zero) for row in rows]
-    candidates += [
-        (tuple(one if i == c else zero for i in range(k)) + (zero,), zero)
-        for c in range(k)
+    >>> from discreet_weighings import ProblemInstance, build_official
+    >>> minimax_distribution(build_official(ProblemInstance(80, 3, 2)).cases)
+    ((Fraction(1, 2), Fraction(1, 2)), Fraction(1, 20))
+    """
+    # The lawyer's game: minimise v subject to row.p <= v for every coin row,
+    # p >= 0 and sum(p) = 1.  With q = p / v this is the packing LP
+    # max sum(q) s.t. row.q <= 1, q >= 0, whose origin is feasible, so one
+    # simplex phase over an exact tableau (columns q, then one slack per row)
+    # solves it.  Every case puts some coin at risk, so sum(q) is bounded.
+    # Bland's rule (lowest entering column, lowest leaving basic index on
+    # ratio ties) cannot cycle and picks the same vertex every time.
+    rows = _coin_rows(structure)
+    k, m = len(structure.cases), len(rows)
+    zero, one = Fraction(0), Fraction(1)
+    tableau = [
+        list(row) + [one if j == i else zero for j in range(m)] + [one]
+        for i, row in enumerate(rows)
     ]
-    best = None
-    for chosen in itertools.combinations(candidates, k):
-        matrix = [simplex_row] + [list(row) for row, _ in chosen]
-        rhs = [one] + [r for _, r in chosen]
-        solution = _solve_linear(matrix, rhs)
-        if solution is None:
-            continue
-        p, v = solution[:k], solution[k]
-        if any(x < 0 for x in p):
-            continue
-        if any(sum(a * x for a, x in zip(row, p)) > v for row in rows):
-            continue
-        if best is None or v < best[1]:
-            best = (tuple(p), v)
-    if best is None:  # cannot happen: the feasible region is pointed and bounded below
-        raise RuntimeError("minimax vertex enumeration found no feasible vertex")
-    probabilities, value = best
+    cost = [-one] * k + [zero] * (m + 1)  # reduced costs of minimising -sum(q)
+    basis = list(range(k, k + m))
+    while True:
+        enter = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
+        if enter is None:
+            break
+        _, _, i = min(
+            (line[-1] / line[enter], basis[r], r)
+            for r, line in enumerate(tableau)
+            if line[enter] > 0
+        )
+        pivot = tableau[i][enter]
+        tableau[i] = [x / pivot for x in tableau[i]]
+        for line in tableau + [cost]:
+            factor = line[enter]
+            if factor and line is not tableau[i]:
+                line[:] = [x - factor * y for x, y in zip(line, tableau[i])]
+        basis[i] = enter
+    q = [zero] * k
+    for r, j in enumerate(basis):
+        if j < k:
+            q[j] = tableau[r][-1]
+    value = 1 / sum(q)
+    probabilities = tuple(x * value for x in q)
     achieved = max(case_marginals(structure, probabilities).values())
     if achieved != value:
         raise RuntimeError(

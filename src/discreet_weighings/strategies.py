@@ -58,19 +58,6 @@ class StrategyBundle:
         }
 
 
-def consistent_family_from_cases(cases: CaseStructure) -> set:
-    """Expand a case structure into the explicit family of fake sets it
-    allows: every way of choosing each pile's fakes, across all cases."""
-    family = set()
-    for case in cases.cases:
-        pools = [
-            list(itertools.combinations(sorted(p.coins), p.fakes)) for p in case
-        ]
-        for choice in itertools.product(*pools):
-            family.add(frozenset(itertools.chain.from_iterable(choice)))
-    return family
-
-
 def _contiguous_piles(sizes) -> list:
     piles, start = [], 0
     for size in sizes:

@@ -7,8 +7,9 @@ paths are checked against.
 
 import itertools
 import random
+from fractions import Fraction
 
-from discreet_weighings import Outcome, Weighing, WeighingPlan
+from discreet_weighings import CaseStructure, Outcome, Pile, Weighing, WeighingPlan
 
 # The oracle's own copy of the outcome signs, kept apart from
 # `Outcome.sign` on purpose so that a wrong sign in the library cannot also
@@ -34,6 +35,69 @@ def brute_consistent(t, s, transcript):
         else:
             hits.add(fakes)
     return hits
+
+
+def consistent_family_from_cases(cases):
+    """Expand a case structure into the explicit family of fake sets it
+    allows: every way of choosing each pile's fakes, across all cases."""
+    family = set()
+    for case in cases.cases:
+        pools = [
+            list(itertools.combinations(sorted(p.coins), p.fakes)) for p in case
+        ]
+        for choice in itertools.product(*pools):
+            family.add(frozenset(itertools.chain.from_iterable(choice)))
+    return family
+
+
+def _solve_linear(rows, rhs):
+    """Gaussian elimination over Fractions; None if the system is singular."""
+    n = len(rows)
+    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col]
+        aug[col] = [x / inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def vertex_minimax(structure):
+    """The lawyer's minimax (probabilities, value) by trying every vertex of
+    { p in simplex, v >= every coin row . p }: the simplex equality plus k
+    tight constraints among coin rows (row.p = v) and nonnegativity
+    (p_c = 0), each subset solved exactly, keeping the first feasible vertex
+    with the least v.  Exponential in the number of cases k."""
+    k = len(structure.cases)
+    zero, one = Fraction(0), Fraction(1)
+    per_coin = {}  # coin -> its chance of being fake in each case
+    for c, case in enumerate(structure.cases):
+        for pile in case:
+            for coin in pile.coins:
+                per_coin.setdefault(coin, [zero] * k)[c] = Fraction(pile.fakes, len(pile.coins))
+    rows = sorted({tuple(row) for row in per_coin.values()})
+    simplex_row = [one] * k + [zero]
+    candidates = [tuple(row) + (-one,) for row in rows]
+    candidates += [tuple(one if i == c else zero for i in range(k)) + (zero,) for c in range(k)]
+    best = None
+    for chosen in itertools.combinations(candidates, k):
+        solution = _solve_linear([simplex_row] + [list(row) for row in chosen], [one] + [zero] * k)
+        if solution is None:
+            continue
+        p, v = solution[:k], solution[k]
+        if any(x < 0 for x in p):
+            continue
+        if any(sum(a * x for a, x in zip(row, p)) > v for row in rows):
+            continue
+        if best is None or v < best[1]:
+            best = (tuple(p), v)
+    return best
 
 
 def brute_optimal_pairs(t):
@@ -141,6 +205,23 @@ def random_plan(rng: random.Random, t: int, num_weighings: int) -> WeighingPlan:
 
 def random_fakes(rng: random.Random, t: int, f: int) -> frozenset:
     return frozenset(rng.sample(range(t), f))
+
+
+def random_case_structure(rng: random.Random, t: int, k: int):
+    """k random cases over coins 0..t-1, each of disjoint piles holding the
+    same total number of fakes."""
+    total = rng.randint(1, t)
+    cases = []
+    for _ in range(k):
+        coins = rng.sample(range(t), rng.randint(total, t))
+        piles = rng.randint(1, total)
+        cuts = sorted(rng.sample(range(1, len(coins)), piles - 1))
+        groups = [coins[i:j] for i, j in zip([0] + cuts, cuts + [len(coins)])]
+        fakes = [1] * piles
+        for _ in range(total - piles):
+            fakes[rng.choice([i for i in range(piles) if fakes[i] < len(groups[i])])] += 1
+        cases.append(tuple(Pile(frozenset(g), n) for g, n in zip(groups, fakes)))
+    return CaseStructure(tuple(cases))
 
 
 def brute_count_vectors(symbols, sizes, codes, size):

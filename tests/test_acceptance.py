@@ -23,7 +23,6 @@ from discreet_weighings import (
     classify_privacy,
     conjugate,
     consistent_assignments,
-    consistent_family_from_cases,
     count_consistent,
     equal_piles_factor,
     minimax_distribution,
@@ -34,7 +33,13 @@ from discreet_weighings import (
     verify_proof,
 )
 from discreet_weighings.metrics import approx3
-from helpers import brute_consistent, brute_optimal_pairs, random_fakes, random_plan
+from helpers import (
+    brute_consistent,
+    brute_optimal_pairs,
+    consistent_family_from_cases,
+    random_fakes,
+    random_plan,
+)
 
 
 def report(criterion, message):

@@ -7,12 +7,18 @@ import re
 from pathlib import Path
 
 import discreet_weighings.judge
+import discreet_weighings.metrics
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_judge_docstring_examples():
     result = doctest.testmod(discreet_weighings.judge)
+    assert result.attempted > 0 and result.failed == 0
+
+
+def test_metrics_docstring_examples():
+    result = doctest.testmod(discreet_weighings.metrics)
     assert result.attempted > 0 and result.failed == 0
 
 

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from discreet_weighings import (
+    BUILDERS,
     CaseStructure,
     Pile,
     ProblemInstance,
@@ -17,6 +19,7 @@ from discreet_weighings import (
     revealing_metrics,
 )
 from discreet_weighings.metrics import approx3
+from helpers import random_case_structure, vertex_minimax
 
 
 def test_revealing_metrics_reference_values():
@@ -173,10 +176,47 @@ def test_minimax_single_case_of_equal_piles():
     assert value == Fraction(2, 10)  # f/t for f=2, t=10
 
 
-def test_minimax_rejects_too_many_cases():
-    cases = CaseStructure(tuple((Pile(frozenset({i})),) for i in range(7)))
-    with pytest.raises(ValueError):
-        minimax_distribution(cases)
+def test_minimax_solves_more_than_six_cases():
+    cases = CaseStructure(tuple((Pile(frozenset({i})),) for i in range(9)))
+    assert minimax_distribution(cases) == ((Fraction(1, 9),) * 9, Fraction(1, 9))
+
+
+def test_minimax_picks_the_same_optimum_when_several_exist():
+    # two identical cases: every mix is optimal, and Bland's rule enters the
+    # first case's column first
+    case = (Pile(frozenset({0, 1})),)
+    structure = CaseStructure((case, case))
+    assert minimax_distribution(structure) == ((Fraction(1), Fraction(0)), Fraction(1, 2))
+
+
+def test_minimax_agrees_with_vertex_enumeration_on_random_structures():
+    rng = random.Random(2015)
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        structure = random_case_structure(rng, rng.randint(1, 11 - k), k)
+        distribution, value = minimax_distribution(structure)
+        # the optimum may not be unique, so only the value must match
+        assert value == vertex_minimax(structure)[1]
+        assert all(p >= 0 for p in distribution) and sum(distribution) == 1
+        assert max(case_marginals(structure, distribution).values()) == value
+
+
+def test_minimax_of_every_builtin_strategy_matches_vertex_enumeration():
+    structures = set()
+    for t in range(8, 33):
+        for f in range(1, 7):
+            for d in range(t + 1):
+                for name, build in BUILDERS.items():
+                    for a in range(2, f + 1) if name == "equal-piles" else [None]:
+                        try:
+                            instance = ProblemInstance(t, f, d)
+                            bundle = build(instance, a) if a else build(instance)
+                        except ValueError:
+                            continue  # d = f, or a precondition of the strategy fails
+                        structures.add(bundle.cases)
+    assert len(structures) > 300
+    for structure in structures:
+        assert minimax_distribution(structure) == vertex_minimax(structure)
 
 
 def test_minimax_never_beats_uniform_spread():

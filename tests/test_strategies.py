@@ -15,12 +15,11 @@ from discreet_weighings import (
     build_triple_case,
     classify_privacy,
     consistent_assignments,
-    consistent_family_from_cases,
     count_consistent,
     validate_plan,
     verify_proof,
 )
-from helpers import brute_consistent
+from helpers import brute_consistent, consistent_family_from_cases
 
 
 def assert_bundle_claims_hold(bundle):
