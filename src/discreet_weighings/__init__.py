@@ -8,7 +8,6 @@ from .judge import (
     ProofEvaluation,
     ProofVerdict,
     classify_privacy,
-    consistent_assignments,
     count_consistent,
     evaluate_proof,
     uniform_best_guess,
@@ -18,7 +17,6 @@ from .metrics import (
     CaseStructure,
     Pile,
     RevealingMetrics,
-    best_single_guess,
     case_marginals,
     equal_piles_factor,
     equal_piles_factor_limit,
@@ -26,7 +24,6 @@ from .metrics import (
     revealing_metrics,
 )
 from .model import (
-    FakeSet,
     Outcome,
     ProblemInstance,
     Transcript,

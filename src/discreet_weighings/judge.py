@@ -13,8 +13,8 @@ size-s sets are exactly the unions of per-class choices described by a small
 set of "class count vectors", and their number is a sum of products of
 binomials.  The same vectors also say, per class, how many surviving sets
 hold each of its coins, which is all the privacy report and the judge's
-uniform best guess need.  Only `consistent_assignments` lists subsets, and
-one pass over the size-f and size-d vectors answers a whole request:
+uniform best guess need.  Nothing here lists subsets, and one pass over the
+size-f and size-d vectors answers a whole request:
 
     >>> from discreet_weighings import ProblemInstance, build_official
     >>> inst = ProblemInstance(80, 3, 2)
@@ -47,7 +47,6 @@ order of an enumeration.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -249,7 +248,6 @@ class _Tally:
     weights[j] / n_j of the `count` sets."""
 
     classes: list  # (itinerary, coins), sorted by itinerary
-    vectors: list
     count: int
     weights: tuple
 
@@ -304,7 +302,7 @@ def _tally(classes, codes, size: int) -> _Tally:
         for j, c in enumerate(vec):
             if c:
                 weights[j] += ways * c
-    return _Tally(classes, vectors, count, tuple(weights))
+    return _Tally(classes, count, tuple(weights))
 
 
 def _checked_tally(t: int, s: int, transcript: Transcript) -> _Tally:
@@ -323,24 +321,9 @@ def count_consistent(t: int, s: int, transcript: Transcript) -> int:
 def uniform_best_guess(t: int, s: int, transcript: Transcript):
     """The judge's best one-coin guess when every consistent size-s set is
     equally likely: (coin, success probability), ties broken by lowest
-    index.  Equal to `metrics.best_single_guess` over
-    `consistent_assignments(t, s, transcript)`, without listing the sets."""
+    index.  A coin's share of the sets follows from its class's share, so
+    the sets are never listed."""
     return _checked_tally(t, s, transcript).best_guess()
-
-
-def consistent_assignments(t: int, s: int, transcript: Transcript) -> list:
-    """All size-s fake sets consistent with the transcript, in lexicographic
-    order of their sorted coin indices.  Memory grows with the number of
-    sets; prefer the counting functions whenever a number will do."""
-    tally = _checked_tally(t, s, transcript)
-    members = [sorted(coins) for _, coins in tally.classes]
-    found = []
-    for vec in tally.vectors:
-        choices = [itertools.combinations(coins, c) for coins, c in zip(members, vec)]
-        for parts in itertools.product(*choices):
-            found.append(tuple(sorted(itertools.chain.from_iterable(parts))))
-    found.sort()
-    return [frozenset(combo) for combo in found]
 
 
 def _sized_placement(instance: ProblemInstance, placement) -> frozenset:

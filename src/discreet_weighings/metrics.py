@@ -7,11 +7,10 @@ appear in display fields, rounded half-even to three places.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def approx3(value: Fraction) -> float:
@@ -123,10 +122,6 @@ class CaseStructure:
         if len(totals) != 1:
             raise ValueError(f"cases disagree on the total fake count: {totals}")
 
-    @property
-    def total_fakes(self) -> int:
-        return sum(p.fakes for p in self.cases[0])
-
     def to_json(self) -> dict:
         return {
             "cases": [
@@ -153,39 +148,6 @@ def case_marginals(structure: CaseStructure, probabilities: Sequence) -> dict:
             for coin in pile.coins:
                 marginals[coin] = marginals.get(coin, Fraction(0)) + share
     return marginals
-
-
-def best_single_guess(consistent: Iterable, weights: Sequence | None = None):
-    """The judge's best one-coin guess against a family of consistent fake
-    sets: returns (coin, success probability), ties broken by lowest index.
-
-    With no weights the family is treated as uniform; the probability of a
-    coin is then just the fraction of sets containing it.
-    """
-    sets = [frozenset(s) for s in consistent]
-    if not sets:
-        raise ValueError("cannot guess against an empty family of fake sets")
-    if not any(sets):
-        raise ValueError("the consistent sets contain no coins to guess")
-    if weights is None:
-        counts = Counter()
-        for s in sets:
-            counts.update(s)
-        top = max(counts.values())
-        coin = min(c for c, n in counts.items() if n == top)
-        return coin, Fraction(top, len(sets))
-    weights = [Fraction(w) for w in weights]
-    if len(weights) != len(sets):
-        raise ValueError(f"{len(weights)} weights for {len(sets)} sets")
-    if any(w < 0 for w in weights) or sum(weights) != 1:
-        raise ValueError("weights must be nonnegative and sum to 1")
-    marginal: dict[int, Fraction] = {}
-    for s, w in zip(sets, weights):
-        for coin in s:
-            marginal[coin] = marginal.get(coin, Fraction(0)) + w
-    top = max(marginal.values())
-    coin = min(c for c, p in marginal.items() if p == top)
-    return coin, top
 
 
 # --- exact minimax over placement cases ---

@@ -17,9 +17,6 @@ from typing import Iterable, Mapping
 
 ITINERARY_SYMBOLS = "LRO"  # left pan, right pan, off the scale
 
-FakeSet = frozenset
-"""A set of coin indices hypothesized (or known) to be fake."""
-
 
 class ValidationError(ValueError):
     """A weighing, plan, or transcript breaks a structural rule."""
@@ -231,10 +228,16 @@ def _int_from_json(value, what: str) -> int:
 
 
 def coins_from_json(values, what: str) -> frozenset:
-    """A list of coin indices from JSON, each checked by `_int_from_json`."""
+    """A list of coin indices from JSON, each checked by `_int_from_json`.
+    A repeated index is refused, since the set would silently drop it."""
     if not isinstance(values, (list, tuple)):
         raise ValidationError(f"{what} must be a list of coin indices")
-    return frozenset(_int_from_json(c, f"coin index in {what}") for c in values)
+    listed = [_int_from_json(c, f"coin index in {what}") for c in values]
+    coins = frozenset(listed)
+    if len(coins) < len(listed):
+        repeated = sorted(c for c in coins if listed.count(c) > 1)
+        raise ValidationError(f"{what} lists coins {repeated} more than once")
+    return coins
 
 
 def plan_from_json(data: Mapping) -> WeighingPlan:

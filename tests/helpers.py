@@ -7,6 +7,7 @@ paths are checked against.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from discreet_weighings import CaseStructure, Outcome, Pile, Weighing, WeighingPlan
@@ -35,6 +36,21 @@ def brute_consistent(t, s, transcript):
         else:
             hits.add(fakes)
     return hits
+
+
+def brute_best_guess(sets):
+    """The best one-coin guess against an explicit family of fake sets, all
+    equally likely: (coin, share of the sets holding it), ties broken by
+    lowest index, counting coin by coin."""
+    sets = [frozenset(s) for s in sets]
+    if not sets:
+        raise ValueError("cannot guess against an empty family of fake sets")
+    if not any(sets):
+        raise ValueError("the consistent sets contain no coins to guess")
+    counts = Counter(coin for s in sets for coin in s)
+    top = max(counts.values())
+    coin = min(c for c, n in counts.items() if n == top)
+    return coin, Fraction(top, len(sets))
 
 
 def consistent_family_from_cases(cases):

@@ -14,7 +14,6 @@ from discreet_weighings import (
     ProblemInstance,
     Transcript,
     WeighingPlan,
-    best_single_guess,
     build_equal_piles,
     build_leftover_reveal,
     build_official,
@@ -22,7 +21,6 @@ from discreet_weighings import (
     build_triple_case,
     classify_privacy,
     conjugate,
-    consistent_assignments,
     count_consistent,
     equal_piles_factor,
     minimax_distribution,
@@ -30,10 +28,12 @@ from discreet_weighings import (
     revealing_metrics,
     search_discreet,
     simulate_transcript,
+    uniform_best_guess,
     verify_proof,
 )
 from discreet_weighings.metrics import approx3
 from helpers import (
+    brute_best_guess,
     brute_consistent,
     brute_optimal_pairs,
     consistent_family_from_cases,
@@ -51,9 +51,7 @@ def test_criterion_01_two_fakes_in_two_piles():
     bundle = build_equal_piles(instance, 2)
     transcript = bundle.transcript()
     assert count_consistent(80, 2, transcript) == 1600
-    assert brute_consistent(80, 2, transcript) == set(
-        consistent_assignments(80, 2, transcript)
-    )
+    assert brute_consistent(80, 2, transcript) == consistent_family_from_cases(bundle.cases)
     metrics = revealing_metrics(80, 2, 1600)
     assert metrics.factor_x == Fraction(3160, 1600)
     assert approx3(metrics.factor_x) == 1.975
@@ -89,8 +87,8 @@ def test_criterion_03_leftover_reveal():
     metrics = revealing_metrics(80, 3, 16900)
     assert float(round(metrics.factor_x, 2)) == 4.86
     assert approx3(metrics.coefficient_r) == 0.794
-    _, prob = best_single_guess(consistent_assignments(80, 3, transcript))
-    assert prob == Fraction(1, 25)
+    _, prob = brute_best_guess(brute_consistent(80, 3, transcript))
+    assert prob == Fraction(1, 25) == uniform_best_guess(80, 3, transcript)[1]
     report(3, "80-3-2 leftover-reveal: 3 coins exposed, count 16900, guess 1/25")
 
 
@@ -110,8 +108,8 @@ def test_criterion_04_reference_pile():
     ).consistent_count_f
     metrics = revealing_metrics(80, 3, 8000)
     assert approx3(metrics.factor_x) == 10.27
-    _, prob = best_single_guess(consistent_assignments(80, 3, transcript))
-    assert prob == Fraction(1, 20)
+    _, prob = brute_best_guess(brute_consistent(80, 3, transcript))
+    assert prob == Fraction(1, 20) == uniform_best_guess(80, 3, transcript)[1]
     report(4, "80-3-2 reference-pile: 20 coins exposed, count 8000, guess 1/20")
 
 
@@ -198,7 +196,7 @@ def test_criterion_09_leftover_reveal_generalized():
         privacy = classify_privacy(instance, transcript)
         assert not privacy.discreet
         assert len(privacy.revealed_real) == d + 1
-        _, prob = best_single_guess(consistent_assignments(t, f, transcript))
+        _, prob = uniform_best_guess(t, f, transcript)
         assert prob == Fraction(1, t // f - ceil(d / f))
     report(9, "leftover-reveal at (80,3,2), (100,3,2), (50,4,3): d+1 coins, guess bound met")
 
@@ -265,9 +263,7 @@ def test_criterion_10_property_suite():
         instance = bundle.instance
         transcript = bundle.transcript()
         assert verify_proof(instance, transcript, bundle.placement).valid
-        _, prob = best_single_guess(
-            consistent_assignments(instance.t, instance.f, transcript)
-        )
+        _, prob = uniform_best_guess(instance.t, instance.f, transcript)
         floor_rate = Fraction(instance.f, instance.t)
         assert prob >= floor_rate
         if not classify_privacy(instance, transcript).discreet:

@@ -310,6 +310,22 @@ def test_verify_rejects_bool_and_string_pans(capsys, monkeypatch):
     assert "overlap" not in err
 
 
+def test_verify_rejects_repeated_pan_coins(capsys, monkeypatch):
+    # a set would read both pans as one coin: a 1 v 1 weighing
+    data = {"t": 4, "weighings": [{"left": [0, 0], "right": [1, 1]}], "placement": [0, 2]}
+    code, out, err = verify_json(capsys, monkeypatch, data)
+    assert code == 2 and not out
+    assert err == "error: malformed plan JSON: weighing 0 left pan lists coins [0] more than once\n"
+
+
+def test_verify_rejects_repeated_placement_coins(capsys, monkeypatch):
+    # a set would accept [2, 2, 3] as the two fakes [2, 3]
+    data = {**PAIR_PLAN, "placement": [2, 2, 3]}
+    code, out, err = verify_json(capsys, monkeypatch, data)
+    assert code == 2 and not out
+    assert err == "error: placement lists coins [2] more than once\n"
+
+
 def test_verify_plan_with_more_classes_than_the_recursion_limit(capsys, monkeypatch):
     # about 1500 itinerary classes; the judge used to recurse once per class
     rng = random.Random(1)

@@ -4,8 +4,10 @@ import contextlib
 import doctest
 import io
 import re
+import types
 from pathlib import Path
 
+import discreet_weighings
 import discreet_weighings.judge
 import discreet_weighings.metrics
 
@@ -20,6 +22,64 @@ def test_judge_docstring_examples():
 def test_metrics_docstring_examples():
     result = doctest.testmod(discreet_weighings.metrics)
     assert result.attempted > 0 and result.failed == 0
+
+
+def test_public_api_is_pinned():
+    # every change to the package's public names shows up as a diff here
+    public = sorted(
+        name
+        for name, value in vars(discreet_weighings).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == [
+        "BUILDERS",
+        "CaseStructure",
+        "ConstructionError",
+        "InvalidProofError",
+        "ItineraryProfile",
+        "OddTItineraryReport",
+        "Outcome",
+        "Pile",
+        "PrivacyReport",
+        "ProblemInstance",
+        "ProofEvaluation",
+        "ProofVerdict",
+        "RevealingMetrics",
+        "StrategyBundle",
+        "Transcript",
+        "ValidationError",
+        "Weighing",
+        "WeighingPlan",
+        "all_discreet_profiles",
+        "build_equal_piles",
+        "build_leftover_reveal",
+        "build_official",
+        "build_reference_pile",
+        "build_triple_case",
+        "case_marginals",
+        "check_odd_t_itineraries",
+        "classify_privacy",
+        "conjugate",
+        "count_consistent",
+        "equal_piles_factor",
+        "equal_piles_factor_limit",
+        "evaluate_proof",
+        "itinerary_of",
+        "minimax_distribution",
+        "optimal_f2_new_possibilities",
+        "partition_by_itinerary",
+        "plan_from_json",
+        "plan_to_json",
+        "revealing_metrics",
+        "search_discreet",
+        "simulate_outcome",
+        "simulate_transcript",
+        "transcript_from_json",
+        "transcript_to_json",
+        "uniform_best_guess",
+        "validate_plan",
+        "verify_proof",
+    ]
 
 
 def test_readme_quick_start_prints_what_its_comments_say():

@@ -14,11 +14,9 @@ from discreet_weighings import (
     WeighingPlan,
     build_leftover_reveal,
     build_official,
-    best_single_guess,
     build_reference_pile,
     build_triple_case,
     classify_privacy,
-    consistent_assignments,
     count_consistent,
     evaluate_proof,
     simulate_transcript,
@@ -28,6 +26,7 @@ from discreet_weighings import (
 from discreet_weighings import model
 from discreet_weighings.judge import consistent_count_vectors
 from helpers import (
+    brute_best_guess,
     brute_consistent,
     brute_count_vectors,
     brute_pair_count,
@@ -49,21 +48,16 @@ def test_consistent_assignments_small_example():
         frozenset({1, 2}),
         frozenset({1, 3}),
     }
-    assert set(consistent_assignments(4, 2, BALANCED_PAIR)) == expected
-    assert consistent_assignments(4, 1, BALANCED_PAIR) == []
-
-
-def test_consistent_assignments_lexicographic_order():
-    sets = consistent_assignments(4, 2, BALANCED_PAIR)
-    assert [tuple(sorted(s)) for s in sets] == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert count_consistent(4, 2, BALANCED_PAIR) == len(expected)
+    assert count_consistent(4, 1, BALANCED_PAIR) == 0
 
 
 def test_consistent_assignment_edge_sizes():
-    assert consistent_assignments(4, 0, BALANCED_PAIR) == [frozenset()]
+    assert count_consistent(4, 0, BALANCED_PAIR) == 1  # the empty set
     unbalanced = Transcript(BALANCED_PAIR.plan, (Outcome.LEFT_LIGHTER,))
-    assert consistent_assignments(4, 0, unbalanced) == []
+    assert count_consistent(4, 0, unbalanced) == 0
     empty_plan = Transcript(WeighingPlan(4, ()), ())
-    assert len(consistent_assignments(4, 2, empty_plan)) == comb(4, 2)
+    assert count_consistent(4, 2, empty_plan) == comb(4, 2)
     with pytest.raises(ValueError):
         count_consistent(4, 5, BALANCED_PAIR)
     with pytest.raises(ValueError):
@@ -79,7 +73,6 @@ def test_counting_path_matches_brute_force_on_random_plans():
         transcript = simulate_transcript(plan, fakes)
         for s in range(0, 4):
             expected = brute_consistent(t, s, transcript)
-            assert set(consistent_assignments(t, s, transcript)) == expected
             assert count_consistent(t, s, transcript) == len(expected)
 
 
@@ -189,7 +182,7 @@ def test_three_equal_groups_alone_do_not_prove_three_fakes():
     assert not verdict.valid
     assert verdict.consistent_count_d >= 1  # the leftover pair survives
     leftovers = frozenset({78, 79})
-    assert leftovers in set(consistent_assignments(80, 2, transcript))
+    assert simulate_transcript(plan, leftovers) == transcript
 
 
 def test_verify_proof_empty_plan_proves_nothing():
@@ -251,7 +244,7 @@ def test_privacy_categories_partition_the_coins():
             continue
         found += 1
         report = classify_privacy(instance, transcript)
-        survivors = consistent_assignments(10, 3, transcript)
+        survivors = brute_consistent(10, 3, transcript)
         somewhere = frozenset().union(*survivors)
         everywhere = frozenset(range(10)).intersection(*survivors)
         assert report.revealed_real == frozenset(range(10)) - somewhere
@@ -328,7 +321,7 @@ def test_single_pass_matches_brute_force_on_random_plans():
             assert result.privacy.revealed_real == frozenset(range(t)) - somewhere
             assert result.privacy.revealed_fake == everywhere
             assert result.privacy == classify_privacy(instance, transcript)
-            assert result.guess == best_single_guess(survivors)
+            assert result.guess == brute_best_guess(survivors)
     assert valid_seen >= 100
 
 
@@ -338,15 +331,8 @@ def test_uniform_guess_matches_brute_force_on_random_plans():
         for s in range(t + 1):
             survivors = brute_consistent(t, s, transcript)
             if s and survivors:
-                assert uniform_best_guess(t, s, transcript) == best_single_guess(survivors)
+                assert uniform_best_guess(t, s, transcript) == brute_best_guess(survivors)
             else:
                 with pytest.raises(ValueError):
                     uniform_best_guess(t, s, transcript)
 
-
-def test_consistent_assignments_equal_sorted_brute_force():
-    rng = random.Random(8)
-    for t, _f, _placement, transcript in _random_transcripts(rng, 300):
-        for s in range(t + 1):
-            listed = [tuple(sorted(c)) for c in consistent_assignments(t, s, transcript)]
-            assert listed == sorted(tuple(sorted(c)) for c in brute_consistent(t, s, transcript))

@@ -8,8 +8,11 @@ from discreet_weighings import (
     BUILDERS,
     CaseStructure,
     Pile,
+    Outcome,
     ProblemInstance,
-    best_single_guess,
+    Transcript,
+    Weighing,
+    WeighingPlan,
     build_official,
     build_triple_case,
     case_marginals,
@@ -17,9 +20,10 @@ from discreet_weighings import (
     equal_piles_factor_limit,
     minimax_distribution,
     revealing_metrics,
+    uniform_best_guess,
 )
 from discreet_weighings.metrics import approx3
-from helpers import random_case_structure, vertex_minimax
+from helpers import brute_best_guess, brute_consistent, random_case_structure, vertex_minimax
 
 
 def test_revealing_metrics_reference_values():
@@ -109,25 +113,20 @@ def test_pile_and_case_structure_validation():
 
 
 def test_best_single_guess_uniform_and_ties():
+    # the oracle the judge's uniform guess is checked against
     family = [frozenset({0, 2}), frozenset({0, 3}), frozenset({1, 3})]
-    coin, prob = best_single_guess(family)
-    assert (coin, prob) == (0, Fraction(2, 3))
-
-    coin, prob = best_single_guess([frozenset({4}), frozenset({2})])
-    assert (coin, prob) == (2, Fraction(1, 2))  # tie broken by lowest index
-
+    assert brute_best_guess(family) == (0, Fraction(2, 3))
+    assert brute_best_guess([frozenset({4}), frozenset({2})]) == (2, Fraction(1, 2))
     with pytest.raises(ValueError):
-        best_single_guess([])
+        brute_best_guess([])
 
-
-def test_best_single_guess_weighted():
-    family = [frozenset({0}), frozenset({1})]
-    coin, prob = best_single_guess(family, [Fraction(1, 3), Fraction(2, 3)])
-    assert (coin, prob) == (1, Fraction(2, 3))
+    # {0, 1} v {2, 3} balanced: every coin is fake in 2 of the 4 surviving
+    # pairs, so the tie goes to coin 0; no single fake can balance it
+    balanced = Transcript(WeighingPlan(4, (Weighing({0, 1}, {2, 3}),)), (Outcome.BALANCED,))
+    assert uniform_best_guess(4, 2, balanced) == (0, Fraction(1, 2))
+    assert brute_best_guess(brute_consistent(4, 2, balanced)) == (0, Fraction(1, 2))
     with pytest.raises(ValueError):
-        best_single_guess(family, [Fraction(1, 3)])
-    with pytest.raises(ValueError):
-        best_single_guess(family, [Fraction(1, 3), Fraction(1, 3)])
+        uniform_best_guess(4, 1, balanced)
 
 
 def test_case_marginals_triple_case():
@@ -220,7 +219,7 @@ def test_minimax_of_every_builtin_strategy_matches_vertex_enumeration():
 
 
 def test_minimax_never_beats_uniform_spread():
-    # the optimal value is at least total_fakes / covered coins
+    # the optimal value is at least f / covered coins
     cases = build_triple_case(ProblemInstance(23, 5, 2)).cases
     _, value = minimax_distribution(cases)
     assert value >= Fraction(5, 23)

@@ -4,22 +4,24 @@ from math import ceil
 import pytest
 
 from discreet_weighings import (
+    BUILDERS,
     ConstructionError,
     Outcome,
     ProblemInstance,
-    best_single_guess,
     build_equal_piles,
     build_leftover_reveal,
     build_official,
     build_reference_pile,
     build_triple_case,
     classify_privacy,
-    consistent_assignments,
     count_consistent,
+    partition_by_itinerary,
+    uniform_best_guess,
     validate_plan,
     verify_proof,
 )
-from helpers import brute_consistent, consistent_family_from_cases
+from discreet_weighings.judge import consistent_count_vectors
+from helpers import OUTCOME_CODE, brute_consistent, consistent_family_from_cases
 
 
 def assert_bundle_claims_hold(bundle):
@@ -33,17 +35,39 @@ def assert_bundle_claims_hold(bundle):
     assert report.discreet == bundle.expected_discreet
     assert report.revealed_real == bundle.revealed_expected
     assert not report.revealed_fake
-    assert bundle.placement in consistent_family_from_cases(bundle.cases)
+    # the placement is one of the cases' sets: some case's disjoint piles
+    # hold exactly their fakes of it, and all of it
+    assert any(
+        all(len(bundle.placement & p.coins) == p.fakes for p in case)
+        and sum(p.fakes for p in case) == len(bundle.placement)
+        for case in bundle.cases.cases
+    )
+    assert_cases_are_the_judge_vectors(bundle)
     return transcript, verdict, report
 
 
-def assert_cases_match_judge_exactly(bundle):
-    """The judge's surviving sets must be precisely the case-structure family."""
-    transcript = bundle.transcript()
-    survivors = set(
-        consistent_assignments(bundle.instance.t, bundle.instance.f, transcript)
+def assert_cases_are_the_judge_vectors(bundle):
+    """The declared cases are the judge's size-f class count vectors: every
+    pile is exactly one itinerary class, and the cases' fakes per class are
+    the vectors, one case per vector.  Coins of a class are interchangeable,
+    so this says the case family is exactly the consistent size-f sets."""
+    classes = list(partition_by_itinerary(bundle.plan).items())
+    position = {coins: j for j, (_, coins) in enumerate(classes)}
+    declared = []
+    for case in bundle.cases.cases:
+        vec = [0] * len(classes)
+        for pile in case:
+            assert pile.coins in position, f"pile {sorted(pile.coins)} is not a class"
+            vec[position[pile.coins]] = pile.fakes
+        declared.append(tuple(vec))
+    derived = consistent_count_vectors(
+        [itin for itin, _ in classes],
+        [len(coins) for _, coins in classes],
+        [OUTCOME_CODE[o] for o in bundle.transcript().outcomes],
+        bundle.instance.f,
     )
-    assert survivors == consistent_family_from_cases(bundle.cases)
+    assert len(declared) == len(derived)
+    assert set(declared) == set(derived)
 
 
 @pytest.mark.parametrize(
@@ -72,7 +96,11 @@ def test_equal_piles_reference_counts():
 
 
 def test_equal_piles_small_family_matches_judge():
-    assert_cases_match_judge_exactly(build_equal_piles(ProblemInstance(12, 4, 1), 2))
+    bundle = build_equal_piles(ProblemInstance(12, 4, 1), 2)
+    assert_cases_are_the_judge_vectors(bundle)
+    assert consistent_family_from_cases(bundle.cases) == brute_consistent(
+        12, 4, bundle.transcript()
+    )
 
 
 def test_equal_piles_preconditions():
@@ -113,10 +141,10 @@ def test_triple_case_nine_coins_family():
     bundle = build_triple_case(ProblemInstance(9, 2, 1))
     transcript = bundle.transcript()
     assert count_consistent(9, 2, transcript) == 6
-    assert set(consistent_assignments(9, 2, transcript)) == brute_consistent(
+    assert consistent_family_from_cases(bundle.cases) == brute_consistent(
         9, 2, transcript
     )
-    assert_cases_match_judge_exactly(bundle)
+    assert_cases_are_the_judge_vectors(bundle)
 
 
 def test_triple_case_preconditions():
@@ -167,10 +195,10 @@ def test_official_family_matches_judge_small():
     for t in (8, 16):
         bundle = build_official(ProblemInstance(t, 3, 1))
         transcript = bundle.transcript()
-        assert set(
-            consistent_assignments(t, 3, transcript)
-        ) == brute_consistent(t, 3, transcript)
-        assert_cases_match_judge_exactly(bundle)
+        assert consistent_family_from_cases(bundle.cases) == brute_consistent(
+            t, 3, transcript
+        )
+        assert_cases_are_the_judge_vectors(bundle)
 
 
 def test_official_preconditions():
@@ -198,12 +226,16 @@ def test_leftover_reveal_bundles(t, f, d):
     transcript, verdict, report = assert_bundle_claims_hold(bundle)
     r = t % f
     assert len(report.revealed_real) == max(r, d + 1)
-    coin, prob = best_single_guess(consistent_assignments(t, f, transcript))
+    _, prob = uniform_best_guess(t, f, transcript)
     assert prob == Fraction(1, t // f - ceil(d / f))
 
 
 def test_leftover_reveal_family_matches_judge_small():
-    assert_cases_match_judge_exactly(build_leftover_reveal(ProblemInstance(14, 4, 2)))
+    bundle = build_leftover_reveal(ProblemInstance(14, 4, 2))
+    assert_cases_are_the_judge_vectors(bundle)
+    assert consistent_family_from_cases(bundle.cases) == brute_consistent(
+        14, 4, bundle.transcript()
+    )
 
 
 def test_leftover_reveal_preconditions():
@@ -220,13 +252,15 @@ def test_reference_pile_cases():
     transcript, verdict, report = assert_bundle_claims_hold(bundle)
     assert verdict.consistent_count_f == 8000
     assert report.revealed_real == frozenset(range(60, 80))
-    coin, prob = best_single_guess(consistent_assignments(80, 3, transcript))
+    _, prob = uniform_best_guess(80, 3, transcript)
     assert prob == Fraction(1, 20)
 
     small = build_reference_pile(ProblemInstance(8, 3, 2))
     _, _, report = assert_bundle_claims_hold(small)
     assert len(report.revealed_real) == 2
-    assert_cases_match_judge_exactly(small)
+    assert consistent_family_from_cases(small.cases) == brute_consistent(
+        8, 3, small.transcript()
+    )
 
 
 @pytest.mark.parametrize("t,f,d", [(80, 3, 2), (8, 3, 2), (12, 2, 1)])
@@ -244,4 +278,21 @@ def test_reference_pile_preconditions():
 def test_case_families_match_judge_at_full_scale():
     instance = ProblemInstance(80, 3, 2)
     for builder in (build_official, build_leftover_reveal, build_reference_pile):
-        assert_cases_match_judge_exactly(builder(instance))
+        assert_cases_are_the_judge_vectors(builder(instance))
+
+
+def test_every_builtin_strategy_declares_the_judge_vectors():
+    checked = 0
+    for t in range(3, 25):
+        for f in range(1, t):
+            for d in range(t + 1):
+                for name, build in BUILDERS.items():
+                    for a in range(2, f + 1) if name == "equal-piles" else [None]:
+                        try:
+                            instance = ProblemInstance(t, f, d)
+                            bundle = build(instance, a) if a else build(instance)
+                        except ValueError:
+                            continue  # d = f, or a precondition of the strategy fails
+                        assert_cases_are_the_judge_vectors(bundle)
+                        checked += 1
+    assert checked > 2000
