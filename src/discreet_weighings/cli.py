@@ -29,7 +29,7 @@ from .model import (
     plan_from_json,
     plan_to_json,
     simulate_transcript,
-    transcript_from_json,
+    transcript_for_plan,
 )
 from .reference import SEARCH_BOUND_NOTE, run_reference_checks
 from .search import search_discreet
@@ -160,7 +160,7 @@ def _cmd_verify(args) -> int:
     placement = coins_from_json(values, "placement")
     instance = ProblemInstance(plan.t, args.f, args.d)
     if "outcomes" in data:
-        transcript = transcript_from_json(data)
+        transcript = transcript_for_plan(plan, data)
     else:
         transcript = simulate_transcript(plan, placement)
     report, code = _evaluate(instance, transcript, placement, "user-plan")

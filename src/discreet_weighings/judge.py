@@ -118,8 +118,10 @@ def _signs(transcript: Transcript) -> tuple:
 @functools.lru_cache(maxsize=32)
 def _walk_plan(symbols: tuple, sizes: tuple) -> tuple:
     """The part of a walk that depends only on the classes, built once and
-    reused: the search asks about the same classes for every outcome sign
-    and both hypothesis sizes, and the judge asks twice per request.
+    reused: the judge asks twice per request, once per hypothesis size.
+    The search refines its size-f vectors from the parent node and asks
+    only for the size-d check of a surviving node and the witness
+    expansion, which often follow on the same classes.
 
     Returns (order, rest, steps, touched): `order[p]` is the class placed at
     position p, `rest[p]` the coins of the classes after it, and

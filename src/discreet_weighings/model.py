@@ -262,7 +262,12 @@ def transcript_to_json(transcript: Transcript) -> dict:
 
 
 def transcript_from_json(data: Mapping) -> Transcript:
-    plan = plan_from_json(data)
+    return transcript_for_plan(plan_from_json(data), data)
+
+
+def transcript_for_plan(plan: WeighingPlan, data: Mapping) -> Transcript:
+    """The transcript of `plan`, already read from `data` by
+    `plan_from_json`, with the outcomes listed in `data`."""
     try:
         outcomes = tuple(Outcome(o) for o in data["outcomes"])
     except (KeyError, TypeError, ValueError) as exc:

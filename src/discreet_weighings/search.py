@@ -11,6 +11,10 @@ weighing are also identified.
 The walk adds one weighing and outcome at a time and drops a branch once
 some class is pinned (never fake, or all fake, in every consistent size-f
 set).  That is exact: a pinned class stays pinned under more weighings.
+A node's consistent size-f class vectors are not recounted: they are its
+parent's vectors, each refined once over the new weighing's split and
+bucketed by the sign that weighing shows, so one pass serves all three
+outcomes.  Only nodes that survive this filter are judged at size d.
 
 Every result is relative to the weighing bound it was run with: exhausting
 the search certifies that no plan with at most `max_weighings` weighings
@@ -19,6 +23,7 @@ works, nothing more.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .judge import consistent_count_vectors
@@ -171,32 +176,65 @@ def _pinned_class(sizes, vectors) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=None)  # l + r + o <= MAX_SEARCH_T keeps it small
+def _parts(l: int, r: int, o: int, c: int) -> tuple:
+    """Every way a class routed (l, r, o) holds c fakes, as (the counts of
+    its nonempty parts in L, O, R order, fakes on the left minus fakes on
+    the right)."""
+    ways = []
+    for a in range(min(l, c) + 1):
+        for b in range(min(r, c - a) + 1):
+            m = c - a - b
+            if m <= o:
+                ways.append((tuple(x for x, n in ((a, l), (m, o), (b, r)) if n), a - b))
+    return tuple(ways)
+
+
+def _refine(vectors, split) -> dict:
+    """The child vectors of `vectors` under one more weighing routed by
+    `split`, bucketed by the sign that weighing shows.  Child classes come
+    in `_apply_split` order: per parent class its nonempty L, O, R parts,
+    since "L" < "O" < "R"."""
+    buckets = {0: [], 1: [], -1: []}
+    for vec in vectors:
+        partial = [((), 0)]
+        for c, (l, r, o) in zip(vec, split):
+            ways = _parts(l, r, o, c)
+            partial = [(head + part, diff + delta) for head, diff in partial for part, delta in ways]
+        for child, diff in partial:
+            buckets[(diff > 0) - (diff < 0)].append(child)
+    return buckets
+
+
 def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     """Depth-first over (profile, outcome sequence) nodes, yielding every
     discreet-valid node in a fixed order.
 
-    A node is skipped, subtree and all, when no size-f vector shows its
-    outcomes or some class is pinned.  That loses no witness: a child's
-    consistent vectors refine its parent's and each child class lies inside
-    one parent class, so a pinned class stays pinned below it."""
+    Each node carries its consistent size-f vectors: a child's are exactly
+    the refinements of its parent's that show the child's last outcome.  A
+    node is skipped, subtree and all, when it has no such vector or some
+    class is pinned.  That loses no witness: each child class lies inside
+    one parent class, so a pinned class stays pinned below it.  Only the
+    nodes left are checked for a consistent size-d vector."""
 
-    def recurse(classes, codes):
+    def recurse(classes, codes, vectors):
         if len(codes) >= max_weighings:
             return
         for split in _splits([n for _, n in classes]):
             child = _apply_split(classes, split)
-            symbols = [itin for itin, _ in child]
             sizes = [n for _, n in child]
+            refined = _refine(vectors, split)
             for code in (0, 1, -1):
-                child_codes = codes + (code,)
-                vectors_f = consistent_count_vectors(symbols, sizes, child_codes, f)
+                vectors_f = refined[code]
                 if not vectors_f or _pinned_class(sizes, vectors_f):
                     continue
+                child_codes = codes + (code,)
+                symbols = [itin for itin, _ in child]
                 if not consistent_count_vectors(symbols, sizes, child_codes, d):
                     yield child, child_codes
-                yield from recurse(child, child_codes)
+                yield from recurse(child, child_codes, vectors_f)
 
-    yield from recurse((("", t),), ())
+    yield from recurse((("", t),), (), [(f,)])
 
 
 def _expand_witness(instance: ProblemInstance, classes, codes) -> StrategyBundle:

@@ -280,14 +280,12 @@ def brute_count_vectors(symbols, sizes, codes, size):
     return found
 
 
-def exhaustive_search_discreet(t, f, d, max_weighings):
-    """The bounded search with no pruning: walk every (profile, outcome
-    sequence) node in the library's order and judge each one on its own with
-    `brute_count_vectors`, so a pruning rule that drops a witness shows up as
-    a different (or missing) first witness.  Returns the same bundle as
-    `search_discreet`, or None."""
-    from discreet_weighings import ProblemInstance
-    from discreet_weighings.search import _apply_split, _expand_witness, _splits
+def exhaustive_witnesses(t, f, d, max_weighings):
+    """The bounded search's witness stream with no pruning: walk every
+    (profile, outcome sequence) node in the library's order and judge each
+    one on its own with `brute_count_vectors`, yielding (classes, codes) for
+    every node with a discreet valid proof."""
+    from discreet_weighings.search import _apply_split, _splits
 
     def discreet(sizes, vectors_f):
         return all(
@@ -313,6 +311,16 @@ def exhaustive_search_discreet(t, f, d, max_weighings):
                     yield child, child_codes
                 yield from walk(child, child_codes)
 
-    for classes, codes in walk((("", t),), ()):
+    yield from walk((("", t),), ())
+
+
+def exhaustive_search_discreet(t, f, d, max_weighings):
+    """The first witness of `exhaustive_witnesses`, expanded to the same
+    bundle as `search_discreet`, or None: a pruning rule that drops a
+    witness shows up as a different (or missing) first witness."""
+    from discreet_weighings import ProblemInstance
+    from discreet_weighings.search import _expand_witness
+
+    for classes, codes in exhaustive_witnesses(t, f, d, max_weighings):
         return _expand_witness(ProblemInstance(t, f, d), classes, codes)
     return None

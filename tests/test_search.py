@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,17 +14,24 @@ from discreet_weighings import (
     search_discreet,
     verify_proof,
 )
+from discreet_weighings import search
 from discreet_weighings.model import conjugate
 from discreet_weighings.search import (
     ItineraryProfile,
+    _apply_split,
+    _iter_witnesses,
+    _refine,
+    _splits,
     all_discreet_profiles,
     check_odd_t_itineraries,
 )
 from helpers import (
     brute_consistent,
+    brute_count_vectors,
     brute_discreet_instances,
     brute_optimal_pairs,
     exhaustive_search_discreet,
+    exhaustive_witnesses,
     labeled_plans,
 )
 
@@ -129,6 +137,60 @@ def test_pruned_and_exhaustive_searches_agree(t, f, d):
         assert pruned.placement == exhaustive.placement
 
 
+def test_refined_vectors_match_the_enumerator_on_random_splits():
+    # a parent's size-f vectors, refined over every split (and its mirror),
+    # must be the child's vectors for each sign of the new weighing
+    rng = random.Random(9)
+    for _ in range(60):
+        w = rng.randint(0, 2)
+        k = rng.randint(1, min(3**w, 4))
+        symbols = sorted(rng.sample(["".join(s) for s in itertools.product("LRO", repeat=w)], k))
+        sizes = [rng.randint(1, 3) for _ in range(k)]
+        classes = tuple(zip(symbols, sizes))
+        codes = tuple(rng.choice((0, 1, -1)) for _ in range(w))
+        f = rng.randint(0, sum(sizes))
+        parent = brute_count_vectors(symbols, sizes, codes, f)
+        for split in _splits(sizes):
+            for routed in (split, tuple((r, l, o) for l, r, o in split)):
+                child = _apply_split(classes, routed)
+                buckets = _refine(parent, routed)
+                for sign in (0, 1, -1):
+                    expected = brute_count_vectors(
+                        [itin for itin, _ in child], [n for _, n in child], codes + (sign,), f
+                    )
+                    assert sorted(buckets[sign]) == expected, (classes, codes, f, routed)
+
+
+@pytest.mark.parametrize(
+    "t,f,d,w",
+    [(4, 2, 1, 3), (4, 2, 3, 3), (5, 3, 1, 3), (6, 2, 1, 2), (6, 3, 1, 2), (6, 3, 2, 2),
+     (6, 4, 3, 2), (8, 2, 1, 2)],
+)
+def test_witness_stream_equals_the_unpruned_walk(t, f, d, w):
+    # pruning drops only subtrees without a witness, so the streams agree
+    # node for node, in order
+    assert list(_iter_witnesses(t, f, d, w)) == list(exhaustive_witnesses(t, f, d, w))
+
+
+def test_search_counts_size_f_vectors_only_for_the_witness(monkeypatch):
+    # the walk refines its parents' size-f vectors and never recounts them;
+    # the judge is asked only for the size-d check and the witness expansion
+    sizes = []
+    real = search.consistent_count_vectors
+
+    def counted(symbols, class_sizes, codes, size):
+        sizes.append(size)
+        return real(symbols, class_sizes, codes, size)
+
+    monkeypatch.setattr(search, "consistent_count_vectors", counted)
+    assert search_discreet(8, 2, 0, 3) is None
+    assert sizes and set(sizes) == {0}
+
+    sizes.clear()
+    assert search_discreet(9, 2, 1, 2) is not None
+    assert sizes.count(2) == 1 and set(sizes) == {1, 2}
+
+
 @pytest.mark.parametrize(
     "t,f,d,max_w,mode",
     [(4, 2, 1, 1, "pruned"), (4, 2, 1, 3, "pruned"), (9, 2, 1, 2, "pruned"),
@@ -186,12 +248,11 @@ def test_odd_t_itinerary_conditions():
     vacuous = check_odd_t_itineraries(5, 3)
     assert vacuous.vacuous and vacuous.all_satisfy and vacuous.witnesses_checked == 0
 
-    nine = check_odd_t_itineraries(9, 2)
-    assert not nine.vacuous and nine.all_satisfy
-
-    eleven = check_odd_t_itineraries(11, 3)
-    assert not eleven.vacuous and eleven.all_satisfy
-    assert eleven.witnesses_checked >= nine.witnesses_checked
+    # demo 05 prints the two-weighing counts
+    for t, max_w, checked in ((9, 2, 2), (9, 3, 10), (11, 2, 8), (11, 3, 146)):
+        report = check_odd_t_itineraries(t, max_w)
+        assert not report.vacuous and report.all_satisfy
+        assert report.witnesses_checked == checked, (t, max_w)
 
 
 def test_optimal_pairs_even_t():
