@@ -11,10 +11,13 @@ weighing are also identified.
 The walk adds one weighing and outcome at a time and drops a branch once
 some class is pinned (never fake, or all fake, in every consistent size-f
 set).  That is exact: a pinned class stays pinned under more weighings.
-A node's consistent size-f class vectors are not recounted: they are its
-parent's vectors, each refined once over the new weighing's split and
-bucketed by the sign that weighing shows, so one pass serves all three
-outcomes.  Only nodes that survive this filter are judged at size d.
+A node's consistent size-f and size-d class vectors are never counted
+from scratch: they are its parent's vectors, each refined once over the
+new weighing's split and bucketed by the sign that weighing shows, so one
+pass serves all three outcomes.  A node that survives the size-f filter
+is a witness when it has no size-d vector.  `search_discreet` also walks
+each orbit of nodes under reordering the weighings and swapping the pans
+of any one weighing only once; the listings of every profile walk them all.
 
 Every result is relative to the weighing bound it was run with: exhausting
 the search certifies that no plan with at most `max_weighings` weighings
@@ -24,6 +27,7 @@ works, nothing more.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .judge import consistent_count_vectors
@@ -168,10 +172,8 @@ def _apply_split(classes, split):
 def _pinned_class(sizes, vectors) -> bool:
     """True when some class is pinned: never fake in any consistent vector,
     or entirely fake in all of them."""
-    for j, n in enumerate(sizes):
-        if all(vec[j] == 0 for vec in vectors):
-            return True
-        if all(vec[j] == n for vec in vectors):
+    for n, column in zip(sizes, zip(*vectors)):
+        if not any(column) or min(column) == n:
             return True
     return False
 
@@ -206,35 +208,84 @@ def _refine(vectors, split) -> dict:
     return buckets
 
 
-def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
+def _canonical_key(classes, codes) -> tuple:
+    """The least image of a node over every order of its weighings and every
+    swap of one weighing's pans, which also negates that weighing's code.
+
+    Each weighing with a nonzero code is first swapped to show +1, so only
+    the balanced weighings keep a free swap; and since the key compares the
+    codes first, only orders that sort the codes can give the least image.
+    Two nodes get the same key exactly when such a transform maps one onto
+    the other."""
+    sizes = [n for _, n in classes]
+    choices = []
+    for i, code in enumerate(codes):
+        column = "".join(itin[i] for itin, _ in classes)
+        if code == 0:
+            choices.append((column, conjugate(column)))
+        else:
+            choices.append((column if code > 0 else conjugate(column),))
+    signs = [abs(code) for code in codes]
+    least = sorted(signs)
+    orders = [p for p in itertools.permutations(range(len(codes))) if [signs[i] for i in p] == least]
+    return tuple(least), min(
+        tuple(sorted(zip(*columns, sizes)))
+        for order in orders
+        for columns in itertools.product(*(choices[i] for i in order))
+    )
+
+
+def _iter_witnesses(t: int, f: int, d: int, max_weighings: int, skip_orbits: bool = False):
     """Depth-first over (profile, outcome sequence) nodes, yielding every
     discreet-valid node in a fixed order.
 
-    Each node carries its consistent size-f vectors: a child's are exactly
-    the refinements of its parent's that show the child's last outcome.  A
-    node is skipped, subtree and all, when it has no such vector or some
-    class is pinned.  That loses no witness: each child class lies inside
-    one parent class, so a pinned class stays pinned below it.  Only the
-    nodes left are checked for a consistent size-d vector."""
+    Each node carries its consistent size-f and size-d class vectors: a
+    child's are exactly the refinements of its parent's that show the
+    child's last outcome.  A node is skipped, subtree and all, when it has
+    no size-f vector or some class is pinned.  That loses no witness: each
+    child class lies inside one parent class, so a pinned class stays
+    pinned below it.  A node left is a witness when it has no size-d vector.
 
-    def recurse(classes, codes, vectors):
+    With `skip_orbits`, an internal node is also skipped, subtree and all,
+    when an earlier node maps onto it by reordering the weighings and
+    swapping pans (`_canonical_key`).  The first witness stays the same:
+    two nodes of one orbit are never ancestor and descendant, so the
+    earlier one's subtree was walked in full before, and being pinned or a
+    witness does not depend on the order or the pans.  Later witnesses of
+    an orbit already met are not listed."""
+    seen: set = set()
+
+    def recurse(classes, codes, vectors_f, vectors_d):
         if len(codes) >= max_weighings:
             return
         for split in _splits([n for _, n in classes]):
-            child = _apply_split(classes, split)
-            sizes = [n for _, n in child]
-            refined = _refine(vectors, split)
+            refined_f = _refine(vectors_f, split)
+            sizes = child = refined_d = None
             for code in (0, 1, -1):
-                vectors_f = refined[code]
-                if not vectors_f or _pinned_class(sizes, vectors_f):
+                child_f = refined_f[code]
+                if not child_f:
                     continue
+                if sizes is None:
+                    # child classes in _apply_split order: per class L, O, R
+                    sizes = [n for l, r, o in split for n in (l, o, r) if n]
+                if _pinned_class(sizes, child_f):
+                    continue
+                if child is None:
+                    child = _apply_split(classes, split)
                 child_codes = codes + (code,)
-                symbols = [itin for itin, _ in child]
-                if not consistent_count_vectors(symbols, sizes, child_codes, d):
+                if skip_orbits and len(child_codes) < max_weighings:
+                    key = _canonical_key(child, child_codes)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                if refined_d is None:
+                    refined_d = _refine(vectors_d, split)
+                child_d = refined_d[code]
+                if not child_d:
                     yield child, child_codes
-                yield from recurse(child, child_codes, vectors_f)
+                yield from recurse(child, child_codes, child_f, child_d)
 
-    yield from recurse((("", t),), (), [(f,)])
+    yield from recurse((("", t),), (), [(f,)], [(d,)])
 
 
 def _expand_witness(instance: ProblemInstance, classes, codes) -> StrategyBundle:
@@ -273,7 +324,7 @@ def search_discreet(t: int, f: int, d: int, max_weighings: int):
     coin.  Returns a witness bundle, or None once the bounded space is
     exhausted (which says nothing about longer plans)."""
     instance = _checked_instance(t, f, d, max_weighings)
-    for classes, codes in _iter_witnesses(t, f, d, max_weighings):
+    for classes, codes in _iter_witnesses(t, f, d, max_weighings, skip_orbits=True):
         return _expand_witness(instance, classes, codes)
     return None
 
