@@ -25,23 +25,17 @@ size-f and size-d vectors answers a whole request:
     >>> result.guess  # coin 0 is fake in 1 of every 20 surviving sets
     (0, Fraction(1, 20))
 
-`consistent_count_vectors` finds the vectors by a depth-first walk over the
-classes, not by listing every composition of s:
-
-- **Order.** Classes that touch the most weighings go first, ties by class
-  index, so shared reference piles are placed before the piles they are
-  compared with.
-- **Early closure.** Once the last class touching a weighing is placed, the
-  weighing's sign is checked and the weighing leaves the live frontier.
-- **Bounds.** A partial vector is dropped when some open weighing can no
-  longer reach its sign: its pan difference can still grow by at most
-  min(fakes left to place, coins left on that pan) on either side.
-- **Set-up per plan.** The order, the closing and open weighings at each
-  step and the coins left on each pan depend only on the classes, so they
-  are built once and reused across signs and hypothesis sizes.
-
-The vectors are sorted once at the end, which gives the lexicographic
-order of an enumeration.
+`consistent_count_vectors` finds the vectors by one refinement folded over
+the weighings.  It starts from a single class holding every coin, with all
+the fakes in it.  Each weighing splits every class into its left, right
+and off-scale coins (`_refine`): a vector's fakes in a class are spread
+over the parts in every way, and only the children whose pan difference
+shows the weighing's sign are kept.  After the last weighing the classes
+are the itinerary classes.  Vectors are sparse, listing only the classes
+that hold a fake, so their cost follows the fake count, not the number of
+classes.  The bounded search refines its nodes' vectors the same way, one
+weighing per level.  The vectors are sorted once at the end, which gives
+the lexicographic order of an enumeration.
 """
 
 from __future__ import annotations
@@ -115,49 +109,58 @@ def _signs(transcript: Transcript) -> tuple:
     return tuple(o.sign for o in transcript.outcomes)
 
 
-@functools.lru_cache(maxsize=32)
-def _walk_plan(symbols: tuple, sizes: tuple) -> tuple:
-    """The part of a walk that depends only on the classes, built once and
-    reused: the judge asks twice per request, once per hypothesis size.
-    The search refines its size-f vectors from the parent node and asks
-    only for the size-d check of a surviving node and the witness
-    expansion, which often follow on the same classes.
+_PAN = {"L": 0, "R": 1, "O": 2}
 
-    Returns (order, rest, steps, touched): `order[p]` is the class placed at
-    position p, `rest[p]` the coins of the classes after it, and
-    `steps[p]` = (terms, closes, live) where `terms` are the (weighing,
-    +1 for L / -1 for R) pairs class order[p] touches, `closes` the
-    weighings it touches last, and `live` the (weighing, coins left on the
-    left pan, coins left on the right pan) of every weighing still open
-    after it.  `touched` holds the weighings some class touches; every
-    other weighing always balances."""
-    num_weighings = len(symbols[0]) if symbols else 0
-    touches = [
-        tuple((i, 1 if s == "L" else -1) for i, s in enumerate(itin) if s != "O")
-        for itin in symbols
-    ]
-    order = sorted(range(len(symbols)), key=lambda j: (-len(touches[j]), j))
-    last = {}
-    for p, j in enumerate(order):
-        for i, _ in touches[j]:
-            last[i] = p
-    left = [0] * num_weighings
-    right = [0] * num_weighings
-    for j in order:
-        for i, a in touches[j]:
-            (left if a > 0 else right)[i] += sizes[j]
-    steps = []
-    rest = []
-    remaining = sum(sizes)
-    for p, j in enumerate(order):
-        for i, a in touches[j]:
-            (left if a > 0 else right)[i] -= sizes[j]
-        remaining -= sizes[j]
-        rest.append(remaining)
-        closes = tuple(i for i, _ in touches[j] if last[i] == p)
-        live = tuple((i, left[i], right[i]) for i, q in sorted(last.items()) if q > p)
-        steps.append((touches[j], closes, live))
-    return tuple(order), tuple(rest), tuple(steps), frozenset(last)
+
+@functools.lru_cache(maxsize=None)
+def _parts(l: int, r: int, o: int, c: int) -> tuple:
+    """Every way a class routed (l, r, o) holds c fakes, as (the (offset,
+    count) of each part that holds a fake, parts in L, O, R order and
+    numbered by the nonempty ones, fakes on the left minus fakes on the
+    right).  Callers clamp l, r and o to c, so the cache grows with the
+    fake count only, not with the plans it is asked about."""
+    ways = []
+    for a in range(min(l, c) + 1):
+        for b in range(min(r, c - a) + 1):
+            m = c - a - b
+            if m <= o:
+                at_o = 1 if l else 0
+                parts = ((0, a), (at_o, m), (at_o + (1 if o else 0), b))
+                ways.append((tuple((i, x) for i, x in parts if x), a - b))
+    return tuple(ways)
+
+
+def _refine(vectors, split) -> dict:
+    """The child vectors of sparse class count `vectors` under one more
+    weighing that routes class j's coins (l, r, o) = `split[j]`, bucketed
+    by the sign that weighing shows.  A sparse vector lists (class, fakes)
+    for each class that holds a fake, in class order.  Child classes are
+    numbered per parent class by its nonempty L, O, R parts, which is
+    itinerary order, since "L" < "O" < "R"."""
+    bases = []
+    base = 0
+    for l, r, o in split:
+        bases.append(base)
+        base += (l > 0) + (r > 0) + (o > 0)
+    placed = {}  # (class, fakes) -> its ways, numbered as child classes
+    buckets = {0: [], 1: [], -1: []}
+    for vec in vectors:
+        partial = [((), 0)]
+        for pair in vec:
+            ways = placed.get(pair)
+            if ways is None:
+                j, c = pair
+                l, r, o = split[j]
+                b = bases[j]
+                # no part holds more than c fakes, so clamping changes no way
+                clamped = _parts(l if l < c else c, r if r < c else c, o if o < c else c, c)
+                ways = placed[pair] = [
+                    (tuple([(b + i, x) for i, x in part]), delta) for part, delta in clamped
+                ]
+            partial = [(head + part, diff + delta) for head, diff in partial for part, delta in ways]
+        for child, diff in partial:
+            buckets[(diff > 0) - (diff < 0)].append(child)
+    return buckets
 
 
 def consistent_count_vectors(symbols, sizes, codes, size: int) -> list:
@@ -166,77 +169,38 @@ def consistent_count_vectors(symbols, sizes, codes, size: int) -> list:
 
     `symbols[j]` is class j's itinerary, `sizes[j]` its coin count, and
     `codes[i]` the sign of (fakes on left - fakes on right) in weighing i.
-    The vectors are found by a depth-first walk over the classes that
-    checks each weighing once its last class is placed and drops every
-    partial vector that some open weighing can no longer satisfy.
+    The itineraries must be distinct.  The classes before weighing i are
+    the itinerary prefixes of length i, so the vectors are found by
+    `_refine` folded over the weighings from one class of every coin, and
+    each final class is mapped back to its input index by itinerary.
     """
-    order, rest, steps, touched = _walk_plan(tuple(symbols), tuple(sizes))
-    if size > sum(sizes) or any(c for i, c in enumerate(codes) if i not in touched):
+    if len(set(symbols)) != len(symbols):
+        raise ValueError("two classes share an itinerary")
+    if not 0 <= size <= sum(sizes):
         return []
-    k = len(order)
-    # weighing i shows its sign iff floor[i] <= diff[i] <= ceil[i]; no pan
-    # difference can pass +-(size + 1)
-    floor = [1 if c > 0 else 0 if c == 0 else -size - 1 for c in codes]
-    ceil = [-1 if c < 0 else 0 if c == 0 else size + 1 for c in codes]
-    diff = [0] * len(codes)
-    vec = [0] * k
+    # prefix classes come in itinerary order, and so do the final classes
+    order = sorted(range(len(symbols)), key=symbols.__getitem__)
+    vectors = [((0, size),)] if size else [()]
+    for i, code in enumerate(codes):
+        split = {}  # prefix -> coins routed [left, right, off]
+        for j in order:
+            itin = symbols[j]
+            prefix = itin[:i]
+            routed = split.get(prefix)
+            if routed is None:
+                routed = split[prefix] = [0, 0, 0]
+            routed[_PAN[itin[i]]] += sizes[j]
+        vectors = _refine(vectors, list(split.values()))[code]
+        if not vectors:
+            return []
     found = []
-    # An explicit stack, since a plan may have more classes than Python may
-    # recurse: positions 0..p hold their counts in vec[order[0..p]], and r
-    # fakes are left for the positions after p.
-    p, r = 0, size
-    while True:
-        if p == k:
-            found.append(tuple(vec))
-            p -= 1
-        else:
-            # start one below the least count that leaves no more fakes than
-            # the later classes hold; the loop below steps it up first
-            j = order[p]
-            c = r - rest[p] - 1 if r > rest[p] else -1
-            vec[j] = c
-            r -= c
-            for i, a in steps[p][0]:
-                diff[i] += a * c
-        while p >= 0:
-            terms, closes, live = steps[p]
-            j = order[p]
-            c = vec[j]
-            while r and c < sizes[j]:
-                c += 1
-                r -= 1
-                for i, a in terms:
-                    diff[i] += a
-                for i in closes:
-                    if not floor[i] <= diff[i] <= ceil[i]:
-                        break
-                else:
-                    # an open weighing can still gain at most min(r, coins
-                    # left on a pan) fakes on that pan
-                    for i, on_left, on_right in live:
-                        d = diff[i]
-                        if d < floor[i]:
-                            if floor[i] - d > (r if r < on_left else on_left):
-                                break
-                        elif d > ceil[i]:
-                            if d - ceil[i] > (r if r < on_right else on_right):
-                                break
-                    else:
-                        break  # count c fits: go on to the next position
-            else:
-                # every count was tried: back up to the previous position
-                for i, a in terms:
-                    diff[i] -= a * c
-                r += c
-                vec[j] = 0
-                p -= 1
-                continue
-            vec[j] = c
-            p += 1
-            break
-        else:
-            found.sort()
-            return found
+    for vec in vectors:
+        dense = [0] * len(symbols)
+        for j, c in vec:
+            dense[order[j]] = c
+        found.append(tuple(dense))
+    found.sort()
+    return found
 
 
 @dataclass(frozen=True)

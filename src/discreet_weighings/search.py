@@ -13,11 +13,12 @@ some class is pinned (never fake, or all fake, in every consistent size-f
 set).  That is exact: a pinned class stays pinned under more weighings.
 A node's consistent size-f and size-d class vectors are never counted
 from scratch: they are its parent's vectors, each refined once over the
-new weighing's split and bucketed by the sign that weighing shows, so one
-pass serves all three outcomes.  A node that survives the size-f filter
-is a witness when it has no size-d vector.  `search_discreet` also walks
-each orbit of nodes under reordering the weighings and swapping the pans
-of any one weighing only once; the listings of every profile walk them all.
+new weighing's split by the judge's counting step (`judge._refine`) and
+bucketed by the sign that weighing shows, so one pass serves all three
+outcomes.  A node that survives the size-f filter is a witness when it has
+no size-d vector.  `search_discreet` also walks each orbit of nodes under
+reordering the weighings and swapping the pans of any one weighing only
+once; the listings of every profile walk them all.
 
 Every result is relative to the weighing bound it was run with: exhausting
 the search certifies that no plan with at most `max_weighings` weighings
@@ -26,11 +27,10 @@ works, nothing more.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
-from .judge import consistent_count_vectors
+from .judge import _refine, consistent_count_vectors
 from .metrics import CaseStructure, Pile
 from .model import (
     ITINERARY_SYMBOLS,
@@ -170,42 +170,11 @@ def _apply_split(classes, split):
 
 
 def _pinned_class(sizes, vectors) -> bool:
-    """True when some class is pinned: never fake in any consistent vector,
-    or entirely fake in all of them."""
-    for n, column in zip(sizes, zip(*vectors)):
-        if not any(column) or min(column) == n:
-            return True
-    return False
-
-
-@functools.lru_cache(maxsize=None)  # l + r + o <= MAX_SEARCH_T keeps it small
-def _parts(l: int, r: int, o: int, c: int) -> tuple:
-    """Every way a class routed (l, r, o) holds c fakes, as (the counts of
-    its nonempty parts in L, O, R order, fakes on the left minus fakes on
-    the right)."""
-    ways = []
-    for a in range(min(l, c) + 1):
-        for b in range(min(r, c - a) + 1):
-            m = c - a - b
-            if m <= o:
-                ways.append((tuple(x for x, n in ((a, l), (m, o), (b, r)) if n), a - b))
-    return tuple(ways)
-
-
-def _refine(vectors, split) -> dict:
-    """The child vectors of `vectors` under one more weighing routed by
-    `split`, bucketed by the sign that weighing shows.  Child classes come
-    in `_apply_split` order: per parent class its nonempty L, O, R parts,
-    since "L" < "O" < "R"."""
-    buckets = {0: [], 1: [], -1: []}
-    for vec in vectors:
-        partial = [((), 0)]
-        for c, (l, r, o) in zip(vec, split):
-            ways = _parts(l, r, o, c)
-            partial = [(head + part, diff + delta) for head, diff in partial for part, delta in ways]
-        for child, diff in partial:
-            buckets[(diff > 0) - (diff < 0)].append(child)
-    return buckets
+    """True when some class is pinned: never fake in any consistent sparse
+    vector, or entirely fake in all of them."""
+    if any(c == sizes[j] for j, c in set(vectors[0]).intersection(*vectors)):
+        return True
+    return len(dict(itertools.chain.from_iterable(vectors))) < len(sizes)
 
 
 def _canonical_key(classes, codes) -> tuple:
@@ -239,12 +208,13 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int, skip_orbits: boo
     """Depth-first over (profile, outcome sequence) nodes, yielding every
     discreet-valid node in a fixed order.
 
-    Each node carries its consistent size-f and size-d class vectors: a
-    child's are exactly the refinements of its parent's that show the
-    child's last outcome.  A node is skipped, subtree and all, when it has
-    no size-f vector or some class is pinned.  That loses no witness: each
-    child class lies inside one parent class, so a pinned class stays
-    pinned below it.  A node left is a witness when it has no size-d vector.
+    Each node carries its consistent size-f and size-d class vectors, in
+    the judge's sparse form: a child's are exactly the refinements of its
+    parent's (`judge._refine`) that show the child's last outcome.  A node
+    is skipped, subtree and all, when it has no size-f vector or some class
+    is pinned.  That loses no witness: each child class lies inside one
+    parent class, so a pinned class stays pinned below it.  A node left is
+    a witness when it has no size-d vector.
 
     With `skip_orbits`, an internal node is also skipped, subtree and all,
     when an earlier node maps onto it by reordering the weighings and
@@ -285,7 +255,7 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int, skip_orbits: boo
                     yield child, child_codes
                 yield from recurse(child, child_codes, child_f, child_d)
 
-    yield from recurse((("", t),), (), [(f,)], [(d,)])
+    yield from recurse((("", t),), (), [((0, f),)], [((0, d),)] if d else [()])
 
 
 def _expand_witness(instance: ProblemInstance, classes, codes) -> StrategyBundle:

@@ -83,17 +83,20 @@ def test_count_vectors_match_the_enumerator_on_random_classes():
     structures = 0
     while structures < 100:
         w = rng.randint(0, 4)
-        k = rng.randint(0, 9)
+        k = rng.randint(0, min(9, 3**w))
         sizes = [rng.randint(1, 3) for _ in range(k)]
         if prod(n + 1 for n in sizes) * 3**w > 30000:
             continue
         structures += 1
-        symbols = ["".join(rng.choice("LRO") for _ in range(w)) for _ in range(k)]
+        symbols = rng.sample(["".join(s) for s in itertools.product("LRO", repeat=w)], k)
         t = sum(sizes)
         for codes in itertools.product((0, 1, -1), repeat=w):
             for s in range(t + 2):
                 expected = brute_count_vectors(symbols, sizes, codes, s)
                 assert consistent_count_vectors(symbols, sizes, codes, s) == expected
+    # classes are told apart by itinerary, so one may not appear twice
+    with pytest.raises(ValueError, match="share an itinerary"):
+        consistent_count_vectors(["LR", "OO", "LR"], [1, 2, 1], [0, 0], 2)
 
 
 @pytest.mark.parametrize("t,f", [(251, 7), (301, 8), (401, 10)])
@@ -121,8 +124,11 @@ def test_counting_plans_with_more_classes_than_the_recursion_limit():
         weighings.append(Weighing(frozenset(coins[:500]), frozenset(coins[500:])))
     plan = WeighingPlan(1500, tuple(weighings))
     assert len(model.partition_by_itinerary(plan)) > 1000
-    for fakes in ({0, 1}, {10, 1400}):
-        transcript = simulate_transcript(plan, fakes)
+    simulated = [simulate_transcript(plan, fakes) for fakes in ({0, 1}, {10, 1400})]
+    # all balanced: no weighing rules out a class on its own, so pairs of
+    # conjugate prefix classes stay candidates until the last weighings
+    balanced = Transcript(plan, (Outcome.BALANCED,) * len(weighings))
+    for transcript in simulated + [balanced]:
         assert count_consistent(1500, 2, transcript) == brute_pair_count(transcript)
         singles = brute_consistent(1500, 1, transcript)
         assert count_consistent(1500, 1, transcript) == len(singles)
