@@ -16,9 +16,16 @@ from scratch: they are its parent's vectors, each refined once over the
 new weighing's split by the judge's counting step (`judge._refine`) and
 bucketed by the sign that weighing shows, so one pass serves all three
 outcomes.  A node that survives the size-f filter is a witness when it has
-no size-d vector.  `search_discreet` also walks each orbit of nodes under
-reordering the weighings and swapping the pans of any one weighing only
-once; the listings of every profile walk them all.
+no size-d vector.
+
+Every walk meets each orbit of nodes under reordering the weighings and
+swapping the pans of any of them once: a node skips the splits that a
+transform fixing it maps onto a lesser one, and an internal node is skipped
+when an earlier node maps onto it.  `search_discreet` returns the first
+witness, which is the unpruned walk's first.  The listings of every profile
+expand each orbit's witnesses into the labeled nodes the unpruned walk
+would meet and merge them back into its order, so they list the same
+profiles in the same order without walking each labeled node.
 
 Every result is relative to the weighing bound it was run with: exhausting
 the search certifies that no plan with at most `max_weighings` weighings
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from .judge import _refine, consistent_count_vectors
 from .metrics import CaseStructure, Pile
@@ -45,6 +53,7 @@ from .strategies import StrategyBundle
 
 MAX_SEARCH_T = 12
 MAX_SEARCH_WEIGHINGS = 4
+_CODES = (0, 1, -1)  # the order the walk tries a weighing's outcomes in
 
 
 @dataclass(frozen=True)
@@ -127,8 +136,10 @@ def _checked_instance(t: int, f: int, d: int, max_weighings: int) -> ProblemInst
 
 def _splits(sizes):
     """All ways to route each class through one more weighing: per class a
-    (left, right, off) composition, with both pans equally full and nonempty.
-    Exactly one of each mirror pair (all pans swapped) is kept."""
+    (left, right, off) composition, with both pans equally full and nonempty,
+    in lexicographic order.  Exactly one of each mirror pair (all pans
+    swapped) is kept: the one whose lefts are at most its rights, which is
+    also the lexicographically lesser of the two."""
     k = len(sizes)
     suffix = [0] * (k + 1)
     for j in range(k - 1, -1, -1):
@@ -136,23 +147,25 @@ def _splits(sizes):
     results = []
     current = [None] * k
 
-    def assign(j: int, balance: int, on_left: int) -> None:
+    def assign(j: int, balance: int, on_left: int, tied: bool) -> None:
+        # `tied`: every class so far puts as many coins left as right, so
+        # the next class that differs must put fewer on the left
         if abs(balance) > suffix[j]:
             return
-        if j == k:
-            if balance == 0 and on_left >= 1:
-                lefts = tuple(part[0] for part in current)
-                rights = tuple(part[1] for part in current)
-                if lefts <= rights:
+        n = sizes[j]
+        if j == k - 1:
+            # the last class evens the pans: r = l + balance
+            for l in range(max(0, -balance), (n - balance) // 2 + 1):
+                if on_left + l:
+                    current[j] = (l, l + balance, n - 2 * l - balance)
                     results.append(tuple(current))
             return
-        n = sizes[j]
         for l in range(n + 1):
-            for r in range(n - l + 1):
+            for r in range(l if tied else 0, n - l + 1):
                 current[j] = (l, r, n - l - r)
-                assign(j + 1, balance + l - r, on_left + l)
+                assign(j + 1, balance + l - r, on_left + l, tied and l == r)
 
-    assign(0, 0, 0)
+    assign(0, 0, 0, True)
     del assign  # it refers to itself: free the splits now, not at the next gc
     return results
 
@@ -177,36 +190,83 @@ def _pinned_class(sizes, vectors) -> bool:
     return len(dict(itertools.chain.from_iterable(vectors))) < len(sizes)
 
 
+def _images(classes, codes, keep):
+    """Every image of a node under reordering its weighings and swapping the
+    pans of any of them, which negates that weighing's code, as (each
+    class's image itinerary, in class order; the image codes).
+
+    Images are built one weighing at a time.  `keep(prefixes, column, code)`
+    says whether the next weighing may route the classes, whose image
+    itineraries so far are `prefixes`, by `column` (a symbol per class) and
+    show `code`; every image it refuses is cut there."""
+    options = []
+    for p, code in enumerate(codes):
+        column = "".join(itin[p] for itin, _ in classes)
+        options.append(((column, code), (conjugate(column), -code)))
+
+    def extend(prefixes, image_codes, left):
+        if not left:
+            yield prefixes, image_codes
+            return
+        for i, p in enumerate(left):
+            rest = left[:i] + left[i + 1 :]
+            for column, code in options[p]:
+                if keep(prefixes, column, code):
+                    yield from extend(tuple(map(add, prefixes, column)), image_codes + (code,), rest)
+
+    yield from extend(("",) * len(classes), (), tuple(range(len(codes))))
+
+
+def _showing(target):
+    """An `_images` filter that keeps the images showing the codes `target`."""
+    return lambda prefixes, column, code: code == target[len(prefixes[0])]
+
+
+def _walk_form(sizes):
+    """An `_images` filter that keeps the images the unpruned walk meets:
+    each weighing's split of the classes before it has its lefts at most
+    its rights, as `_splits` keeps them.  That is, the first of those
+    classes whose pans differ has the lighter left pan."""
+
+    def keep(prefixes, column, _code):
+        diffs: dict = {}
+        for prefix, symbol, n in zip(prefixes, column, sizes):
+            if symbol != "O":
+                diffs[prefix] = diffs.get(prefix, 0) + (n if symbol == "L" else -n)
+        return next((diffs[prefix] < 0 for prefix in sorted(diffs) if diffs[prefix]), True)
+
+    return keep
+
+
 def _canonical_key(classes, codes) -> tuple:
     """The least image of a node over every order of its weighings and every
-    swap of one weighing's pans, which also negates that weighing's code.
+    swap of one weighing's pans.
 
-    Each weighing with a nonzero code is first swapped to show +1, so only
-    the balanced weighings keep a free swap; and since the key compares the
-    codes first, only orders that sort the codes can give the least image.
-    Two nodes get the same key exactly when such a transform maps one onto
-    the other."""
+    Only images whose codes are the node's code signs in ascending order
+    are compared: each weighing with a nonzero code is swapped to show +1,
+    so only the balanced weighings keep a free swap.  Two nodes get the same
+    key exactly when such a transform maps one onto the other."""
     sizes = [n for _, n in classes]
-    choices = []
-    for i, code in enumerate(codes):
-        column = "".join(itin[i] for itin, _ in classes)
-        if code == 0:
-            choices.append((column, conjugate(column)))
-        else:
-            choices.append((column if code > 0 else conjugate(column),))
-    signs = [abs(code) for code in codes]
-    least = sorted(signs)
-    orders = [p for p in itertools.permutations(range(len(codes))) if [signs[i] for i in p] == least]
-    return tuple(least), min(
-        tuple(sorted(zip(*columns, sizes)))
-        for order in orders
-        for columns in itertools.product(*(choices[i] for i in order))
-    )
+    least = tuple(sorted(abs(code) for code in codes))
+    return least, min(tuple(sorted(zip(itins, sizes))) for itins, _ in _images(classes, codes, _showing(least)))
 
 
-def _iter_witnesses(t: int, f: int, d: int, max_weighings: int, skip_orbits: bool = False):
-    """Depth-first over (profile, outcome sequence) nodes, yielding every
-    discreet-valid node in a fixed order.
+def _stabiliser(classes, codes) -> set:
+    """The class permutations of the transforms that map a node onto itself
+    (`perm[j]` is the class that class j maps to); the identity among them."""
+    index = {itin: j for j, (itin, _) in enumerate(classes)}
+    perms = set()
+    for itins, _ in _images(classes, codes, _showing(codes)):
+        perm = tuple(index.get(itin) for itin in itins)
+        if None not in perm and all(classes[i][1] == n for i, (_, n) in zip(perm, classes)):
+            perms.add(perm)
+    return perms
+
+
+def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
+    """Depth-first over (profile, outcome sequence) nodes, yielding a
+    discreet-valid node of every orbit under reordering the weighings and
+    swapping pans, in a fixed order.
 
     Each node carries its consistent size-f and size-d class vectors, in
     the judge's sparse form: a child's are exactly the refinements of its
@@ -216,22 +276,35 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int, skip_orbits: boo
     parent class, so a pinned class stays pinned below it.  A node left is
     a witness when it has no size-d vector.
 
-    With `skip_orbits`, an internal node is also skipped, subtree and all,
-    when an earlier node maps onto it by reordering the weighings and
-    swapping pans (`_canonical_key`).  The first witness stays the same:
-    two nodes of one orbit are never ancestor and descendant, so the
-    earlier one's subtree was walked in full before, and being pinned or a
-    witness does not depend on the order or the pans.  Later witnesses of
-    an orbit already met are not listed."""
+    Two more skips walk each orbit once, in the style of McKay's
+    isomorph-free generation.  A split is skipped unless it is the least,
+    in `_splits` order, among its images and their mirrors under the
+    node's stabiliser: the images give the same children up to a transform
+    that fixes the node, and the least of them is walked first.  An
+    internal node is skipped when an earlier node maps onto it
+    (`_canonical_key`).  Neither skip changes the first witness: two nodes
+    of one orbit are never ancestor and descendant, so the earlier one's
+    subtree was walked in full before, and being pinned or a witness does
+    not depend on the order or the pans.  Later witnesses of an orbit
+    already met may be skipped; `_labeled_witnesses` restores them."""
     seen: set = set()
 
     def recurse(classes, codes, vectors_f, vectors_d):
         if len(codes) >= max_weighings:
             return
+        identity = tuple(range(len(classes)))
+        # each perm's inverse is in the group too, so indexing by perm
+        # walks the same images as routing class j's part to class perm[j]
+        moves = [perm for perm in _stabiliser(classes, codes) if perm != identity]
         for split in _splits([n for _, n in classes]):
+            if any(
+                image < split or tuple((r, l, o) for l, r, o in image) < split
+                for image in (tuple(split[j] for j in perm) for perm in moves)
+            ):
+                continue
             refined_f = _refine(vectors_f, split)
             sizes = child = refined_d = None
-            for code in (0, 1, -1):
+            for code in _CODES:
                 child_f = refined_f[code]
                 if not child_f:
                     continue
@@ -243,7 +316,7 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int, skip_orbits: boo
                 if child is None:
                     child = _apply_split(classes, split)
                 child_codes = codes + (code,)
-                if skip_orbits and len(child_codes) < max_weighings:
+                if len(child_codes) < max_weighings:
                     key = _canonical_key(child, child_codes)
                     if key in seen:
                         continue
@@ -256,6 +329,45 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int, skip_orbits: boo
                 yield from recurse(child, child_codes, child_f, child_d)
 
     yield from recurse((("", t),), (), [((0, f),)], [((0, d),)] if d else [()])
+
+
+def _walk_key(classes, codes) -> tuple:
+    """Where the unpruned walk meets a labeled node: per weighing, its split
+    of the classes before it and then the rank of its code.  That is the
+    order of a depth-first walk over the splits in `_splits` order and the
+    codes in `_CODES` order that yields each node before its children."""
+    key = []
+    for i, code in enumerate(codes):
+        parts: dict = {}
+        for itin, n in classes:
+            parts.setdefault(itin[:i], [0, 0, 0])["LRO".index(itin[i])] += n
+        key.append((tuple(tuple(parts[prefix]) for prefix in sorted(parts)), _CODES.index(code)))
+    return tuple(key)
+
+
+def _labeled_witnesses(t: int, f: int, d: int, max_weighings: int):
+    """Yield every labeled witness node the unpruned walk yields, in its
+    order: each orbit's witnesses from `_iter_witnesses`, expanded over the
+    transforms whose every weighing is the form `_splits` keeps.
+
+    The first node of each orbit in that order is never skipped, so the
+    orbit walk meets it first, and no orbit met later has a node before
+    where the walk is.  A pending node is final once the walk gets to it."""
+    pending: list = []  # (walk key, node), the least last once sorted
+    expanded: set = set()
+    for classes, codes in _iter_witnesses(t, f, d, max_weighings):
+        if (classes, codes) not in expanded:
+            sizes = [n for _, n in classes]
+            for itins, image_codes in _images(classes, codes, _walk_form(sizes)):
+                node = tuple(sorted(zip(itins, sizes))), image_codes
+                if node not in expanded:
+                    expanded.add(node)
+                    pending.append((_walk_key(*node), node))
+        pending.sort(reverse=True)
+        here = _walk_key(classes, codes)
+        while pending and pending[-1][0] <= here:
+            yield pending.pop()[1]
+    yield from (node for _, node in reversed(pending))
 
 
 def _expand_witness(instance: ProblemInstance, classes, codes) -> StrategyBundle:
@@ -294,7 +406,7 @@ def search_discreet(t: int, f: int, d: int, max_weighings: int):
     coin.  Returns a witness bundle, or None once the bounded space is
     exhausted (which says nothing about longer plans)."""
     instance = _checked_instance(t, f, d, max_weighings)
-    for classes, codes in _iter_witnesses(t, f, d, max_weighings, skip_orbits=True):
+    for classes, codes in _iter_witnesses(t, f, d, max_weighings):
         return _expand_witness(instance, classes, codes)
     return None
 
@@ -304,7 +416,7 @@ def all_discreet_profiles(t: int, f: int, d: int, max_weighings: int) -> list:
     discovery order, deduplicated."""
     _checked_instance(t, f, d, max_weighings)
     seen: dict = {}
-    for classes, _codes in _iter_witnesses(t, f, d, max_weighings):
+    for classes, _codes in _labeled_witnesses(t, f, d, max_weighings):
         seen.setdefault(ItineraryProfile(classes), None)
     return list(seen)
 

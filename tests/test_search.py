@@ -22,8 +22,9 @@ from discreet_weighings.search import (
     _apply_split,
     _canonical_key,
     _expand_witness,
-    _iter_witnesses,
+    _labeled_witnesses,
     _splits,
+    _stabiliser,
     all_discreet_profiles,
     check_odd_t_itineraries,
 )
@@ -181,9 +182,27 @@ def test_refined_vectors_match_the_enumerator_on_random_splits():
      (6, 4, 3, 2), (8, 2, 1, 2), (6, 2, 0, 3), (5, 2, 5, 2), (6, 3, 4, 2)],
 )
 def test_witness_stream_equals_the_unpruned_walk(t, f, d, w):
-    # pruning drops only subtrees without a witness, so the streams agree
-    # node for node, in order
-    assert list(_iter_witnesses(t, f, d, w)) == list(exhaustive_witnesses(t, f, d, w))
+    # pruning drops only subtrees without a witness and orbits already met,
+    # so the orbit witnesses, expanded to labeled nodes, are the unpruned
+    # walk's stream node for node, in order
+    assert list(_labeled_witnesses(t, f, d, w)) == list(exhaustive_witnesses(t, f, d, w))
+
+
+def test_splits_equal_a_brute_enumeration():
+    # every per-class (l, r, o) composition, kept when the pans balance, the
+    # left pan holds a coin and the lefts are at most the rights (one of
+    # each mirror pair), in product order
+    for k in range(1, 5):
+        for sizes in itertools.product(range(1, 5 if k < 4 else 3), repeat=k):
+            compositions = [[(l, r, n - l - r) for l in range(n + 1) for r in range(n + 1 - l)] for n in sizes]
+            expected = [
+                split
+                for split in itertools.product(*compositions)
+                if sum(l - r for l, r, _ in split) == 0
+                and sum(l for l, _, _ in split) >= 1
+                and tuple(l for l, _, _ in split) <= tuple(r for _, r, _ in split)
+            ]
+            assert _splits(list(sizes)) == expected, sizes
 
 
 def test_search_counts_size_f_vectors_only_for_the_witness(monkeypatch):
@@ -204,15 +223,16 @@ def test_search_counts_size_f_vectors_only_for_the_witness(monkeypatch):
     assert sizes == [2]
 
 
+def _image(itin, order, swapped):
+    """The itinerary whose weighing i is weighing order[i] of `itin`, with
+    its pans swapped when order[i] is in `swapped`."""
+    return "".join(conjugate(itin[p]) if p in swapped else itin[p] for p in order)
+
+
 def _transformed(classes, codes, order, swapped):
     """The node whose weighing i is weighing order[i] of (classes, codes),
     with its pans swapped when order[i] is in `swapped`."""
-    images = tuple(
-        sorted(
-            ("".join(conjugate(itin[p]) if p in swapped else itin[p] for p in order), n)
-            for itin, n in classes
-        )
-    )
+    images = tuple(sorted((_image(itin, order, swapped), n) for itin, n in classes))
     return images, tuple(-codes[p] if p in swapped else codes[p] for p in order)
 
 
@@ -272,6 +292,52 @@ def test_canonical_keys_are_equal_exactly_on_orbits():
         assert (_canonical_key(*a) == _canonical_key(*b)) == mapped
 
 
+def _symmetric_node(rng, w):
+    """A random node fixed, when its codes allow, by a random transform:
+    its itineraries are closed under the transform, with one count per
+    cycle."""
+    order, swapped = rng.choice(list(_transforms(w)))
+    itineraries = ["".join(s) for s in itertools.product("LRO", repeat=w)]
+    counts = {}
+    for itin in rng.sample(itineraries, rng.randint(1, min(3**w, 4))):
+        n = rng.randint(1, 3)
+        while itin not in counts:
+            counts[itin] = n
+            itin = _image(itin, order, swapped)
+    codes = (0,) * w if rng.random() < 0.5 else tuple(rng.choice((0, 1, -1)) for _ in range(w))
+    return tuple(sorted(counts.items())), codes
+
+
+def test_stabiliser_is_the_class_permutations_of_the_fixing_transforms():
+    rng = random.Random(12)
+    nontrivial = 0
+    for trial in range(300):
+        w = rng.randint(1, 3)
+        if trial % 2:
+            classes, codes = _symmetric_node(rng, w)
+        else:
+            classes, codes = _random_node(rng, w, rng.randint(1, min(3**w, 6)))
+        index = {itin: j for j, (itin, _) in enumerate(classes)}
+        expected = set()
+        for order, swapped in _transforms(w):
+            if _transformed(classes, codes, order, swapped) == (classes, codes):
+                expected.add(tuple(index[_image(itin, order, swapped)] for itin, _ in classes))
+        assert _stabiliser(classes, codes) == expected, (classes, codes)
+        nontrivial += len(expected) > 1
+    assert nontrivial >= 50  # 90 of the 300 nodes have a nontrivial stabiliser
+
+
+def test_profile_listing_equals_the_unpruned_walk():
+    for t, w in ((2, 3), (3, 3), (4, 3), (5, 2), (6, 2)):
+        for f in range(1, t):
+            for d in range(t + 1):
+                if d != f:
+                    seen = {}
+                    for classes, _codes in exhaustive_witnesses(t, f, d, w):
+                        seen.setdefault(ItineraryProfile(classes), None)
+                    assert all_discreet_profiles(t, f, d, w) == list(seen), (t, f, d, w)
+
+
 ORBIT_SWEEP = [
     (t, f, d, 3) for t in range(2, 8) for f in range(1, t) for d in range(t + 1) if d != f
 ] + [(9, 2, 1, 2), (10, 3, 2, 3), (12, 2, 1, 2)]
@@ -279,7 +345,7 @@ ORBIT_SWEEP = [
 
 def test_orbit_skipping_search_finds_the_first_witness_of_the_full_walk():
     for t, f, d, w in ORBIT_SWEEP:
-        first = next(_iter_witnesses(t, f, d, w), None)
+        first = next(_labeled_witnesses(t, f, d, w), None)
         expected = None if first is None else _expand_witness(ProblemInstance(t, f, d), *first)
         found = search_discreet(t, f, d, w)
         assert (found is None) == (expected is None), (t, f, d, w)
