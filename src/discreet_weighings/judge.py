@@ -28,14 +28,16 @@ size-f and size-d vectors answers a whole request:
 `consistent_count_vectors` finds the vectors by one refinement folded over
 the weighings.  It starts from a single class holding every coin, with all
 the fakes in it.  Each weighing splits every class into its left, right
-and off-scale coins (`_refine`): a vector's fakes in a class are spread
-over the parts in every way, and only the children whose pan difference
-shows the weighing's sign are kept.  After the last weighing the classes
+and off-scale coins (`_split`, the one place that rule is written;
+`_mirror` swaps the pans).  `_refine` spreads a vector's fakes in a class
+over the parts in every way and keeps only the children whose pan
+difference shows the weighing's sign.  After the last weighing the classes
 are the itinerary classes.  Vectors are sparse, listing only the classes
 that hold a fake, so their cost follows the fake count, not the number of
 classes.  The bounded search refines its nodes' vectors the same way, one
-weighing per level.  The vectors are sorted once at the end, which gives
-the lexicographic order of an enumeration.
+weighing per level, and orders its splits by the same two functions.  The
+vectors are sorted once at the end, which gives the lexicographic order of
+an enumeration.
 """
 
 from __future__ import annotations
@@ -97,19 +99,34 @@ class ProofEvaluation:
     guess: tuple | None
 
 
-def _checked_classes(t: int, transcript: Transcript) -> list:
-    """(itinerary, coins) pairs for the plan, sorted by itinerary.  The
-    partition validates the plan; that is the judge's only check of it."""
+def _checked(t: int, transcript: Transcript) -> tuple:
+    """The judge's view of a request: the plan's (itinerary, coins) classes,
+    sorted by itinerary, and the sign each weighing showed.  The partition
+    validates the plan; that is the judge's only check of it."""
     if t != transcript.plan.t:
         raise ValueError(f"t={t} does not match the plan's t={transcript.plan.t}")
-    return list(partition_by_itinerary(transcript.plan).items())
+    classes = list(partition_by_itinerary(transcript.plan).items())
+    return classes, tuple(o.sign for o in transcript.outcomes)
 
 
-def _signs(transcript: Transcript) -> tuple:
-    return tuple(o.sign for o in transcript.outcomes)
+def _split(prefixes, column, sizes) -> tuple:
+    """How one weighing routes the classes before it: the (left, right, off)
+    coins of each distinct prefix, in prefix order, when the j-th group of
+    `sizes[j]` coins has itinerary `prefixes[j]` so far and goes to pan
+    `column[j]` ("L", "R" or "O")."""
+    pan = {"L": 0, "R": 1, "O": 2}
+    routed: dict = {}
+    for prefix, symbol, n in zip(prefixes, column, sizes):
+        pans = routed.get(prefix)
+        if pans is None:
+            pans = routed[prefix] = [0, 0, 0]
+        pans[pan[symbol]] += n
+    return tuple(tuple(routed[prefix]) for prefix in sorted(routed))
 
 
-_PAN = {"L": 0, "R": 1, "O": 2}
+def _mirror(split) -> tuple:
+    """The split with the pans swapped."""
+    return tuple((r, l, o) for l, r, o in split)
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,29 +187,23 @@ def consistent_count_vectors(symbols, sizes, codes, size: int) -> list:
     `symbols[j]` is class j's itinerary, `sizes[j]` its coin count, and
     `codes[i]` the sign of (fakes on left - fakes on right) in weighing i.
     The itineraries must be distinct.  The classes before weighing i are
-    the itinerary prefixes of length i, so the vectors are found by
-    `_refine` folded over the weighings from one class of every coin, and
-    each final class is mapped back to its input index by itinerary.
+    the itinerary prefixes of length i, which weighing i routes by
+    `_split`, so the vectors are found by `_refine` folded over the
+    weighings from one class of every coin, and each final class is
+    mapped back to its input index by itinerary.
     """
     if len(set(symbols)) != len(symbols):
         raise ValueError("two classes share an itinerary")
     if not 0 <= size <= sum(sizes):
         return []
-    # prefix classes come in itinerary order, and so do the final classes
-    order = sorted(range(len(symbols)), key=symbols.__getitem__)
     vectors = [((0, size),)] if size else [()]
     for i, code in enumerate(codes):
-        split = {}  # prefix -> coins routed [left, right, off]
-        for j in order:
-            itin = symbols[j]
-            prefix = itin[:i]
-            routed = split.get(prefix)
-            if routed is None:
-                routed = split[prefix] = [0, 0, 0]
-            routed[_PAN[itin[i]]] += sizes[j]
-        vectors = _refine(vectors, list(split.values()))[code]
+        split = _split([itin[:i] for itin in symbols], [itin[i] for itin in symbols], sizes)
+        vectors = _refine(vectors, split)[code]
         if not vectors:
             return []
+    # the final classes are numbered in itinerary order
+    order = sorted(range(len(symbols)), key=symbols.__getitem__)
     found = []
     for vec in vectors:
         dense = [0] * len(symbols)
@@ -217,21 +228,15 @@ class _Tally:
     count: int
     weights: tuple
 
-    def never_fake(self, j: int) -> bool:
-        """Class j holds no fake in any consistent set."""
-        return self.weights[j] == 0
-
-    def always_fake(self, j: int) -> bool:
-        """Class j is all fake in every consistent set."""
-        return self.weights[j] == len(self.classes[j][1]) * self.count
-
     def privacy(self) -> PrivacyReport:
+        """A class is revealed real when it holds no fake in any consistent
+        set, and revealed fake when it is all fake in every one."""
         revealed_real = []
         revealed_fake = []
-        for j, (_, coins) in enumerate(self.classes):
-            if self.never_fake(j):
+        for (_, coins), weight in zip(self.classes, self.weights):
+            if not weight:
                 revealed_real.extend(coins)
-            elif self.always_fake(j):
+            elif weight == len(coins) * self.count:
                 revealed_fake.extend(coins)
         return PrivacyReport(
             discreet=not revealed_real and not revealed_fake,
@@ -257,6 +262,9 @@ class _Tally:
 
 def _tally(classes, codes, size: int) -> _Tally:
     sizes = [len(coins) for _, coins in classes]
+    t = sum(sizes)
+    if not 0 <= size <= t:
+        raise ValueError(f"hypothesis size {size} outside 0..{t}")
     vectors = consistent_count_vectors([itin for itin, _ in classes], sizes, codes, size)
     count = 0
     weights = [0] * len(classes)
@@ -271,17 +279,10 @@ def _tally(classes, codes, size: int) -> _Tally:
     return _Tally(classes, count, tuple(weights))
 
 
-def _checked_tally(t: int, s: int, transcript: Transcript) -> _Tally:
-    classes = _checked_classes(t, transcript)
-    if not 0 <= s <= t:
-        raise ValueError(f"hypothesis size {s} outside 0..{t}")
-    return _tally(classes, _signs(transcript), s)
-
-
 def count_consistent(t: int, s: int, transcript: Transcript) -> int:
     """Number of size-s fake sets consistent with the transcript, computed
     from class count vectors without storing any subset."""
-    return _checked_tally(t, s, transcript).count
+    return _tally(*_checked(t, transcript), s).count
 
 
 def uniform_best_guess(t: int, s: int, transcript: Transcript):
@@ -289,7 +290,7 @@ def uniform_best_guess(t: int, s: int, transcript: Transcript):
     equally likely: (coin, success probability), ties broken by lowest
     index.  A coin's share of the sets follows from its class's share, so
     the sets are never listed."""
-    return _checked_tally(t, s, transcript).best_guess()
+    return _tally(*_checked(t, transcript), s).best_guess()
 
 
 def _sized_placement(instance: ProblemInstance, placement) -> frozenset:
@@ -333,8 +334,7 @@ def classify_privacy(instance: ProblemInstance, transcript: Transcript) -> Priva
     """Split coins into revealed-real (in no consistent set), revealed-fake
     (in all of them), and undetermined.  Discreet means neither set is
     inhabited.  Only meaningful after a valid proof."""
-    classes = _checked_classes(instance.t, transcript)
-    codes = _signs(transcript)
+    classes, codes = _checked(instance.t, transcript)
     tally_f = _tally(classes, codes, instance.f)
     if not tally_f.count or _tally(classes, codes, instance.d).count:
         raise InvalidProofError(
@@ -350,9 +350,8 @@ def evaluate_proof(
     `classify_privacy` and the uniform best guess, from one computation of
     the size-f and size-d class vectors."""
     placement = _sized_placement(instance, placement)
-    classes = _checked_classes(instance.t, transcript)
+    classes, codes = _checked(instance.t, transcript)
     _check_in_range(instance, placement)
-    codes = _signs(transcript)
     tally_f = _tally(classes, codes, instance.f)
     tally_d = _tally(classes, codes, instance.d)
     verdict = _verdict(transcript, placement, tally_f.count, tally_d.count)

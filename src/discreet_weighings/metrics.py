@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 from typing import Sequence
 
 
@@ -131,6 +132,29 @@ class CaseStructure:
         }
 
 
+def _coin_shares(structure: CaseStructure) -> tuple:
+    """Each coin at risk's share row, as (`keys`, `rows`): `keys[coin]` says
+    which pile holds the coin in each case (its index, or -1 for none), and
+    `rows[key][c]` is that pile's fakes/|pile| (0 for none).  Coins of the
+    same piles share one row.  Coins come in the order the cases and their
+    piles first list them."""
+    cases = structure.cases
+    piles: dict[int, list] = {}
+    for c, case in enumerate(cases):
+        for i, pile in enumerate(case):
+            for coin in pile.coins:
+                piles.setdefault(coin, [-1] * len(cases))[c] = i
+    keys = {coin: tuple(where) for coin, where in piles.items()}
+    rows = {
+        key: tuple(
+            Fraction(case[i].fakes, len(case[i].coins)) if i >= 0 else Fraction(0)
+            for case, i in zip(cases, key)
+        )
+        for key in dict.fromkeys(keys.values())
+    }
+    return keys, rows
+
+
 def case_marginals(structure: CaseStructure, probabilities: Sequence) -> dict:
     """Per-coin probability of being fake when the lawyer picks case c with
     probability p_c and hides the fakes uniformly within each pile."""
@@ -141,29 +165,12 @@ def case_marginals(structure: CaseStructure, probabilities: Sequence) -> dict:
         )
     if any(p < 0 for p in probs) or sum(probs) != 1:
         raise ValueError("case probabilities must be nonnegative and sum to 1")
-    marginals: dict[int, Fraction] = {}
-    for case, p in zip(structure.cases, probs):
-        for pile in case:
-            share = p * Fraction(pile.fakes, len(pile.coins))
-            for coin in pile.coins:
-                marginals[coin] = marginals.get(coin, Fraction(0)) + share
-    return marginals
+    keys, rows = _coin_shares(structure)
+    marginals = {key: sum(map(mul, probs, row)) for key, row in rows.items()}
+    return {coin: marginals[key] for coin, key in keys.items()}
 
 
 # --- exact minimax over placement cases ---
-
-
-def _coin_rows(structure: CaseStructure) -> list:
-    """Distinct per-coin coefficient vectors: row[c] = fakes/|pile| for the
-    pile holding the coin in case c (0 when the coin is not at risk there)."""
-    per_coin: dict[int, list] = {}
-    for c, case in enumerate(structure.cases):
-        for pile in case:
-            share = Fraction(pile.fakes, len(pile.coins))
-            for coin in pile.coins:
-                row = per_coin.setdefault(coin, [Fraction(0)] * len(structure.cases))
-                row[c] = share
-    return sorted({tuple(row) for row in per_coin.values()})
 
 
 def minimax_distribution(structure: CaseStructure):
@@ -183,7 +190,7 @@ def minimax_distribution(structure: CaseStructure):
     # solves it.  Every case puts some coin at risk, so sum(q) is bounded.
     # Bland's rule (lowest entering column, lowest leaving basic index on
     # ratio ties) cannot cycle and picks the same vertex every time.
-    rows = _coin_rows(structure)
+    rows = sorted(set(_coin_shares(structure)[1].values()))
     k, m = len(structure.cases), len(rows)
     zero, one = Fraction(0), Fraction(1)
     tableau = [

@@ -53,6 +53,8 @@ class ProblemInstance:
     d: int
 
     def __post_init__(self) -> None:
+        for name in ("t", "f", "d"):
+            _checked_int(getattr(self, name), name)
         if not 0 < self.f < self.t:
             raise ValueError(f"need 0 < f < t, got t={self.t}, f={self.f}")
         if not 0 <= self.d <= self.t:
@@ -218,21 +220,22 @@ def plan_to_json(plan: WeighingPlan) -> dict:
     }
 
 
-def _int_from_json(value, what: str) -> int:
-    """`value` if it is a JSON integer.  Booleans, strings and other numbers
-    are refused rather than coerced: ``int(0.9)`` or ``int(True)`` would
-    silently name a different coin."""
+def _checked_int(value, what: str) -> int:
+    """`value` if it is an integer.  Booleans, strings and other numbers are
+    refused rather than coerced: ``int(0.9)`` or ``int(True)`` would
+    silently name a different coin.  The value is shown as JSON, the form
+    the CLI reads it in."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an integer, got {json.dumps(value, default=repr)}")
     return value
 
 
 def coins_from_json(values, what: str) -> frozenset:
-    """A list of coin indices from JSON, each checked by `_int_from_json`.
+    """A list of coin indices from JSON, each checked by `_checked_int`.
     A repeated index is refused, since the set would silently drop it."""
     if not isinstance(values, (list, tuple)):
         raise ValidationError(f"{what} must be a list of coin indices")
-    listed = [_int_from_json(c, f"coin index in {what}") for c in values]
+    listed = [_checked_int(c, f"coin index in {what}") for c in values]
     coins = frozenset(listed)
     if len(coins) < len(listed):
         repeated = sorted(c for c in coins if listed.count(c) > 1)
@@ -242,7 +245,7 @@ def coins_from_json(values, what: str) -> frozenset:
 
 def plan_from_json(data: Mapping) -> WeighingPlan:
     try:
-        t = _int_from_json(data["t"], "t")
+        t = _checked_int(data["t"], "t")
         weighings = tuple(
             Weighing(
                 coins_from_json(w["left"], f"weighing {i} left pan"),

@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from operator import add
 
-from .judge import _refine, consistent_count_vectors
+from .judge import _mirror, _refine, _split, consistent_count_vectors
 from .metrics import CaseStructure, Pile
 from .model import (
     ITINERARY_SYMBOLS,
@@ -46,6 +46,7 @@ from .model import (
     ProblemInstance,
     Weighing,
     WeighingPlan,
+    _checked_int,
     conjugate,
     partition_by_itinerary,
 )
@@ -64,7 +65,7 @@ class ItineraryProfile:
     counts: tuple
 
     def __post_init__(self) -> None:
-        counts = tuple(sorted((str(itin), int(n)) for itin, n in self.counts))
+        counts = tuple(sorted((str(itin), _checked_int(n, f"class {itin!r} count")) for itin, n in self.counts))
         object.__setattr__(self, "counts", counts)
         if not counts:
             raise ValueError("a profile needs at least one itinerary class")
@@ -76,9 +77,9 @@ class ItineraryProfile:
                 raise ValueError(f"itinerary {itin!r} has symbols outside L/R/O")
             if n < 1:
                 raise ValueError(f"class {itin!r} has count {n}")
+        sizes = [n for _, n in counts]
         for pos in range(length):
-            left = sum(n for itin, n in counts if itin[pos] == "L")
-            right = sum(n for itin, n in counts if itin[pos] == "R")
+            ((left, right, _),) = _split([""] * len(counts), [itin[pos] for itin, _ in counts], sizes)
             if left != right or left < 1:
                 raise ValueError(f"weighing {pos}: pans hold {left} vs {right} coins")
 
@@ -124,6 +125,7 @@ class ItineraryProfile:
 
 
 def _checked_instance(t: int, f: int, d: int, max_weighings: int) -> ProblemInstance:
+    _checked_int(max_weighings, "max_weighings")
     if t > MAX_SEARCH_T:
         raise ValueError(f"search is bounded to t <= {MAX_SEARCH_T}, got t={t}")
     if not 1 <= max_weighings <= MAX_SEARCH_WEIGHINGS:
@@ -137,9 +139,10 @@ def _checked_instance(t: int, f: int, d: int, max_weighings: int) -> ProblemInst
 def _splits(sizes):
     """All ways to route each class through one more weighing: per class a
     (left, right, off) composition, with both pans equally full and nonempty,
-    in lexicographic order.  Exactly one of each mirror pair (all pans
-    swapped) is kept: the one whose lefts are at most its rights, which is
-    also the lexicographically lesser of the two."""
+    in lexicographic order.  Exactly one of each mirror pair is kept: these
+    are exactly the balanced splits with `split <= _mirror(split)`.  The
+    mirrored branches are cut as they are generated, at the first class
+    whose pans differ."""
     k = len(sizes)
     suffix = [0] * (k + 1)
     for j in range(k - 1, -1, -1):
@@ -224,16 +227,13 @@ def _showing(target):
 
 def _walk_form(sizes):
     """An `_images` filter that keeps the images the unpruned walk meets:
-    each weighing's split of the classes before it has its lefts at most
-    its rights, as `_splits` keeps them.  That is, the first of those
+    each weighing's split of the classes before it (`judge._split`) is at
+    most its mirror, as `_splits` keeps them.  That is, the first of those
     classes whose pans differ has the lighter left pan."""
 
     def keep(prefixes, column, _code):
-        diffs: dict = {}
-        for prefix, symbol, n in zip(prefixes, column, sizes):
-            if symbol != "O":
-                diffs[prefix] = diffs.get(prefix, 0) + (n if symbol == "L" else -n)
-        return next((diffs[prefix] < 0 for prefix in sorted(diffs) if diffs[prefix]), True)
+        split = _split(prefixes, column, sizes)
+        return split <= _mirror(split)
 
     return keep
 
@@ -298,7 +298,7 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
         moves = [perm for perm in _stabiliser(classes, codes) if perm != identity]
         for split in _splits([n for _, n in classes]):
             if any(
-                image < split or tuple((r, l, o) for l, r, o in image) < split
+                image < split or _mirror(image) < split
                 for image in (tuple(split[j] for j in perm) for perm in moves)
             ):
                 continue
@@ -333,16 +333,15 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
 
 def _walk_key(classes, codes) -> tuple:
     """Where the unpruned walk meets a labeled node: per weighing, its split
-    of the classes before it and then the rank of its code.  That is the
-    order of a depth-first walk over the splits in `_splits` order and the
-    codes in `_CODES` order that yields each node before its children."""
-    key = []
-    for i, code in enumerate(codes):
-        parts: dict = {}
-        for itin, n in classes:
-            parts.setdefault(itin[:i], [0, 0, 0])["LRO".index(itin[i])] += n
-        key.append((tuple(tuple(parts[prefix]) for prefix in sorted(parts)), _CODES.index(code)))
-    return tuple(key)
+    of the classes before it (`judge._split`) and then the rank of its code.
+    That is the order of a depth-first walk over the splits in `_splits`
+    order and the codes in `_CODES` order that yields each node before its
+    children."""
+    sizes = [n for _, n in classes]
+    return tuple(
+        (_split([itin[:i] for itin, _ in classes], [itin[i] for itin, _ in classes], sizes), _CODES.index(code))
+        for i, code in enumerate(codes)
+    )
 
 
 def _labeled_witnesses(t: int, f: int, d: int, max_weighings: int):

@@ -152,11 +152,19 @@ def test_evaluate_proof_validates_the_plan_once(monkeypatch):
 
 
 def test_plan_problems_come_before_stray_placement_coins():
+    # and before an out-of-range hypothesis size and an invalid proof
     transcript = Transcript(WeighingPlan(4, (Weighing({0, 1}, {1, 2}),)), (Outcome.BALANCED,))
     instance = ProblemInstance(4, 2, 1)
-    for judge in (verify_proof, evaluate_proof):
+    requests = [
+        lambda: verify_proof(instance, transcript, {0, 7}),
+        lambda: evaluate_proof(instance, transcript, {0, 7}),
+        lambda: count_consistent(4, 9, transcript),
+        lambda: uniform_best_guess(4, 9, transcript),
+        lambda: classify_privacy(instance, transcript),
+    ]
+    for request in requests:
         with pytest.raises(ValidationError, match=r"^weighing 0: pans overlap on coins \[1\]$"):
-            judge(instance, transcript, {0, 7})
+            request()
 
 
 def test_official_strategy_counts():

@@ -39,6 +39,14 @@ def test_problem_instance_invariants():
         ProblemInstance(80, 3, 81)
 
 
+def test_problem_instance_refuses_non_integer_counts():
+    # 3.0 once reached the judge and failed there with a TypeError; True
+    # would silently stand for 1
+    for t, f, d in ((80, 3.0, 2), (80.0, 3, 2), (80, 3, True), ("80", 3, 2)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ProblemInstance(t, f, d)
+
+
 def test_simulate_outcome_examples():
     assert simulate_outcome(HALVES, {5, 50}) is Outcome.BALANCED
     assert simulate_outcome(HALVES, {5, 6}) is Outcome.LEFT_LIGHTER

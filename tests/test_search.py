@@ -15,8 +15,8 @@ from discreet_weighings import (
     verify_proof,
 )
 from discreet_weighings import search
-from discreet_weighings.judge import _refine
-from discreet_weighings.model import conjugate
+from discreet_weighings.judge import _mirror, _refine, _split
+from discreet_weighings.model import conjugate, itinerary_of
 from discreet_weighings.search import (
     ItineraryProfile,
     _apply_split,
@@ -25,6 +25,7 @@ from discreet_weighings.search import (
     _labeled_witnesses,
     _splits,
     _stabiliser,
+    _walk_form,
     all_discreet_profiles,
     check_odd_t_itineraries,
 )
@@ -36,6 +37,7 @@ from helpers import (
     exhaustive_search_discreet,
     exhaustive_witnesses,
     labeled_plans,
+    random_plan,
 )
 
 SEARCHES = {"pruned": search_discreet, "exhaustive": exhaustive_search_discreet}
@@ -203,6 +205,47 @@ def test_splits_equal_a_brute_enumeration():
                 and tuple(l for l, _, _ in split) <= tuple(r for _, r, _ in split)
             ]
             assert _splits(list(sizes)) == expected, sizes
+
+
+def test_split_and_mirror_count_each_prefix_class_on_each_pan():
+    # the split of weighing i against a count, over the coins of the
+    # expanded plan, of each prefix class on each pan; the mirror against
+    # the same count with that weighing's pans swapped
+    rng = random.Random(12)
+    for _ in range(200):
+        t = rng.randint(2, 12)
+        profile = ItineraryProfile.from_plan(random_plan(rng, t, rng.randint(1, 4)))
+        plan = profile.to_plan()
+        itins = [itin for itin, _ in profile.counts]
+        sizes = [n for _, n in profile.counts]
+        for i, weighing in enumerate(plan.weighings):
+            split = _split([itin[:i] for itin in itins], [itin[i] for itin in itins], sizes)
+            for (left, right), routed in (((weighing.left, weighing.right), split),
+                                          ((weighing.right, weighing.left), _mirror(split))):
+                counted: dict = {}
+                for coin in range(t):
+                    pans = counted.setdefault(itinerary_of(plan, coin)[:i], [0, 0, 0])
+                    pans[0 if coin in left else 1 if coin in right else 2] += 1
+                assert routed == tuple(tuple(counted[prefix]) for prefix in sorted(counted))
+
+
+def test_walk_form_keeps_the_images_with_the_lighter_left_pan_first():
+    # per weighing, the first class before it (in prefix order) whose pans
+    # hold different numbers of coins must have the lighter left pan
+    rng = random.Random(14)
+    for _ in range(3000):
+        w = rng.randint(0, 3)
+        k = rng.randint(1, 6)
+        prefixes = ["".join(rng.choice("LRO") for _ in range(w)) for _ in range(k)]
+        column = [rng.choice("LRO") for _ in range(k)]
+        sizes = [rng.randint(1, 3) for _ in range(k)]
+        loads: dict = {}
+        for prefix, symbol, n in zip(prefixes, column, sizes):
+            pans = loads.setdefault(prefix, {"L": 0, "R": 0, "O": 0})
+            pans[symbol] += n
+        differing = [pans for _, pans in sorted(loads.items()) if pans["L"] != pans["R"]]
+        expected = not differing or differing[0]["L"] < differing[0]["R"]
+        assert _walk_form(sizes)(prefixes, column, 0) == expected, (prefixes, column, sizes)
 
 
 def test_search_counts_size_f_vectors_only_for_the_witness(monkeypatch):
@@ -404,6 +447,21 @@ def test_profile_validation():
         ItineraryProfile((("LX", 1), ("RO", 1)))
     profile = ItineraryProfile((("L", 2), ("R", 2), ("O", 1)))
     assert profile.t == 5 and profile.num_weighings == 1
+
+
+def test_profile_refuses_non_integer_counts():
+    # int() would make these (("L", 1), ("R", 1))
+    for count in (1.9, True, "1"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ItineraryProfile((("L", count), ("R", 1)))
+
+
+def test_search_refuses_a_non_integer_weighing_bound():
+    # 1.5 once walked two weighings and returned a two-weighing witness
+    for search_fn in (search_discreet, all_discreet_profiles):
+        for bound in (1.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                search_fn(4, 2, 1, bound)
 
 
 def test_odd_t_itinerary_conditions():
