@@ -26,18 +26,19 @@ size-f and size-d vectors answers a whole request:
     (0, Fraction(1, 20))
 
 `consistent_count_vectors` finds the vectors by one refinement folded over
-the weighings.  It starts from a single class holding every coin, with all
-the fakes in it.  Each weighing splits every class into its left, right
-and off-scale coins (`_split`, the one place that rule is written;
-`_mirror` swaps the pans).  `_refine` spreads a vector's fakes in a class
-over the parts in every way and keeps only the children whose pan
-difference shows the weighing's sign.  After the last weighing the classes
-are the itinerary classes.  Vectors are sparse, listing only the classes
-that hold a fake, so their cost follows the fake count, not the number of
-classes.  The bounded search refines its nodes' vectors the same way, one
-weighing per level, and orders its splits by the same two functions.  The
-vectors are sorted once at the end, which gives the lexicographic order of
-an enumeration.
+the weighings.  It sorts the classes by itinerary once, so that the coins
+sharing an itinerary prefix are a run of classes, and starts from a single
+class holding every coin, with all the fakes in it.  Each weighing splits
+every class into its left, right and off-scale coins (`_split`, the one
+place that rule is written; `_mirror` swaps the pans), one run at a time.
+`_refine` spreads a vector's fakes in a class over the parts in every way
+and keeps only the children whose pan difference shows the weighing's
+sign.  After the last weighing the classes are the itinerary classes.
+Vectors are sparse, listing only the classes that hold a fake, so their
+cost follows the fake count, not the number of classes.  The bounded
+search refines its nodes' vectors the same way, one weighing per level,
+and orders its splits by the same two functions.  The vectors are sorted
+once at the end, which gives the lexicographic order of an enumeration.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .model import (
     ProblemInstance,
     Transcript,
     ValidationError,
+    _checked_int,
     partition_by_itinerary,
 )
 
@@ -103,25 +105,30 @@ def _checked(t: int, transcript: Transcript) -> tuple:
     """The judge's view of a request: the plan's (itinerary, coins) classes,
     sorted by itinerary, and the sign each weighing showed.  The partition
     validates the plan; that is the judge's only check of it."""
-    if t != transcript.plan.t:
+    if _checked_int(t, "t") != transcript.plan.t:
         raise ValueError(f"t={t} does not match the plan's t={transcript.plan.t}")
     classes = list(partition_by_itinerary(transcript.plan).items())
     return classes, tuple(o.sign for o in transcript.outcomes)
+
+
+_PAN = {"L": 0, "R": 1, "O": 2}
 
 
 def _split(prefixes, column, sizes) -> tuple:
     """How one weighing routes the classes before it: the (left, right, off)
     coins of each distinct prefix, in prefix order, when the j-th group of
     `sizes[j]` coins has itinerary `prefixes[j]` so far and goes to pan
-    `column[j]` ("L", "R" or "O")."""
-    pan = {"L": 0, "R": 1, "O": 2}
-    routed: dict = {}
+    `column[j]` ("L", "R" or "O").  The groups come sorted by prefix, so
+    that each prefix's groups are a run."""
+    split = []
+    last = None
     for prefix, symbol, n in zip(prefixes, column, sizes):
-        pans = routed.get(prefix)
-        if pans is None:
-            pans = routed[prefix] = [0, 0, 0]
-        pans[pan[symbol]] += n
-    return tuple(tuple(routed[prefix]) for prefix in sorted(routed))
+        if prefix != last:
+            last = prefix
+            pans = [0, 0, 0]
+            split.append(pans)
+        pans[_PAN[symbol]] += n
+    return tuple(map(tuple, split))
 
 
 def _mirror(split) -> tuple:
@@ -186,24 +193,26 @@ def consistent_count_vectors(symbols, sizes, codes, size: int) -> list:
 
     `symbols[j]` is class j's itinerary, `sizes[j]` its coin count, and
     `codes[i]` the sign of (fakes on left - fakes on right) in weighing i.
-    The itineraries must be distinct.  The classes before weighing i are
-    the itinerary prefixes of length i, which weighing i routes by
-    `_split`, so the vectors are found by `_refine` folded over the
-    weighings from one class of every coin, and each final class is
-    mapped back to its input index by itinerary.
+    The itineraries must be distinct.  The classes are sorted by itinerary
+    once, so the classes before weighing i, the itinerary prefixes of
+    length i, are runs that weighing i routes by `_split`.  The vectors are
+    found by `_refine` folded over the weighings from one class of every
+    coin, and each final class is mapped back to its input index.
     """
     if len(set(symbols)) != len(symbols):
         raise ValueError("two classes share an itinerary")
     if not 0 <= size <= sum(sizes):
         return []
+    # the final classes are numbered in itinerary order
+    order = sorted(range(len(symbols)), key=symbols.__getitem__)
+    ordered = [symbols[j] for j in order]
+    counts = [sizes[j] for j in order]
     vectors = [((0, size),)] if size else [()]
     for i, code in enumerate(codes):
-        split = _split([itin[:i] for itin in symbols], [itin[i] for itin in symbols], sizes)
+        split = _split([itin[:i] for itin in ordered], [itin[i] for itin in ordered], counts)
         vectors = _refine(vectors, split)[code]
         if not vectors:
             return []
-    # the final classes are numbered in itinerary order
-    order = sorted(range(len(symbols)), key=symbols.__getitem__)
     found = []
     for vec in vectors:
         dense = [0] * len(symbols)
@@ -263,7 +272,7 @@ class _Tally:
 def _tally(classes, codes, size: int) -> _Tally:
     sizes = [len(coins) for _, coins in classes]
     t = sum(sizes)
-    if not 0 <= size <= t:
+    if not 0 <= _checked_int(size, "hypothesis size") <= t:
         raise ValueError(f"hypothesis size {size} outside 0..{t}")
     vectors = consistent_count_vectors([itin for itin, _ in classes], sizes, codes, size)
     count = 0

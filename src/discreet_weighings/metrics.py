@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import chain
+from math import comb, factorial, lcm
 from operator import mul
 from typing import Sequence
+
+from .model import _checked_int
 
 
 def approx3(value: Fraction) -> float:
@@ -47,6 +50,8 @@ class RevealingMetrics:
 
 def revealing_metrics(t: int, f: int, new_possibilities: int) -> RevealingMetrics:
     """Factor X = old/new and coefficient R = 1 - 1/X, where old = C(t, f)."""
+    for value, name in ((t, "t"), (f, "f"), (new_possibilities, "new possibilities")):
+        _checked_int(value, name)
     old = comb(t, f)
     if old == 0:
         raise ValueError(f"no size-{f} fake sets exist for t={t}")
@@ -62,6 +67,8 @@ def revealing_metrics(t: int, f: int, new_possibilities: int) -> RevealingMetric
 def equal_piles_factor(t: int, f: int, a: int) -> Fraction:
     """Exact revealing factor of the a-equal-piles plan:
     C(t, f) / C(t/a, f/a) ** a."""
+    for value, name in ((t, "t"), (f, "f"), (a, "a")):
+        _checked_int(value, name)
     if a <= 1:
         raise ValueError(f"need a > 1, got a={a}")
     if t % a or f % a:
@@ -72,6 +79,8 @@ def equal_piles_factor(t: int, f: int, a: int) -> Fraction:
 def equal_piles_factor_limit(f: int, a: int) -> float:
     """Value the a-equal-piles revealing factor approaches as t grows:
     f^f / f! * ((f/a)! / (f/a)^(f/a)) ** a."""
+    for value, name in ((f, "f"), (a, "a")):
+        _checked_int(value, name)
     if a <= 1:
         raise ValueError(f"need a > 1, got a={a}")
     if f % a:
@@ -133,31 +142,40 @@ class CaseStructure:
 
 
 def _coin_shares(structure: CaseStructure) -> tuple:
-    """Each coin at risk's share row, as (`keys`, `rows`): `keys[coin]` says
-    which pile holds the coin in each case (its index, or -1 for none), and
-    `rows[key][c]` is that pile's fakes/|pile| (0 for none).  Coins of the
-    same piles share one row.  Coins come in the order the cases and their
-    piles first list them."""
+    """The coins at risk and their share rows, as (`coins`, `groups`):
+    `coins` lists every coin in some pile, in the order the cases and their
+    piles first list them, and `groups` pairs each share row with coins
+    that have it.  A coin's row gives, for each case c, fakes/|pile| of the
+    pile holding it in case c (0 for none).  Two groups may share a row.
+
+    The groups are found by refinement, pile by pile: every group so far
+    splits into its coins in each pile of the next case and the rest, by
+    set operations rather than a pass per coin."""
     cases = structure.cases
-    piles: dict[int, list] = {}
-    for c, case in enumerate(cases):
-        for i, pile in enumerate(case):
-            for coin in pile.coins:
-                piles.setdefault(coin, [-1] * len(cases))[c] = i
-    keys = {coin: tuple(where) for coin, where in piles.items()}
-    rows = {
-        key: tuple(
-            Fraction(case[i].fakes, len(case[i].coins)) if i >= 0 else Fraction(0)
-            for case, i in zip(cases, key)
-        )
-        for key in dict.fromkeys(keys.values())
-    }
-    return keys, rows
+    coins = tuple(dict.fromkeys(chain.from_iterable(pile.coins for case in cases for pile in case)))
+    groups = {(): frozenset(coins)}  # the pile holding them in each case so far, -1 for none
+    for case in cases:
+        refined = {}
+        for where, group in groups.items():
+            for i, pile in enumerate(case):
+                part = group & pile.coins
+                if part:
+                    group -= part
+                    refined[where + (i,)] = part
+            if group:
+                refined[where + (-1,)] = group
+        groups = refined
+    # index -1, no pile, reads the last share: 0
+    shares = [[Fraction(p.fakes, len(p.coins)) for p in case] + [Fraction(0)] for case in cases]
+    return coins, [
+        (tuple(shares[c][i] for c, i in enumerate(where)), group) for where, group in groups.items()
+    ]
 
 
 def case_marginals(structure: CaseStructure, probabilities: Sequence) -> dict:
     """Per-coin probability of being fake when the lawyer picks case c with
-    probability p_c and hides the fakes uniformly within each pile."""
+    probability p_c and hides the fakes uniformly within each pile.  Coins
+    come in the order the cases and their piles first list them."""
     probs = [Fraction(p) for p in probabilities]
     if len(probs) != len(structure.cases):
         raise ValueError(
@@ -165,9 +183,12 @@ def case_marginals(structure: CaseStructure, probabilities: Sequence) -> dict:
         )
     if any(p < 0 for p in probs) or sum(probs) != 1:
         raise ValueError("case probabilities must be nonnegative and sum to 1")
-    keys, rows = _coin_shares(structure)
-    marginals = {key: sum(map(mul, probs, row)) for key, row in rows.items()}
-    return {coin: marginals[key] for coin, key in keys.items()}
+    coins, groups = _coin_shares(structure)
+    marginals = dict.fromkeys(coins)
+    for row, group in groups:
+        # updating keys already present keeps their first-listed order
+        marginals.update(dict.fromkeys(group, sum(map(mul, probs, row))))
+    return marginals
 
 
 # --- exact minimax over placement cases ---
@@ -186,41 +207,63 @@ def minimax_distribution(structure: CaseStructure):
     # The lawyer's game: minimise v subject to row.p <= v for every coin row,
     # p >= 0 and sum(p) = 1.  With q = p / v this is the packing LP
     # max sum(q) s.t. row.q <= 1, q >= 0, whose origin is feasible, so one
-    # simplex phase over an exact tableau (columns q, then one slack per row)
-    # solves it.  Every case puts some coin at risk, so sum(q) is bounded.
-    # Bland's rule (lowest entering column, lowest leaving basic index on
-    # ratio ties) cannot cycle and picks the same vertex every time.
-    rows = sorted(set(_coin_shares(structure)[1].values()))
-    k, m = len(structure.cases), len(rows)
-    zero, one = Fraction(0), Fraction(1)
-    tableau = [
-        list(row) + [one if j == i else zero for j in range(m)] + [one]
-        for i, row in enumerate(rows)
-    ]
-    cost = [-one] * k + [zero] * (m + 1)  # reduced costs of minimising -sum(q)
-    basis = list(range(k, k + m))
+    # simplex phase solves it.  Every case puts some coin at risk, so sum(q)
+    # is bounded.  Bland's rule (lowest entering variable, lowest leaving
+    # basic variable on ratio ties) cannot cycle and picks the same vertex
+    # every time.
+    #
+    # The tableau is compact (Tucker's form): one line per basic variable,
+    # x_B + sum(a_j x_j) = b over the nonbasic variables x_j, and one more
+    # for the reduced costs of minimising -sum(q).  Variable j < k is q_j,
+    # and k + i the slack of row i.  Row i is scaled by the lcm of its
+    # denominators, which scales its slack and so changes no sign, ratio or
+    # choice of the rule.  Pivoting is fraction-free (Bareiss 1968): every
+    # entry is an integer over the common denominator `den`, the previous
+    # pivot, and Sylvester's identity makes each division below exact.
+    rows = sorted({row for row, _ in _coin_shares(structure)[1]})
+    k = len(structure.cases)
+    tableau = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        tableau.append([x.numerator * (scale // x.denominator) for x in row] + [scale])
+    cost = [-1] * k + [0]
+    nonbasic = list(range(k))
+    basis = list(range(k, k + len(rows)))
+    den = 1
     while True:
-        enter = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
-        if enter is None:
+        entering = [j for j in range(k) if cost[j] < 0]
+        if not entering:
             break
-        _, _, i = min(
-            (line[-1] / line[enter], basis[r], r)
-            for r, line in enumerate(tableau)
-            if line[enter] > 0
-        )
-        pivot = tableau[i][enter]
-        tableau[i] = [x / pivot for x in tableau[i]]
+        enter = min(entering, key=nonbasic.__getitem__)
+        leave = None
+        for r, line in enumerate(tableau):
+            if line[enter] > 0:
+                if leave is None:
+                    leave = r
+                    continue
+                # compare the ratios line[-1] / line[enter] across lines
+                here = line[-1] * tableau[leave][enter]
+                best = tableau[leave][-1] * line[enter]
+                if here < best or (here == best and basis[r] < basis[leave]):
+                    leave = r
+        pivot_line = tableau[leave]
+        pivot = pivot_line[enter]
         for line in tableau + [cost]:
-            factor = line[enter]
-            if factor and line is not tableau[i]:
-                line[:] = [x - factor * y for x, y in zip(line, tableau[i])]
-        basis[i] = enter
-    q = [zero] * k
+            if line is not pivot_line:
+                factor = line[enter]
+                line[:] = [(x * pivot - factor * y) // den for x, y in zip(line, pivot_line)]
+                line[enter] = -factor
+        pivot_line[enter] = den
+        den = pivot
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
+    # q_j is b / den on q_j's line, so the 1 / den cancels in p = q / sum(q)
+    q = [0] * k
     for r, j in enumerate(basis):
         if j < k:
             q[j] = tableau[r][-1]
-    value = 1 / sum(q)
-    probabilities = tuple(x * value for x in q)
+    total = sum(q)
+    value = Fraction(den, total)
+    probabilities = tuple(Fraction(x, total) for x in q)
     achieved = max(case_marginals(structure, probabilities).values())
     if achieved != value:
         raise RuntimeError(

@@ -90,7 +90,9 @@ class Weighing:
             )
         if not self.left or not self.right:
             problems.append("empty pan")
-        bad = [c for c in self.left | self.right if not isinstance(c, int) or c < 0]
+        # a bool equals coin 0 or 1 but is not an index; the partition
+        # keeps whichever of the two a set intersection meets first
+        bad = [c for c in self.left | self.right if type(c) is not int or c < 0]
         if bad:
             problems.append(f"invalid coin indices {sorted(map(repr, bad))}")
         return problems
@@ -197,14 +199,38 @@ def conjugate(itinerary: str) -> str:
 
 
 def partition_by_itinerary(plan: WeighingPlan) -> dict:
-    """Group all coins by their itinerary; a disjoint cover of 0..t-1."""
+    """Group all coins by their itinerary; a disjoint cover of 0..t-1, in
+    itinerary order.
+
+    The classes are refined one weighing at a time, as in partition
+    refinement (Paige and Tarjan, 1987): each class so far splits into its
+    coins on the left pan, off the scale and on the right pan, by set
+    operations rather than a test per coin.  Since "L" < "O" < "R",
+    splitting sorted classes in that order keeps them sorted."""
     problems = validate_plan(plan)
     if problems:
         raise ValidationError("; ".join(problems))
-    groups: dict[str, list] = {}
-    for coin in range(plan.t):
-        groups.setdefault(itinerary_of(plan, coin), []).append(coin)
-    return {itin: frozenset(coins) for itin, coins in sorted(groups.items())}
+    classes = {"": frozenset(range(plan.t))}
+    for w in plan.weighings:
+        pan_left, pan_right = w.left, w.right
+        refined = {}
+        for itin, coins in classes.items():
+            if len(coins) == 1:
+                (coin,) = coins
+                symbol = "L" if coin in pan_left else "R" if coin in pan_right else "O"
+                refined[itin + symbol] = coins
+                continue
+            left = coins & pan_left
+            right = coins & pan_right
+            off = coins.difference(left, right) if left or right else coins
+            if left:
+                refined[itin + "L"] = left
+            if off:
+                refined[itin + "O"] = off
+            if right:
+                refined[itin + "R"] = right
+        classes = refined
+    return classes
 
 
 # --- JSON encoding (field names are the wire format used by the CLI) ---

@@ -125,7 +125,8 @@ class ItineraryProfile:
 
 
 def _checked_instance(t: int, f: int, d: int, max_weighings: int) -> ProblemInstance:
-    _checked_int(max_weighings, "max_weighings")
+    for value, name in ((t, "t"), (f, "f"), (d, "d"), (max_weighings, "max_weighings")):
+        _checked_int(value, name)
     if t > MAX_SEARCH_T:
         raise ValueError(f"search is bounded to t <= {MAX_SEARCH_T}, got t={t}")
     if not 1 <= max_weighings <= MAX_SEARCH_WEIGHINGS:
@@ -232,7 +233,8 @@ def _walk_form(sizes):
     classes whose pans differ has the lighter left pan."""
 
     def keep(prefixes, column, _code):
-        split = _split(prefixes, column, sizes)
+        # `_split` takes the classes sorted by prefix
+        split = _split(*zip(*sorted(zip(prefixes, column, sizes))))
         return split <= _mirror(split)
 
     return keep
@@ -436,7 +438,7 @@ def optimal_f2_new_possibilities(t: int):
     """Largest achievable number of surviving fake-pair options, with a
     maximizing pair distribution.  Returns None for odd t in {3, 5, 7}, where
     no admissible distribution exists."""
-    if t < 3:
+    if _checked_int(t, "t") < 3:
         raise ValueError(f"two fakes need at least 3 coins, got t={t}")
     # best[n][o]: (value, last pair size, previous o) over distributions of
     # n coins into pairs of size >= 2, o of them odd (capped at 3)
@@ -502,7 +504,8 @@ def check_odd_t_itineraries(t: int, max_weighings: int) -> OddTItineraryReport:
     """Verify the odd-t structural conditions over all bounded discreet
     witnesses for two fakes with one to disprove; vacuously true when the
     bounded search finds none."""
-    if t % 2 == 0:
+    _checked_int(max_weighings, "max_weighings")
+    if _checked_int(t, "t") % 2 == 0:
         raise ValueError(f"this check applies to odd coin counts, got t={t}")
     if t > 11:
         raise ValueError(f"bounded to t <= 11, got t={t}")

@@ -22,6 +22,7 @@ from .model import (
     ProblemInstance,
     Weighing,
     WeighingPlan,
+    _checked_int,
     plan_to_json,
     simulate_transcript,
 )
@@ -78,7 +79,7 @@ def build_equal_piles(instance: ProblemInstance, a: int) -> StrategyBundle:
     Discreet whenever a > 1 divides t and f but not d.
     """
     t, f, d = instance.t, instance.f, instance.d
-    _require(a > 1, f"equal-piles needs a > 1, got a={a}")
+    _require(_checked_int(a, "a") > 1, f"equal-piles needs a > 1, got a={a}")
     _require(t % a == 0, f"equal-piles needs a | t, but {a} does not divide t={t}")
     _require(f % a == 0, f"equal-piles needs a | f, but {a} does not divide f={f}")
     _require(d % a != 0, f"equal-piles needs a to not divide d, but {a} divides d={d}")

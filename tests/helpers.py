@@ -10,7 +10,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from discreet_weighings import CaseStructure, Outcome, Pile, Weighing, WeighingPlan
+from discreet_weighings import CaseStructure, Outcome, Pile, Weighing, WeighingPlan, itinerary_of
 
 # The oracle's own copy of the outcome signs, kept apart from
 # `Outcome.sign` on purpose so that a wrong sign in the library cannot also
@@ -84,6 +84,18 @@ def _solve_linear(rows, rhs):
     return [aug[r][n] for r in range(n)]
 
 
+def coin_rows(structure):
+    """Each coin at risk's chance of being fake in each case, coin by coin,
+    in the order the cases and their piles first list the coins."""
+    k = len(structure.cases)
+    per_coin = {}
+    for c, case in enumerate(structure.cases):
+        for pile in case:
+            for coin in pile.coins:
+                per_coin.setdefault(coin, [Fraction(0)] * k)[c] = Fraction(pile.fakes, len(pile.coins))
+    return {coin: tuple(row) for coin, row in per_coin.items()}
+
+
 def vertex_minimax(structure):
     """The lawyer's minimax (probabilities, value) by trying every vertex of
     { p in simplex, v >= every coin row . p }: the simplex equality plus k
@@ -92,12 +104,7 @@ def vertex_minimax(structure):
     with the least v.  Exponential in the number of cases k."""
     k = len(structure.cases)
     zero, one = Fraction(0), Fraction(1)
-    per_coin = {}  # coin -> its chance of being fake in each case
-    for c, case in enumerate(structure.cases):
-        for pile in case:
-            for coin in pile.coins:
-                per_coin.setdefault(coin, [zero] * k)[c] = Fraction(pile.fakes, len(pile.coins))
-    rows = sorted({tuple(row) for row in per_coin.values()})
+    rows = sorted(set(coin_rows(structure).values()))
     simplex_row = [one] * k + [zero]
     candidates = [tuple(row) + (-one,) for row in rows]
     candidates += [tuple(one if i == c else zero for i in range(k)) + (zero,) for c in range(k)]
@@ -114,6 +121,47 @@ def vertex_minimax(structure):
         if best is None or v < best[1]:
             best = (tuple(p), v)
     return best
+
+
+def fraction_simplex_minimax(structure):
+    """The lawyer's minimax (probabilities, value) by the packing LP
+    max sum(q) s.t. row.q <= 1, q >= 0 over the distinct coin rows, sorted,
+    on a full tableau of Fractions (columns q, then one slack per row) under
+    Bland's rule, lowest entering column and lowest leaving basic index on
+    ratio ties.  p = q / sum(q) and the value is 1 / sum(q).  Every pivot
+    divides exactly, so this is the reference for a faster exact simplex
+    that must reach the same vertex."""
+    rows = sorted(set(coin_rows(structure).values()))
+    k, m = len(structure.cases), len(rows)
+    zero, one = Fraction(0), Fraction(1)
+    tableau = [
+        list(row) + [one if j == i else zero for j in range(m)] + [one]
+        for i, row in enumerate(rows)
+    ]
+    cost = [-one] * k + [zero] * (m + 1)  # reduced costs of minimising -sum(q)
+    basis = list(range(k, k + m))
+    while True:
+        enter = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
+        if enter is None:
+            break
+        _, _, i = min(
+            (line[-1] / line[enter], basis[r], r)
+            for r, line in enumerate(tableau)
+            if line[enter] > 0
+        )
+        pivot = tableau[i][enter]
+        tableau[i] = [x / pivot for x in tableau[i]]
+        for line in tableau + [cost]:
+            factor = line[enter]
+            if factor and line is not tableau[i]:
+                line[:] = [x - factor * y for x, y in zip(line, tableau[i])]
+        basis[i] = enter
+    q = [zero] * k
+    for r, j in enumerate(basis):
+        if j < k:
+            q[j] = tableau[r][-1]
+    value = 1 / sum(q)
+    return tuple(x * value for x in q), value
 
 
 def brute_optimal_pairs(t):
@@ -217,6 +265,26 @@ def random_plan(rng: random.Random, t: int, num_weighings: int) -> WeighingPlan:
         coins = rng.sample(range(t), 2 * size)
         weighings.append(Weighing(frozenset(coins[:size]), frozenset(coins[size:])))
     return WeighingPlan(t, tuple(weighings))
+
+
+def itinerary_groups(plan):
+    """The plan's coins grouped by itinerary, coin by coin with
+    `itinerary_of`, sorted by itinerary."""
+    groups = {}
+    for coin in range(plan.t):
+        groups.setdefault(itinerary_of(plan, coin), set()).add(coin)
+    return {itin: frozenset(coins) for itin, coins in sorted(groups.items())}
+
+
+def many_class_plan():
+    """Twelve random 500 v 500 weighings of 1500 coins, which put nearly
+    every coin in an itinerary class of its own (1,499 classes)."""
+    rng = random.Random(1)
+    weighings = []
+    for _ in range(12):
+        coins = rng.sample(range(1500), 1000)
+        weighings.append(Weighing(frozenset(coins[:500]), frozenset(coins[500:])))
+    return WeighingPlan(1500, tuple(weighings))
 
 
 def random_fakes(rng: random.Random, t: int, f: int) -> frozenset:

@@ -30,6 +30,7 @@ from helpers import (
     brute_consistent,
     brute_count_vectors,
     brute_pair_count,
+    many_class_plan,
     random_fakes,
     random_plan,
 )
@@ -115,23 +116,35 @@ def test_triple_case_counts_at_scale(t, f):
 
 
 def test_counting_plans_with_more_classes_than_the_recursion_limit():
-    # twelve random 500 v 500 weighings of 1500 coins put nearly every coin
-    # in a class of its own: far more classes than Python may recurse
-    rng = random.Random(1)
-    weighings = []
-    for _ in range(12):
-        coins = rng.sample(range(1500), 1000)
-        weighings.append(Weighing(frozenset(coins[:500]), frozenset(coins[500:])))
-    plan = WeighingPlan(1500, tuple(weighings))
+    # nearly every coin in a class of its own: far more classes than Python
+    # may recurse
+    plan = many_class_plan()
     assert len(model.partition_by_itinerary(plan)) > 1000
     simulated = [simulate_transcript(plan, fakes) for fakes in ({0, 1}, {10, 1400})]
     # all balanced: no weighing rules out a class on its own, so pairs of
     # conjugate prefix classes stay candidates until the last weighings
-    balanced = Transcript(plan, (Outcome.BALANCED,) * len(weighings))
+    balanced = Transcript(plan, (Outcome.BALANCED,) * len(plan.weighings))
     for transcript in simulated + [balanced]:
         assert count_consistent(1500, 2, transcript) == brute_pair_count(transcript)
         singles = brute_consistent(1500, 1, transcript)
         assert count_consistent(1500, 1, transcript) == len(singles)
+
+
+@pytest.mark.parametrize(
+    "call,what",
+    [
+        (lambda tr: count_consistent(80, 3.0, tr), "hypothesis size"),
+        (lambda tr: count_consistent(80, True, tr), "hypothesis size"),
+        (lambda tr: count_consistent(80.0, 3, tr), "t"),
+        (lambda tr: uniform_best_guess(80, 3.0, tr), "hypothesis size"),
+    ],
+    ids=["count-size", "count-bool-size", "count-t", "guess-size"],
+)
+def test_judge_refuses_non_integer_counts(call, what):
+    # True would otherwise count the size-1 sets, and 3.0 fail deep inside
+    transcript = build_official(ProblemInstance(80, 3, 2)).transcript()
+    with pytest.raises(ValidationError, match=f"^{what} must be an integer"):
+        call(transcript)
 
 
 def test_evaluate_proof_validates_the_plan_once(monkeypatch):

@@ -23,7 +23,17 @@ from discreet_weighings import (
     uniform_best_guess,
 )
 from discreet_weighings.metrics import approx3
-from helpers import brute_best_guess, brute_consistent, random_case_structure, vertex_minimax
+from helpers import (
+    brute_best_guess,
+    brute_consistent,
+    coin_rows,
+    fraction_simplex_minimax,
+    random_case_structure,
+    vertex_minimax,
+)
+
+# triple-case instances from the paper's 80-3-2 up to ten fakes
+TRIPLE_CASES = ((80, 3), (121, 4), (161, 5), (200, 6), (251, 7), (301, 8), (350, 9), (401, 10))
 
 
 def test_revealing_metrics_reference_values():
@@ -49,6 +59,23 @@ def test_revealing_metrics_rejects_bad_counts():
         revealing_metrics(80, 3, 0)
     with pytest.raises(ValueError):
         revealing_metrics(80, 3, comb(80, 3) + 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: revealing_metrics(80.0, 3, 100),
+        lambda: revealing_metrics(80, True, 100),
+        lambda: revealing_metrics(80, 3, 100.0),
+        lambda: equal_piles_factor(80.0, 2, 2),
+        lambda: equal_piles_factor(80, 2, "2"),
+        lambda: equal_piles_factor_limit(4.0, 2),
+    ],
+    ids=["revealing-t", "revealing-f", "revealing-new", "factor-t", "factor-a", "limit-f"],
+)
+def test_metrics_refuse_non_integer_counts(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
 
 
 def test_revealing_metrics_json_shape():
@@ -144,6 +171,20 @@ def test_case_marginals_triple_case():
     assert sum(marginals.values()) == 3
 
 
+def test_case_marginals_lists_coins_in_the_order_the_piles_do():
+    rng = random.Random(7)
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        structure = random_case_structure(rng, rng.randint(1, 20), k)
+        weights = [rng.randint(0, 5) for _ in range(k)]
+        weights[rng.randrange(k)] += 1
+        probs = [Fraction(w, sum(weights)) for w in weights]
+        rows = coin_rows(structure)
+        marginals = case_marginals(structure, probs)
+        assert list(marginals) == list(rows)
+        assert marginals == {coin: sum(p * x for p, x in zip(probs, row)) for coin, row in rows.items()}
+
+
 def test_case_marginals_validation():
     cases = CaseStructure(((Pile(frozenset({0})),),))
     assert case_marginals(cases, [1]) == {0: Fraction(1)}
@@ -216,6 +257,32 @@ def test_minimax_of_every_builtin_strategy_matches_vertex_enumeration():
     assert len(structures) > 300
     for structure in structures:
         assert minimax_distribution(structure) == vertex_minimax(structure)
+
+
+def test_minimax_reaches_the_fraction_simplex_vertex_on_random_structures():
+    # the same pivots under Bland's rule, so the same distribution, even
+    # where the optimum is not unique
+    rng = random.Random(1968)
+    for _ in range(500):
+        k = rng.randint(1, 8)
+        structure = random_case_structure(rng, rng.randint(1, 14), k)
+        assert minimax_distribution(structure) == fraction_simplex_minimax(structure)
+
+
+def test_minimax_reaches_the_fraction_simplex_vertex_on_builtins_and_triple_cases():
+    structures = []
+    instance = ProblemInstance(80, 3, 2)
+    for name, build in BUILDERS.items():
+        for a in (2, 3) if name == "equal-piles" else [None]:
+            try:
+                structures.append((build(instance, a) if a else build(instance)).cases)
+            except ValueError:
+                continue  # a precondition of the strategy fails at 80-3-2
+    assert len(structures) == 4
+    for t, f in TRIPLE_CASES:
+        structures.append(build_triple_case(ProblemInstance(t, f, f - 1)).cases)
+    for structure in structures:
+        assert minimax_distribution(structure) == fraction_simplex_minimax(structure)
 
 
 def test_minimax_never_beats_uniform_spread():

@@ -22,7 +22,7 @@ from discreet_weighings import (
     transcript_to_json,
     validate_plan,
 )
-from helpers import random_fakes, random_plan
+from helpers import itinerary_groups, many_class_plan, random_fakes, random_plan
 
 HALVES = Weighing(frozenset(range(40)), frozenset(range(40, 80)))
 
@@ -170,6 +170,40 @@ def test_partition_covers_all_coins_disjointly():
         assert union == set(range(t)) and total == t
 
 
+def test_partition_matches_coin_by_coin_itineraries():
+    # the same classes, coins and itinerary order as asking every coin
+    rng = random.Random(14)
+    plans = [many_class_plan(), WeighingPlan(1, ()), build_triple_case(ProblemInstance(401, 10, 9)).plan]
+    plans += [random_plan(rng, rng.randint(2, 40), rng.randint(0, 6)) for _ in range(300)]
+    for plan in plans:
+        assert list(partition_by_itinerary(plan).items()) == list(itinerary_groups(plan).items())
+    assert len(partition_by_itinerary(plans[0])) == 1499
+
+
+@pytest.mark.parametrize(
+    "plan,message",
+    [
+        (WeighingPlan(0, ()), "coin count must be positive, got t=0"),
+        (WeighingPlan(4, (Weighing({0, 1}, {1, 2}),)), "weighing 0: pans overlap on coins [1]"),
+        (
+            WeighingPlan(4, (Weighing({0}, {1}), Weighing({0, 1}, {2}))),
+            "weighing 1: unequal pans: 2 vs 1 coins",
+        ),
+        (WeighingPlan(4, (Weighing(set(), set()),)), "weighing 0: empty pan"),
+        (
+            WeighingPlan(4, (Weighing({0, 5}, {1, -2}),)),
+            "weighing 0: invalid coin indices ['-2']; weighing 0: coins [-2, 5] outside 0..3",
+        ),
+        (WeighingPlan(4, (Weighing({"a"}, {1}),)), "weighing 0: invalid coin indices [\"'a'\"]"),
+    ],
+    ids=["no-coins", "overlap", "unequal", "empty", "out-of-range", "not-an-int"],
+)
+def test_partition_reports_an_invalid_plan_unchanged(plan, message):
+    with pytest.raises(ValidationError) as caught:
+        partition_by_itinerary(plan)
+    assert str(caught.value) == message == "; ".join(validate_plan(plan))
+
+
 def test_validate_plan_reports():
     good = build_official(ProblemInstance(80, 3, 2)).plan
     assert validate_plan(good) == []
@@ -182,6 +216,10 @@ def test_validate_plan_reports():
 
     out_of_range = WeighingPlan(3, (Weighing({0}, {5}),))
     assert any("outside" in p for p in validate_plan(out_of_range))
+
+    # True once passed as coin 1, and could reach a report as true
+    with_bool = WeighingPlan(4, (Weighing({True, 2}, {0, 3}),))
+    assert validate_plan(with_bool) == ["weighing 0: invalid coin indices ['True']"]
 
 
 def test_relabeling_coins_preserves_outcomes():

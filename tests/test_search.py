@@ -464,6 +464,24 @@ def test_search_refuses_a_non_integer_weighing_bound():
                 search_fn(4, 2, 1, bound)
 
 
+@pytest.mark.parametrize(
+    "call,what",
+    [
+        (lambda: search_discreet("9", 2, 1, 2), "t"),
+        (lambda: search_discreet(9, 2.0, 1, 2), "f"),
+        (lambda: all_discreet_profiles(9, 2, True, 2), "d"),
+        (lambda: optimal_f2_new_possibilities(8.0), "t"),
+        (lambda: check_odd_t_itineraries(9.0, 3), "t"),
+        (lambda: check_odd_t_itineraries(9, 3.0), "max_weighings"),
+    ],
+    ids=["search-t", "search-f", "profiles-d", "f2-t", "odd-t-t", "odd-t-bound"],
+)
+def test_search_refuses_non_integer_counts(call, what):
+    # "9" once failed on the t bound's comparison, before t was checked
+    with pytest.raises(ValueError, match=f"^{what} must be an integer"):
+        call()
+
+
 def test_odd_t_itinerary_conditions():
     vacuous = check_odd_t_itineraries(5, 3)
     assert vacuous.vacuous and vacuous.all_satisfy and vacuous.witnesses_checked == 0

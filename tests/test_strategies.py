@@ -115,6 +115,13 @@ def test_equal_piles_preconditions():
         build_equal_piles(inst, 2)  # a=2 divides d=2
 
 
+def test_equal_piles_refuses_a_non_integer_pile_count():
+    # 2.0 once failed deep inside, building the piles
+    for a in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="^a must be an integer"):
+            build_equal_piles(ProblemInstance(80, 4, 3), a)
+
+
 def test_triple_case_layout_matches_documented_sizes():
     bundle = build_triple_case(ProblemInstance(80, 3, 2))
     sizes = [len(p.coins) for case in bundle.cases.cases for p in case]
