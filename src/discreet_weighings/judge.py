@@ -26,19 +26,18 @@ size-f and size-d vectors answers a whole request:
     (0, Fraction(1, 20))
 
 `consistent_count_vectors` finds the vectors by one refinement folded over
-the weighings.  It sorts the classes by itinerary once, so that the coins
-sharing an itinerary prefix are a run of classes, and starts from a single
-class holding every coin, with all the fakes in it.  Each weighing splits
-every class into its left, right and off-scale coins (`_split`, the one
-place that rule is written; `_mirror` swaps the pans), one run at a time.
-`_refine` spreads a vector's fakes in a class over the parts in every way
-and keeps only the children whose pan difference shows the weighing's
-sign.  After the last weighing the classes are the itinerary classes.
-Vectors are sparse, listing only the classes that hold a fake, so their
-cost follows the fake count, not the number of classes.  The bounded
-search refines its nodes' vectors the same way, one weighing per level,
-and orders its splits by the same two functions.  The vectors are sorted
-once at the end, which gives the lexicographic order of an enumeration.
+the weighings.  It starts from a single class holding every coin, with all
+the fakes in it.  Each weighing splits every class into its left, right
+and off-scale coins (`_split`, the one place that rule is written;
+`_mirror` swaps the pans).  `_refine` spreads a vector's fakes in a class
+over the parts in every way and keeps only the children whose pan
+difference shows the weighing's sign.  After the last weighing the classes
+are the itinerary classes.  Vectors are sparse, listing only the classes
+that hold a fake, so their cost follows the fake count, not the number of
+classes.  The bounded search refines its nodes' vectors the same way, one
+weighing per level, and orders its splits by the same two functions.  The
+vectors are sorted once at the end, which gives the lexicographic order of
+an enumeration.
 """
 
 from __future__ import annotations
@@ -111,24 +110,19 @@ def _checked(t: int, transcript: Transcript) -> tuple:
     return classes, tuple(o.sign for o in transcript.outcomes)
 
 
-_PAN = {"L": 0, "R": 1, "O": 2}
-
-
 def _split(prefixes, column, sizes) -> tuple:
     """How one weighing routes the classes before it: the (left, right, off)
     coins of each distinct prefix, in prefix order, when the j-th group of
     `sizes[j]` coins has itinerary `prefixes[j]` so far and goes to pan
-    `column[j]` ("L", "R" or "O").  The groups come sorted by prefix, so
-    that each prefix's groups are a run."""
-    split = []
-    last = None
+    `column[j]` ("L", "R" or "O")."""
+    pan = {"L": 0, "R": 1, "O": 2}
+    routed: dict = {}
     for prefix, symbol, n in zip(prefixes, column, sizes):
-        if prefix != last:
-            last = prefix
-            pans = [0, 0, 0]
-            split.append(pans)
-        pans[_PAN[symbol]] += n
-    return tuple(map(tuple, split))
+        pans = routed.get(prefix)
+        if pans is None:
+            pans = routed[prefix] = [0, 0, 0]
+        pans[pan[symbol]] += n
+    return tuple(tuple(routed[prefix]) for prefix in sorted(routed))
 
 
 def _mirror(split) -> tuple:
@@ -193,26 +187,24 @@ def consistent_count_vectors(symbols, sizes, codes, size: int) -> list:
 
     `symbols[j]` is class j's itinerary, `sizes[j]` its coin count, and
     `codes[i]` the sign of (fakes on left - fakes on right) in weighing i.
-    The itineraries must be distinct.  The classes are sorted by itinerary
-    once, so the classes before weighing i, the itinerary prefixes of
-    length i, are runs that weighing i routes by `_split`.  The vectors are
-    found by `_refine` folded over the weighings from one class of every
-    coin, and each final class is mapped back to its input index.
+    The itineraries must be distinct.  The classes before weighing i are
+    the itinerary prefixes of length i, which weighing i routes by
+    `_split`, so the vectors are found by `_refine` folded over the
+    weighings from one class of every coin, and each final class is
+    mapped back to its input index by itinerary.
     """
     if len(set(symbols)) != len(symbols):
         raise ValueError("two classes share an itinerary")
     if not 0 <= size <= sum(sizes):
         return []
-    # the final classes are numbered in itinerary order
-    order = sorted(range(len(symbols)), key=symbols.__getitem__)
-    ordered = [symbols[j] for j in order]
-    counts = [sizes[j] for j in order]
     vectors = [((0, size),)] if size else [()]
     for i, code in enumerate(codes):
-        split = _split([itin[:i] for itin in ordered], [itin[i] for itin in ordered], counts)
+        split = _split([itin[:i] for itin in symbols], [itin[i] for itin in symbols], sizes)
         vectors = _refine(vectors, split)[code]
         if not vectors:
             return []
+    # the final classes are numbered in itinerary order
+    order = sorted(range(len(symbols)), key=symbols.__getitem__)
     found = []
     for vec in vectors:
         dense = [0] * len(symbols)

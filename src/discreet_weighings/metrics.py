@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import comb, factorial, lcm
 from operator import mul
 from typing import Sequence
@@ -142,34 +141,26 @@ class CaseStructure:
 
 
 def _coin_shares(structure: CaseStructure) -> tuple:
-    """The coins at risk and their share rows, as (`coins`, `groups`):
-    `coins` lists every coin in some pile, in the order the cases and their
-    piles first list them, and `groups` pairs each share row with coins
-    that have it.  A coin's row gives, for each case c, fakes/|pile| of the
-    pile holding it in case c (0 for none).  Two groups may share a row.
-
-    The groups are found by refinement, pile by pile: every group so far
-    splits into its coins in each pile of the next case and the rest, by
-    set operations rather than a pass per coin."""
+    """Each coin at risk's share row, as (`keys`, `rows`): `keys[coin]` says
+    which pile holds the coin in each case (its index, or -1 for none), and
+    `rows[key][c]` is that pile's fakes/|pile| (0 for none).  Coins of the
+    same piles share one row.  Coins come in the order the cases and their
+    piles first list them."""
     cases = structure.cases
-    coins = tuple(dict.fromkeys(chain.from_iterable(pile.coins for case in cases for pile in case)))
-    groups = {(): frozenset(coins)}  # the pile holding them in each case so far, -1 for none
-    for case in cases:
-        refined = {}
-        for where, group in groups.items():
-            for i, pile in enumerate(case):
-                part = group & pile.coins
-                if part:
-                    group -= part
-                    refined[where + (i,)] = part
-            if group:
-                refined[where + (-1,)] = group
-        groups = refined
-    # index -1, no pile, reads the last share: 0
-    shares = [[Fraction(p.fakes, len(p.coins)) for p in case] + [Fraction(0)] for case in cases]
-    return coins, [
-        (tuple(shares[c][i] for c, i in enumerate(where)), group) for where, group in groups.items()
-    ]
+    piles: dict[int, list] = {}
+    for c, case in enumerate(cases):
+        for i, pile in enumerate(case):
+            for coin in pile.coins:
+                piles.setdefault(coin, [-1] * len(cases))[c] = i
+    keys = {coin: tuple(where) for coin, where in piles.items()}
+    rows = {
+        key: tuple(
+            Fraction(case[i].fakes, len(case[i].coins)) if i >= 0 else Fraction(0)
+            for case, i in zip(cases, key)
+        )
+        for key in dict.fromkeys(keys.values())
+    }
+    return keys, rows
 
 
 def case_marginals(structure: CaseStructure, probabilities: Sequence) -> dict:
@@ -183,12 +174,9 @@ def case_marginals(structure: CaseStructure, probabilities: Sequence) -> dict:
         )
     if any(p < 0 for p in probs) or sum(probs) != 1:
         raise ValueError("case probabilities must be nonnegative and sum to 1")
-    coins, groups = _coin_shares(structure)
-    marginals = dict.fromkeys(coins)
-    for row, group in groups:
-        # updating keys already present keeps their first-listed order
-        marginals.update(dict.fromkeys(group, sum(map(mul, probs, row))))
-    return marginals
+    keys, rows = _coin_shares(structure)
+    marginals = {key: sum(map(mul, probs, row)) for key, row in rows.items()}
+    return {coin: marginals[key] for coin, key in keys.items()}
 
 
 # --- exact minimax over placement cases ---
@@ -220,7 +208,7 @@ def minimax_distribution(structure: CaseStructure):
     # choice of the rule.  Pivoting is fraction-free (Bareiss 1968): every
     # entry is an integer over the common denominator `den`, the previous
     # pivot, and Sylvester's identity makes each division below exact.
-    rows = sorted({row for row, _ in _coin_shares(structure)[1]})
+    rows = sorted(set(_coin_shares(structure)[1].values()))
     k = len(structure.cases)
     tableau = []
     for row in rows:

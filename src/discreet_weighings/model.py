@@ -215,11 +215,6 @@ def partition_by_itinerary(plan: WeighingPlan) -> dict:
         pan_left, pan_right = w.left, w.right
         refined = {}
         for itin, coins in classes.items():
-            if len(coins) == 1:
-                (coin,) = coins
-                symbol = "L" if coin in pan_left else "R" if coin in pan_right else "O"
-                refined[itin + symbol] = coins
-                continue
             left = coins & pan_left
             right = coins & pan_right
             off = coins.difference(left, right) if left or right else coins

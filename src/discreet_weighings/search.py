@@ -125,16 +125,15 @@ class ItineraryProfile:
 
 
 def _checked_instance(t: int, f: int, d: int, max_weighings: int) -> ProblemInstance:
-    for value, name in ((t, "t"), (f, "f"), (d, "d"), (max_weighings, "max_weighings")):
-        _checked_int(value, name)
-    if t > MAX_SEARCH_T:
+    instance = ProblemInstance(t, f, d)
+    if instance.t > MAX_SEARCH_T:
         raise ValueError(f"search is bounded to t <= {MAX_SEARCH_T}, got t={t}")
-    if not 1 <= max_weighings <= MAX_SEARCH_WEIGHINGS:
+    if not 1 <= _checked_int(max_weighings, "max_weighings") <= MAX_SEARCH_WEIGHINGS:
         raise ValueError(
             f"search is bounded to 1..{MAX_SEARCH_WEIGHINGS} weighings, "
             f"got {max_weighings}"
         )
-    return ProblemInstance(t, f, d)
+    return instance
 
 
 def _splits(sizes):
@@ -233,8 +232,7 @@ def _walk_form(sizes):
     classes whose pans differ has the lighter left pan."""
 
     def keep(prefixes, column, _code):
-        # `_split` takes the classes sorted by prefix
-        split = _split(*zip(*sorted(zip(prefixes, column, sizes))))
+        split = _split(prefixes, column, sizes)
         return split <= _mirror(split)
 
     return keep
