@@ -29,15 +29,15 @@ size-f and size-d vectors answers a whole request:
 the weighings.  It starts from a single class holding every coin, with all
 the fakes in it.  Each weighing splits every class into its left, right
 and off-scale coins (`_split`, the one place that rule is written;
-`_mirror` swaps the pans).  `_refine` spreads a vector's fakes in a class
-over the parts in every way and keeps only the children whose pan
-difference shows the weighing's sign.  After the last weighing the classes
-are the itinerary classes.  Vectors are sparse, listing only the classes
-that hold a fake, so their cost follows the fake count, not the number of
-classes.  The bounded search refines its nodes' vectors the same way, one
-weighing per level, and orders its splits by the same two functions.  The
-vectors are sorted once at the end, which gives the lexicographic order of
-an enumeration.
+`_mirror` swaps the pans).  A request routes its plan once (`_routing`, a
+split per weighing), and its size-f and size-d folds both follow it.
+`_refine` spreads a vector's fakes in a class over the parts in every way
+and keeps only the children whose pan difference shows the weighing's
+sign.  After the last weighing the classes are the itinerary classes, in
+itinerary order.  Vectors are sparse, listing only the classes that hold a
+fake, so their cost follows the fake count, not the number of classes.
+The bounded search refines its nodes' vectors the same way, one weighing
+per level, and orders its splits by the same functions.
 """
 
 from __future__ import annotations
@@ -102,12 +102,13 @@ class ProofEvaluation:
 
 def _checked(t: int, transcript: Transcript) -> tuple:
     """The judge's view of a request: the plan's (itinerary, coins) classes,
-    sorted by itinerary, and the sign each weighing showed.  The partition
-    validates the plan; that is the judge's only check of it."""
+    sorted by itinerary, their `_routing` and the sign each weighing showed.
+    The partition validates the plan; that is the judge's only check of it."""
     if _checked_int(t, "t") != transcript.plan.t:
         raise ValueError(f"t={t} does not match the plan's t={transcript.plan.t}")
     classes = list(partition_by_itinerary(transcript.plan).items())
-    return classes, tuple(o.sign for o in transcript.outcomes)
+    routing = _routing([itin for itin, _ in classes], [len(coins) for _, coins in classes])
+    return classes, routing, tuple(o.sign for o in transcript.outcomes)
 
 
 def _split(prefixes, column, sizes) -> tuple:
@@ -123,6 +124,16 @@ def _split(prefixes, column, sizes) -> tuple:
             pans = routed[prefix] = [0, 0, 0]
         pans[pan[symbol]] += n
     return tuple(tuple(routed[prefix]) for prefix in sorted(routed))
+
+
+def _routing(symbols, sizes) -> tuple:
+    """Each weighing's `_split` of the classes before it, when class j has
+    `sizes[j]` coins and itinerary `symbols[j]` (at least one class).  The
+    classes before weighing i are the distinct prefixes of length i."""
+    return tuple(
+        _split([itin[:i] for itin in symbols], [itin[i] for itin in symbols], sizes)
+        for i in range(len(symbols[0]))
+    )
 
 
 def _mirror(split) -> tuple:
@@ -181,38 +192,24 @@ def _refine(vectors, split) -> dict:
     return buckets
 
 
-def consistent_count_vectors(symbols, sizes, codes, size: int) -> list:
-    """All ways to spread `size` fakes over itinerary classes so that every
-    weighing shows the given outcome sign, in lexicographic order.
+def consistent_count_vectors(t: int, routing, codes, size: int) -> list:
+    """All ways to spread `size` fakes over the itinerary classes of `t`
+    coins so that every weighing shows the given outcome sign, as sparse
+    vectors whose classes are numbered in itinerary order.
 
-    `symbols[j]` is class j's itinerary, `sizes[j]` its coin count, and
-    `codes[i]` the sign of (fakes on left - fakes on right) in weighing i.
-    The itineraries must be distinct.  The classes before weighing i are
-    the itinerary prefixes of length i, which weighing i routes by
-    `_split`, so the vectors are found by `_refine` folded over the
-    weighings from one class of every coin, and each final class is
-    mapped back to its input index by itinerary.
+    `routing[i]` is weighing i's split of the classes before it (`_routing`)
+    and `codes[i]` the sign of (fakes on left - fakes on right) it showed.
+    The vectors are `_refine` folded over the weighings from one class of
+    every coin.
     """
-    if len(set(symbols)) != len(symbols):
-        raise ValueError("two classes share an itinerary")
-    if not 0 <= size <= sum(sizes):
+    if not 0 <= size <= t:
         return []
     vectors = [((0, size),)] if size else [()]
-    for i, code in enumerate(codes):
-        split = _split([itin[:i] for itin in symbols], [itin[i] for itin in symbols], sizes)
+    for split, code in zip(routing, codes):
         vectors = _refine(vectors, split)[code]
         if not vectors:
-            return []
-    # the final classes are numbered in itinerary order
-    order = sorted(range(len(symbols)), key=symbols.__getitem__)
-    found = []
-    for vec in vectors:
-        dense = [0] * len(symbols)
-        for j, c in vec:
-            dense[order[j]] = c
-        found.append(tuple(dense))
-    found.sort()
-    return found
+            break
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -220,10 +217,10 @@ class _Tally:
     """The consistent size-s sets of one transcript, summarised per
     itinerary class.
 
-    A vector `vec` stands for ways(vec) = prod_j C(n_j, vec[j]) sets, and
-    `weights[j]` = sum of ways(vec) * vec[j] counts the (set, coin) pairs
-    with the coin fake and in class j.  So each coin of class j is fake in
-    weights[j] / n_j of the `count` sets."""
+    A sparse vector `vec` of (class j, fakes c) pairs stands for ways(vec) =
+    prod C(n_j, c) sets, and `weights[j]` = sum of ways(vec) * c counts the
+    (set, coin) pairs with the coin fake and in class j.  So each coin of
+    class j is fake in weights[j] / n_j of the `count` sets."""
 
     classes: list  # (itinerary, coins), sorted by itinerary
     count: int
@@ -261,22 +258,20 @@ class _Tally:
         return coin, Fraction(top, self.count)
 
 
-def _tally(classes, codes, size: int) -> _Tally:
+def _tally(classes, routing, codes, size: int) -> _Tally:
     sizes = [len(coins) for _, coins in classes]
     t = sum(sizes)
     if not 0 <= _checked_int(size, "hypothesis size") <= t:
         raise ValueError(f"hypothesis size {size} outside 0..{t}")
-    vectors = consistent_count_vectors([itin for itin, _ in classes], sizes, codes, size)
     count = 0
     weights = [0] * len(classes)
-    for vec in vectors:
+    for vec in consistent_count_vectors(t, routing, codes, size):
         ways = 1
-        for n, c in zip(sizes, vec):
-            ways *= comb(n, c)
+        for j, c in vec:
+            ways *= comb(sizes[j], c)
         count += ways
-        for j, c in enumerate(vec):
-            if c:
-                weights[j] += ways * c
+        for j, c in vec:
+            weights[j] += ways * c
     return _Tally(classes, count, tuple(weights))
 
 
@@ -335,9 +330,9 @@ def classify_privacy(instance: ProblemInstance, transcript: Transcript) -> Priva
     """Split coins into revealed-real (in no consistent set), revealed-fake
     (in all of them), and undetermined.  Discreet means neither set is
     inhabited.  Only meaningful after a valid proof."""
-    classes, codes = _checked(instance.t, transcript)
-    tally_f = _tally(classes, codes, instance.f)
-    if not tally_f.count or _tally(classes, codes, instance.d).count:
+    request = _checked(instance.t, transcript)
+    tally_f = _tally(*request, instance.f)
+    if not tally_f.count or _tally(*request, instance.d).count:
         raise InvalidProofError(
             "privacy classification is only defined for a valid proof"
         )
@@ -351,10 +346,10 @@ def evaluate_proof(
     `classify_privacy` and the uniform best guess, from one computation of
     the size-f and size-d class vectors."""
     placement = _sized_placement(instance, placement)
-    classes, codes = _checked(instance.t, transcript)
+    request = _checked(instance.t, transcript)
     _check_in_range(instance, placement)
-    tally_f = _tally(classes, codes, instance.f)
-    tally_d = _tally(classes, codes, instance.d)
+    tally_f = _tally(*request, instance.f)
+    tally_d = _tally(*request, instance.d)
     verdict = _verdict(transcript, placement, tally_f.count, tally_d.count)
     if not verdict.valid:
         return ProofEvaluation(verdict, None, None)

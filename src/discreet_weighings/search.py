@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from operator import add
 
-from .judge import _mirror, _refine, _split, consistent_count_vectors
+from .judge import _mirror, _refine, _routing, _split, consistent_count_vectors
 from .metrics import CaseStructure, Pile
 from .model import (
     ITINERARY_SYMBOLS,
@@ -174,15 +174,17 @@ def _splits(sizes):
 
 
 def _apply_split(classes, split):
+    """The child classes: each class's nonempty parts in L, O, R order, so
+    sorted classes give sorted children, numbered as `judge._refine` does."""
     children = []
     for (itin, _), (l, r, o) in zip(classes, split):
         if l:
             children.append((itin + "L", l))
-        if r:
-            children.append((itin + "R", r))
         if o:
             children.append((itin + "O", o))
-    return tuple(sorted(children))
+        if r:
+            children.append((itin + "R", r))
+    return tuple(children)
 
 
 def _pinned_class(sizes, vectors) -> bool:
@@ -333,15 +335,12 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
 
 def _walk_key(classes, codes) -> tuple:
     """Where the unpruned walk meets a labeled node: per weighing, its split
-    of the classes before it (`judge._split`) and then the rank of its code.
+    of the classes before it (`judge._routing`) and then the rank of its code.
     That is the order of a depth-first walk over the splits in `_splits`
     order and the codes in `_CODES` order that yields each node before its
     children."""
-    sizes = [n for _, n in classes]
-    return tuple(
-        (_split([itin[:i] for itin, _ in classes], [itin[i] for itin, _ in classes], sizes), _CODES.index(code))
-        for i, code in enumerate(codes)
-    )
+    routing = _routing([itin for itin, _ in classes], [n for _, n in classes])
+    return tuple(zip(routing, map(_CODES.index, codes)))
 
 
 def _labeled_witnesses(t: int, f: int, d: int, max_weighings: int):
@@ -374,7 +373,9 @@ def _expand_witness(instance: ProblemInstance, classes, codes) -> StrategyBundle
     symbols = [itin for itin, _ in profile.counts]
     sizes = [n for _, n in profile.counts]
     ranges = profile.class_ranges()
-    vectors = consistent_count_vectors(symbols, sizes, codes, instance.f)
+    found = map(dict, consistent_count_vectors(instance.t, _routing(symbols, sizes), codes, instance.f))
+    # dense and sorted, so the cases are listed in lexicographic order
+    vectors = sorted(tuple(fakes.get(j, 0) for j in range(len(symbols))) for fakes in found)
     # A vector's lexicographically first set takes the lowest coins of each
     # class; the first of these over all vectors is the first consistent set.
     placement = min(

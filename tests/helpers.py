@@ -2,7 +2,8 @@
 
 Everything here enumerates subsets or pair partitions directly, on purpose:
 these are the slow, obviously-correct references the library's counting
-paths are checked against.
+paths are checked against.  `dense_count_vectors` is not one: it shows the
+library's fold in the form `brute_count_vectors` gives.
 """
 
 import itertools
@@ -11,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 from discreet_weighings import CaseStructure, Outcome, Pile, Weighing, WeighingPlan, itinerary_of
+from discreet_weighings.judge import _routing, consistent_count_vectors
 
 # The oracle's own copy of the outcome signs, kept apart from
 # `Outcome.sign` on purpose so that a wrong sign in the library cannot also
@@ -346,6 +348,24 @@ def brute_count_vectors(symbols, sizes, codes, size):
 
     assign(0, size)
     return found
+
+
+def dense_count_vectors(symbols, sizes, codes, size):
+    """The library's fold (`judge.consistent_count_vectors`) in the form
+    `brute_count_vectors` gives: the classes in any order, and one dense
+    vector per way, indexed like the input classes, in lexicographic order."""
+    order = sorted(range(len(symbols)), key=symbols.__getitem__)
+    if symbols:
+        routing = _routing([symbols[j] for j in order], [sizes[j] for j in order])
+    else:
+        routing = ((),) * len(codes)  # each weighing splits no class
+    found = []
+    for vec in consistent_count_vectors(sum(sizes), routing, codes, size):
+        dense = [0] * len(symbols)
+        for j, c in vec:
+            dense[order[j]] = c
+        found.append(tuple(dense))
+    return sorted(found)
 
 
 def exhaustive_witnesses(t, f, d, max_weighings):

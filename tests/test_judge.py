@@ -23,13 +23,13 @@ from discreet_weighings import (
     uniform_best_guess,
     verify_proof,
 )
-from discreet_weighings import model
-from discreet_weighings.judge import consistent_count_vectors
+from discreet_weighings import judge, model
 from helpers import (
     brute_best_guess,
     brute_consistent,
     brute_count_vectors,
     brute_pair_count,
+    dense_count_vectors,
     many_class_plan,
     random_fakes,
     random_plan,
@@ -94,10 +94,7 @@ def test_count_vectors_match_the_enumerator_on_random_classes():
         for codes in itertools.product((0, 1, -1), repeat=w):
             for s in range(t + 2):
                 expected = brute_count_vectors(symbols, sizes, codes, s)
-                assert consistent_count_vectors(symbols, sizes, codes, s) == expected
-    # classes are told apart by itinerary, so one may not appear twice
-    with pytest.raises(ValueError, match="share an itinerary"):
-        consistent_count_vectors(["LR", "OO", "LR"], [1, 2, 1], [0, 0], 2)
+                assert dense_count_vectors(symbols, sizes, codes, s) == expected
 
 
 @pytest.mark.parametrize("t,f", [(251, 7), (301, 8), (401, 10)])
@@ -162,6 +159,28 @@ def test_evaluate_proof_validates_the_plan_once(monkeypatch):
     calls.clear()
     assert evaluate_proof(instance, transcript, bundle.placement).verdict.valid
     assert calls == [transcript.plan]
+
+
+def test_a_request_routes_each_weighing_once(monkeypatch):
+    # the size-f and size-d folds follow one routing of the classes
+    calls = []
+    original = judge._split
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(judge, "_split", counted)
+    instance = ProblemInstance(80, 3, 2)
+    bundle = build_official(instance)
+    transcript = bundle.transcript()
+    for request in (
+        lambda: evaluate_proof(instance, transcript, bundle.placement).verdict.valid,
+        lambda: classify_privacy(instance, transcript).discreet,
+    ):
+        calls.clear()
+        assert request()
+        assert len(calls) == len(transcript.plan.weighings) == 3
 
 
 def test_plan_problems_come_before_stray_placement_coins():

@@ -254,9 +254,9 @@ def test_search_counts_size_f_vectors_only_for_the_witness(monkeypatch):
     sizes = []
     real = search.consistent_count_vectors
 
-    def counted(symbols, class_sizes, codes, size):
+    def counted(t, routing, codes, size):
         sizes.append(size)
-        return real(symbols, class_sizes, codes, size)
+        return real(t, routing, codes, size)
 
     monkeypatch.setattr(search, "consistent_count_vectors", counted)
     assert search_discreet(8, 2, 0, 3) is None

@@ -20,8 +20,7 @@ from discreet_weighings import (
     validate_plan,
     verify_proof,
 )
-from discreet_weighings.judge import consistent_count_vectors
-from helpers import OUTCOME_CODE, brute_consistent, consistent_family_from_cases
+from helpers import OUTCOME_CODE, brute_consistent, consistent_family_from_cases, dense_count_vectors
 
 
 def assert_bundle_claims_hold(bundle):
@@ -60,7 +59,7 @@ def assert_cases_are_the_judge_vectors(bundle):
             assert pile.coins in position, f"pile {sorted(pile.coins)} is not a class"
             vec[position[pile.coins]] = pile.fakes
         declared.append(tuple(vec))
-    derived = consistent_count_vectors(
+    derived = dense_count_vectors(
         [itin for itin, _ in classes],
         [len(coins) for _, coins in classes],
         [OUTCOME_CODE[o] for o in bundle.transcript().outcomes],
