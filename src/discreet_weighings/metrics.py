@@ -1,7 +1,8 @@
 """Leakage metrics: revealing factor and coefficient, single-coin guessing
 probabilities, and the lawyer's minimax placement distribution.
 
-Everything is exact rational arithmetic (`fractions.Fraction`); floats only
+Everything is exact: results are `fractions.Fraction`s and the minimax
+works in integers, one share row per distinct pile signature.  Floats only
 appear in display fields, rounded half-even to three places.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -103,7 +104,7 @@ class Pile:
         object.__setattr__(self, "coins", frozenset(self.coins))
         if not self.coins:
             raise ValueError("a pile must contain at least one coin")
-        if not 1 <= self.fakes <= len(self.coins):
+        if not 1 <= _checked_int(self.fakes, "fakes") <= len(self.coins):
             raise ValueError(
                 f"pile of {len(self.coins)} coins cannot hold {self.fakes} fakes"
             )
@@ -141,11 +142,12 @@ class CaseStructure:
 
 
 def _coin_shares(structure: CaseStructure) -> tuple:
-    """Each coin at risk's share row, as (`keys`, `rows`): `keys[coin]` says
-    which pile holds the coin in each case (its index, or -1 for none), and
-    `rows[key][c]` is that pile's fakes/|pile| (0 for none).  Coins of the
-    same piles share one row.  Coins come in the order the cases and their
-    piles first list them."""
+    """(`keys`, `rows`): `keys[coin]` is the coin's pile signature, its pile's
+    index in each case (-1 for none), from one pass over the piles' coins,
+    the only work done per coin.  `rows[key]` holds per case the pile's
+    fakes/|pile| (0 for none) times the row's scale, the lcm of the reduced
+    denominators, then the scale: integers, equal for equal shares.  Coins
+    come in the order the cases and their piles first list them."""
     cases = structure.cases
     piles: dict[int, list] = {}
     for c, case in enumerate(cases):
@@ -153,13 +155,14 @@ def _coin_shares(structure: CaseStructure) -> tuple:
             for coin in pile.coins:
                 piles.setdefault(coin, [-1] * len(cases))[c] = i
     keys = {coin: tuple(where) for coin, where in piles.items()}
-    rows = {
-        key: tuple(
-            Fraction(case[i].fakes, len(case[i].coins)) if i >= 0 else Fraction(0)
-            for case, i in zip(cases, key)
-        )
-        for key in dict.fromkeys(keys.values())
-    }
+    # each pile's fakes and size reduced by their gcd; index -1 is no pile
+    shares = [[(p.fakes // (g := gcd(p.fakes, len(p.coins))), len(p.coins) // g)
+               for p in case] + [(0, 1)] for case in cases]
+    rows = {}
+    for key in set(keys.values()):
+        pairs = [share[i] for share, i in zip(shares, key)]
+        scale = lcm(*(d for _, d in pairs))
+        rows[key] = tuple(n * (scale // d) for n, d in pairs) + (scale,)
     return keys, rows
 
 
@@ -175,7 +178,7 @@ def case_marginals(structure: CaseStructure, probabilities: Sequence) -> dict:
     if any(p < 0 for p in probs) or sum(probs) != 1:
         raise ValueError("case probabilities must be nonnegative and sum to 1")
     keys, rows = _coin_shares(structure)
-    marginals = {key: sum(map(mul, probs, row)) for key, row in rows.items()}
+    marginals = {key: sum(map(mul, probs, row)) / row[-1] for key, row in rows.items()}
     return {coin: marginals[key] for coin, key in keys.items()}
 
 
@@ -186,34 +189,45 @@ def minimax_distribution(structure: CaseStructure):
     """The case distribution minimizing the judge's best single-coin guess.
 
     Returns (probabilities, value), both exact; value equals the maximum of
-    `case_marginals` at the returned distribution.
+    `case_marginals` at the returned distribution, which is checked once
+    per distinct share row, in integers.
 
     >>> from discreet_weighings import ProblemInstance, build_official
     >>> minimax_distribution(build_official(ProblemInstance(80, 3, 2)).cases)
     ((Fraction(1, 2), Fraction(1, 2)), Fraction(1, 20))
     """
-    # The lawyer's game: minimise v subject to row.p <= v for every coin row,
-    # p >= 0 and sum(p) = 1.  With q = p / v this is the packing LP
-    # max sum(q) s.t. row.q <= 1, q >= 0, whose origin is feasible, so one
-    # simplex phase solves it.  Every case puts some coin at risk, so sum(q)
-    # is bounded.  Bland's rule (lowest entering variable, lowest leaving
-    # basic variable on ratio ties) cannot cycle and picks the same vertex
-    # every time.
-    #
-    # The tableau is compact (Tucker's form): one line per basic variable,
-    # x_B + sum(a_j x_j) = b over the nonbasic variables x_j, and one more
-    # for the reduced costs of minimising -sum(q).  Variable j < k is q_j,
-    # and k + i the slack of row i.  Row i is scaled by the lcm of its
-    # denominators, which scales its slack and so changes no sign, ratio or
-    # choice of the rule.  Pivoting is fraction-free (Bareiss 1968): every
-    # entry is an integer over the common denominator `den`, the previous
-    # pivot, and Sylvester's identity makes each division below exact.
-    rows = sorted(set(_coin_shares(structure)[1].values()))
+    # The lawyer's game: minimise v subject to row.p <= v for every share
+    # row, p >= 0 and sum(p) = 1.  With q = p / v this is the packing LP
+    # max sum(q) s.t. row.q <= 1, q >= 0.  The rows go in the order of their
+    # values (compared over one common scale): Bland's rule breaks ties by
+    # basis index, so another order could reach another vertex.
+    rows = set(_coin_shares(structure)[1].values())
+    common = lcm(*(row[-1] for row in rows))
+    rows = sorted(rows, key=lambda row: [x * (common // row[-1]) for x in row])
     k = len(structure.cases)
-    tableau = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        tableau.append([x.numerator * (scale // x.denominator) for x in row] + [scale])
+    q, den = _packing_vertex(rows, k)
+    # the vertex q / den meets every row, row.q <= den * scale, and one row
+    # exactly; then den / sum(q) is the largest coin marginal at p
+    if min(q) < 0 or min(den * row[k] - sum(map(mul, row, q)) for row in rows) != 0:
+        raise RuntimeError(f"minimax vertex {q} / {den} is not tight on the share rows")
+    total = sum(q)
+    return tuple(Fraction(x, total) for x in q), Fraction(den, total)
+
+
+def _packing_vertex(rows: list, k: int) -> tuple:
+    """The vertex (q, den), q_j = q[j] / den, of max sum(q) s.t. row.q <= scale
+    and q >= 0 over the integer share `rows` (k shares, then the scale).
+
+    The origin is feasible and every case puts some coin at risk, so one
+    phase solves it; Bland's rule (lowest entering variable, lowest leaving
+    basic variable on ratio ties) cannot cycle and reaches the same vertex
+    every time, whatever each row's scale.  The tableau is compact (Tucker's
+    form): one line per basic variable, x_B + sum(a_j x_j) = b over the
+    nonbasic x_j, and one for the reduced costs of minimising -sum(q); j < k
+    is q_j and k + i the slack of row i.  Pivoting is fraction-free (Bareiss
+    1968): every entry is an integer over the common denominator `den`, the
+    previous pivot, and Sylvester's identity makes each division exact."""
+    tableau = [list(row) for row in rows]
     cost = [-1] * k + [0]
     nonbasic = list(range(k))
     basis = list(range(k, k + len(rows)))
@@ -244,17 +258,8 @@ def minimax_distribution(structure: CaseStructure):
         pivot_line[enter] = den
         den = pivot
         basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
-    # q_j is b / den on q_j's line, so the 1 / den cancels in p = q / sum(q)
     q = [0] * k
     for r, j in enumerate(basis):
         if j < k:
             q[j] = tableau[r][-1]
-    total = sum(q)
-    value = Fraction(den, total)
-    probabilities = tuple(Fraction(x, total) for x in q)
-    achieved = max(case_marginals(structure, probabilities).values())
-    if achieved != value:
-        raise RuntimeError(
-            f"minimax vertex value {value} disagrees with the achieved guess {achieved}"
-        )
-    return probabilities, value
+    return q, den

@@ -80,22 +80,7 @@ class Weighing:
     def violations(self) -> list[str]:
         """Structural problems with this weighing alone (range checks against
         the coin count live in :func:`validate_plan`)."""
-        problems = []
-        overlap = self.left & self.right
-        if overlap:
-            problems.append(f"pans overlap on coins {sorted(overlap)}")
-        if len(self.left) != len(self.right):
-            problems.append(
-                f"unequal pans: {len(self.left)} vs {len(self.right)} coins"
-            )
-        if not self.left or not self.right:
-            problems.append("empty pan")
-        # a bool equals coin 0 or 1 but is not an index; the partition
-        # keeps whichever of the two a set intersection meets first
-        bad = [c for c in self.left | self.right if type(c) is not int or c < 0]
-        if bad:
-            problems.append(f"invalid coin indices {sorted(map(repr, bad))}")
-        return problems
+        return _weighing_problems(self, None)
 
     def outcome(self, fakes: frozenset) -> Outcome:
         """What this weighing shows when `fakes` are the fake coins; the
@@ -130,21 +115,39 @@ class Transcript:
             )
 
 
+def _weighing_problems(weighing: Weighing, t) -> list[str]:
+    """`Weighing.violations`, then the coins outside 0..t-1 unless t is None.
+    The pans' union is built once and each coin tested once."""
+    left, right = weighing.left, weighing.right
+    problems = []
+    if left & right:
+        problems.append(f"pans overlap on coins {sorted(left & right)}")
+    if len(left) != len(right):
+        problems.append(f"unequal pans: {len(left)} vs {len(right)} coins")
+    if not left or not right:
+        problems.append("empty pan")
+    # a bool equals coin 0 or 1 but is not an index; the partition
+    # keeps whichever of the two a set intersection meets first
+    bad, outside = [], []
+    for c in left | right:
+        if type(c) is not int or c < 0:
+            bad.append(c)
+        elif t is not None and c >= t:
+            outside.append(c)
+    if bad:
+        problems.append(f"invalid coin indices {sorted(map(repr, bad))}")
+    if t is not None:
+        outside += [c for c in bad if isinstance(c, int) and not 0 <= c < t]
+        if outside:
+            problems.append(f"coins {sorted(outside)} outside 0..{t - 1}")
+    return problems
+
+
 def validate_plan(plan: WeighingPlan) -> list[str]:
     """Return all structural violations of the plan; empty means valid."""
-    problems = []
-    if plan.t < 1:
-        problems.append(f"coin count must be positive, got t={plan.t}")
+    problems = [f"coin count must be positive, got t={plan.t}"] if plan.t < 1 else []
     for i, w in enumerate(plan.weighings):
-        for p in w.violations():
-            problems.append(f"weighing {i}: {p}")
-        out_of_range = [
-            c for c in w.left | w.right if isinstance(c, int) and not 0 <= c < plan.t
-        ]
-        if out_of_range:
-            problems.append(
-                f"weighing {i}: coins {sorted(out_of_range)} outside 0..{plan.t - 1}"
-            )
+        problems += [f"weighing {i}: {p}" for p in _weighing_problems(w, plan.t)]
     return problems
 
 

@@ -11,6 +11,7 @@ from discreet_weighings import (
     Outcome,
     ProblemInstance,
     Transcript,
+    ValidationError,
     Weighing,
     WeighingPlan,
     build_official,
@@ -126,6 +127,9 @@ def test_pile_and_case_structure_validation():
         Pile(frozenset())
     with pytest.raises(ValueError):
         Pile(frozenset({1, 2}), 3)
+    for fakes in (True, 1.0, Fraction(1), "1"):  # the integer minimax needs int fakes
+        with pytest.raises(ValidationError):
+            Pile(frozenset({0, 1}), fakes)
     with pytest.raises(ValueError):
         CaseStructure(())
     with pytest.raises(ValueError):  # overlapping piles within one case
@@ -266,7 +270,9 @@ def test_minimax_reaches_the_fraction_simplex_vertex_on_random_structures():
     for _ in range(500):
         k = rng.randint(1, 8)
         structure = random_case_structure(rng, rng.randint(1, 14), k)
-        assert minimax_distribution(structure) == fraction_simplex_minimax(structure)
+        distribution, value = minimax_distribution(structure)
+        assert (distribution, value) == fraction_simplex_minimax(structure)
+        assert max(case_marginals(structure, distribution).values()) == value
 
 
 def test_minimax_reaches_the_fraction_simplex_vertex_on_builtins_and_triple_cases():
@@ -282,7 +288,50 @@ def test_minimax_reaches_the_fraction_simplex_vertex_on_builtins_and_triple_case
     for t, f in TRIPLE_CASES:
         structures.append(build_triple_case(ProblemInstance(t, f, f - 1)).cases)
     for structure in structures:
-        assert minimax_distribution(structure) == fraction_simplex_minimax(structure)
+        distribution, value = minimax_distribution(structure)
+        assert (distribution, value) == fraction_simplex_minimax(structure)
+        assert max(case_marginals(structure, distribution).values()) == value
+
+
+def test_minimax_orders_share_rows_by_value_not_by_fakes_and_size():
+    # 1 fake of 2 is the larger share, 2 fakes of 5 the larger pair; the
+    # rows in another order reach another optimal vertex, (0, 1/6, 5/6)
+    def piles(*spec):
+        return tuple(Pile(frozenset(coins), fakes) for coins, fakes in spec)
+
+    structure = CaseStructure(
+        (
+            piles(({6}, 1), ({3, 4}, 1), ({1}, 1)),
+            piles(({4, 6}, 1), ({2, 3}, 1), ({0}, 1)),
+            piles(({4, 6}, 1), ({0, 1, 2, 3, 5}, 2)),
+        )
+    )
+    expected = ((Fraction(0), Fraction(0), Fraction(1)), Fraction(1, 2))
+    assert minimax_distribution(structure) == fraction_simplex_minimax(structure) == expected
+
+
+def test_minimax_makes_one_per_coin_pass_and_one_row_per_share(monkeypatch):
+    import discreet_weighings.metrics as metrics
+
+    calls, solved = [], []
+    coin_shares, packing_vertex = metrics._coin_shares, metrics._packing_vertex
+
+    def counted(structure):
+        calls.append(structure)
+        return coin_shares(structure)
+
+    def recorded(rows, k):
+        solved.append(rows)
+        return packing_vertex(rows, k)
+
+    monkeypatch.setattr(metrics, "_coin_shares", counted)
+    monkeypatch.setattr(metrics, "_packing_vertex", recorded)
+    cases = build_triple_case(ProblemInstance(200, 6, 5)).cases
+    metrics.minimax_distribution(cases)
+    assert calls == [cases]
+    # 200 coins at risk in 18 pile signatures share 6 distinct rows
+    keys, rows = coin_shares(cases)
+    assert (len(keys), len(rows), len(solved[0]), len(set(solved[0]))) == (200, 18, 6, 6)
 
 
 def test_minimax_never_beats_uniform_spread():
@@ -302,10 +351,14 @@ def test_minimax_floor_is_reached_by_equal_piles():
 
 
 def test_minimax_self_check_survives_optimisation(monkeypatch):
-    # the result check must raise, not assert: `python -O` drops asserts
+    # the result check must raise, not assert: `python -O` drops asserts.
+    # It tests the vertex against every share row, so a vertex that misses
+    # every row, or that breaks one, is refused
     import discreet_weighings.metrics as metrics
 
     structure = CaseStructure(((Pile(frozenset({0, 1})),), (Pile(frozenset({2})),)))
-    monkeypatch.setattr(metrics, "case_marginals", lambda s, p: {0: Fraction(1)})
-    with pytest.raises(RuntimeError):
-        metrics.minimax_distribution(structure)
+    original = metrics._packing_vertex
+    for corrupt in (lambda q, den: (q, 2 * den), lambda q, den: ([2 * x for x in q], den)):
+        monkeypatch.setattr(metrics, "_packing_vertex", lambda rows, k: corrupt(*original(rows, k)))
+        with pytest.raises(RuntimeError):
+            metrics.minimax_distribution(structure)

@@ -221,6 +221,18 @@ def test_validate_plan_reports():
     with_bool = WeighingPlan(4, (Weighing({True, 2}, {0, 3}),))
     assert validate_plan(with_bool) == ["weighing 0: invalid coin indices ['True']"]
 
+    # every message of a weighing, in order; at t = 1 a bool is also outside
+    mixed = Weighing({0, True, 3}, {0, "a"})
+    expected = [
+        "pans overlap on coins [0]",
+        "unequal pans: 3 vs 2 coins",
+        "invalid coin indices [\"'a'\", 'True']",
+    ]
+    assert mixed.violations() == expected
+    assert validate_plan(WeighingPlan(1, (mixed,))) == [
+        f"weighing 0: {p}" for p in expected + ["coins [True, 3] outside 0..0"]
+    ]
+
 
 def test_relabeling_coins_preserves_outcomes():
     rng = random.Random(7)
