@@ -29,8 +29,8 @@ size-f and size-d vectors answers a whole request:
 the weighings.  It starts from a single class holding every coin, with all
 the fakes in it.  Each weighing splits every class into its left, right
 and off-scale coins (`_split`, the one place that rule is written;
-`_mirror` swaps the pans).  A request routes its plan once (`_routing`, a
-split per weighing), and its size-f and size-d folds both follow it.
+`_mirror` swaps the pans).  A transcript is routed once (`_routing`, a
+split per weighing), and every size's fold follows that routing.
 `_refine` spreads a vector's fakes in a class over the parts in every way
 and keeps only the children whose pan difference shows the weighing's
 sign.  After the last weighing the classes are the itinerary classes, in
@@ -38,6 +38,13 @@ itinerary order.  Vectors are sparse, listing only the classes that hold a
 fake, so their cost follows the fake count, not the number of classes.
 The bounded search refines its nodes' vectors the same way, one weighing
 per level, and orders its splits by the same functions.
+
+Each `Transcript` object keeps what the judge has worked out of it (`_tally`):
+its classes, their routing and the signs shown, and one summary of the
+vectors per hypothesis size.  So `verify_proof` followed by
+`classify_privacy` on one transcript partitions and routes its plan once and
+folds each size once.  The memo lives on the object and is freed with it; an
+equal but distinct transcript is judged afresh.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .model import (
     ProblemInstance,
     Transcript,
     ValidationError,
+    _checked_coins,
     _checked_int,
     partition_by_itinerary,
 )
@@ -98,17 +106,6 @@ class ProofEvaluation:
     verdict: ProofVerdict
     privacy: PrivacyReport | None
     guess: tuple | None
-
-
-def _checked(t: int, transcript: Transcript) -> tuple:
-    """The judge's view of a request: the plan's (itinerary, coins) classes,
-    sorted by itinerary, their `_routing` and the sign each weighing showed.
-    The partition validates the plan; that is the judge's only check of it."""
-    if _checked_int(t, "t") != transcript.plan.t:
-        raise ValueError(f"t={t} does not match the plan's t={transcript.plan.t}")
-    classes = list(partition_by_itinerary(transcript.plan).items())
-    routing = _routing([itin for itin, _ in classes], [len(coins) for _, coins in classes])
-    return classes, routing, tuple(o.sign for o in transcript.outcomes)
 
 
 def _split(prefixes, column, sizes) -> tuple:
@@ -258,27 +255,48 @@ class _Tally:
         return coin, Fraction(top, self.count)
 
 
-def _tally(classes, routing, codes, size: int) -> _Tally:
-    sizes = [len(coins) for _, coins in classes]
-    t = sum(sizes)
+def _tally(t: int, transcript: Transcript, size: int) -> _Tally:
+    """The `_Tally` of the transcript's consistent size-`size` sets, worked
+    out at most once per transcript object.
+
+    The object's memo (`Transcript._judged`) holds its request, made on the
+    first call: the plan's (itinerary, coins) classes, sorted by itinerary,
+    their `_routing` and the sign each weighing showed.  It also holds one
+    tally per size asked for.  The checks run on every call, in order: t,
+    the plan (its partition is the judge's only check of it), the size.
+    A step that raises stores nothing, so a bad plan is refused every time."""
+    if _checked_int(t, "t") != transcript.plan.t:
+        raise ValueError(f"t={t} does not match the plan's t={transcript.plan.t}")
+    judged = transcript._judged
+    request = judged.get("request")
+    if request is None:
+        classes = list(partition_by_itinerary(transcript.plan).items())
+        routing = _routing([itin for itin, _ in classes], [len(coins) for _, coins in classes])
+        request = judged["request"] = (classes, routing, tuple(o.sign for o in transcript.outcomes))
+    # checked before the lookup: True and 3.0 would find the tallies of 1 and 3
     if not 0 <= _checked_int(size, "hypothesis size") <= t:
         raise ValueError(f"hypothesis size {size} outside 0..{t}")
-    count = 0
-    weights = [0] * len(classes)
-    for vec in consistent_count_vectors(t, routing, codes, size):
-        ways = 1
-        for j, c in vec:
-            ways *= comb(sizes[j], c)
-        count += ways
-        for j, c in vec:
-            weights[j] += ways * c
-    return _Tally(classes, count, tuple(weights))
+    tally = judged.get(size)
+    if tally is None:
+        classes, routing, codes = request
+        sizes = [len(coins) for _, coins in classes]
+        count = 0
+        weights = [0] * len(classes)
+        for vec in consistent_count_vectors(t, routing, codes, size):
+            ways = 1
+            for j, c in vec:
+                ways *= comb(sizes[j], c)
+            count += ways
+            for j, c in vec:
+                weights[j] += ways * c
+        tally = judged[size] = _Tally(classes, count, tuple(weights))
+    return tally
 
 
 def count_consistent(t: int, s: int, transcript: Transcript) -> int:
     """Number of size-s fake sets consistent with the transcript, computed
     from class count vectors without storing any subset."""
-    return _tally(*_checked(t, transcript), s).count
+    return _tally(t, transcript, s).count
 
 
 def uniform_best_guess(t: int, s: int, transcript: Transcript):
@@ -286,7 +304,7 @@ def uniform_best_guess(t: int, s: int, transcript: Transcript):
     equally likely: (coin, success probability), ties broken by lowest
     index.  A coin's share of the sets follows from its class's share, so
     the sets are never listed."""
-    return _tally(*_checked(t, transcript), s).best_guess()
+    return _tally(t, transcript, s).best_guess()
 
 
 def _sized_placement(instance: ProblemInstance, placement) -> frozenset:
@@ -299,6 +317,7 @@ def _sized_placement(instance: ProblemInstance, placement) -> frozenset:
 
 
 def _check_in_range(instance: ProblemInstance, placement: frozenset) -> None:
+    _checked_coins(placement, "placement coin")
     stray = [c for c in placement if not 0 <= c < instance.t]
     if stray:
         raise ValidationError(f"placement coins {sorted(stray)} out of range")
@@ -319,7 +338,7 @@ def verify_proof(
     """Decide whether the transcript proves "exactly f fakes" to a judge whose
     prior allows only the counts d and f."""
     placement = _sized_placement(instance, placement)
-    # the plan is checked (by this count) before the placement's range
+    # the plan is checked (by this count) before the placement's coins
     count_f = count_consistent(instance.t, instance.f, transcript)
     _check_in_range(instance, placement)
     count_d = count_consistent(instance.t, instance.d, transcript)
@@ -330,9 +349,8 @@ def classify_privacy(instance: ProblemInstance, transcript: Transcript) -> Priva
     """Split coins into revealed-real (in no consistent set), revealed-fake
     (in all of them), and undetermined.  Discreet means neither set is
     inhabited.  Only meaningful after a valid proof."""
-    request = _checked(instance.t, transcript)
-    tally_f = _tally(*request, instance.f)
-    if not tally_f.count or _tally(*request, instance.d).count:
+    tally_f = _tally(instance.t, transcript, instance.f)
+    if not tally_f.count or _tally(instance.t, transcript, instance.d).count:
         raise InvalidProofError(
             "privacy classification is only defined for a valid proof"
         )
@@ -346,10 +364,10 @@ def evaluate_proof(
     `classify_privacy` and the uniform best guess, from one computation of
     the size-f and size-d class vectors."""
     placement = _sized_placement(instance, placement)
-    request = _checked(instance.t, transcript)
+    # the plan is checked (by this tally) before the placement's coins
+    tally_f = _tally(instance.t, transcript, instance.f)
     _check_in_range(instance, placement)
-    tally_f = _tally(*request, instance.f)
-    tally_d = _tally(*request, instance.d)
+    tally_d = _tally(instance.t, transcript, instance.d)
     verdict = _verdict(transcript, placement, tally_f.count, tally_d.count)
     if not verdict.valid:
         return ProofEvaluation(verdict, None, None)

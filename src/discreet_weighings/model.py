@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 ITINERARY_SYMBOLS = "LRO"  # left pan, right pan, off the scale
@@ -105,14 +105,22 @@ class Transcript:
 
     plan: WeighingPlan
     outcomes: tuple
+    # what the judge has worked out of this object (`judge._tally`); it
+    # takes no part in equality, hashing or repr and is freed with it
+    _judged: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
+        object.__setattr__(self, "_judged", {})
         if len(self.outcomes) != len(self.plan.weighings):
             raise ValueError(
                 f"{len(self.outcomes)} outcomes for "
                 f"{len(self.plan.weighings)} weighings"
             )
+
+    def __reduce__(self):
+        # a copy or an unpickled transcript starts with an empty memo
+        return Transcript, (self.plan, self.outcomes)
 
 
 def _weighing_problems(weighing: Weighing, t) -> list[str]:
@@ -160,7 +168,7 @@ def simulate_outcome(weighing: Weighing, fakes: Iterable) -> Outcome:
     problems = weighing.violations()
     if problems:
         raise ValidationError("; ".join(problems))
-    return weighing.outcome(frozenset(fakes))
+    return weighing.outcome(_checked_coins(fakes, "fake coin"))
 
 
 def simulate_transcript(plan: WeighingPlan, fakes: Iterable) -> Transcript:
@@ -168,7 +176,7 @@ def simulate_transcript(plan: WeighingPlan, fakes: Iterable) -> Transcript:
     problems = validate_plan(plan)
     if problems:
         raise ValidationError("; ".join(problems))
-    fakes = frozenset(fakes)
+    fakes = _checked_coins(fakes, "fake coin")
     stray = [c for c in fakes if not 0 <= c < plan.t]
     if stray:
         raise ValidationError(f"fake coins {sorted(stray)} outside 0..{plan.t - 1}")
@@ -252,6 +260,17 @@ def _checked_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an integer, got {json.dumps(value, default=repr)}")
     return value
+
+
+def _checked_coins(coins: Iterable, what: str) -> frozenset:
+    """`coins` as a set, if each is an int, the rule `_weighing_problems`
+    applies to the pans: 0.0 and True equal coins 0 and 1 but are not
+    indices, and "0" would fail a range check with a bare TypeError."""
+    coins = frozenset(coins)
+    bad = [c for c in coins if type(c) is not int]
+    if bad:
+        raise ValidationError(f"{what} must be an integer, got {', '.join(sorted(map(repr, bad)))}")
+    return coins
 
 
 def coins_from_json(values, what: str) -> frozenset:

@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+from fractions import Fraction
 from math import comb, prod
 
 import pytest
@@ -19,6 +22,7 @@ from discreet_weighings import (
     classify_privacy,
     count_consistent,
     evaluate_proof,
+    simulate_outcome,
     simulate_transcript,
     uniform_best_guess,
     verify_proof,
@@ -127,6 +131,9 @@ def test_counting_plans_with_more_classes_than_the_recursion_limit():
         assert count_consistent(1500, 1, transcript) == len(singles)
 
 
+OFFICIAL_80 = ProblemInstance(80, 3, 2)
+
+
 @pytest.mark.parametrize(
     "call,what",
     [
@@ -134,12 +141,32 @@ def test_counting_plans_with_more_classes_than_the_recursion_limit():
         (lambda tr: count_consistent(80, True, tr), "hypothesis size"),
         (lambda tr: count_consistent(80.0, 3, tr), "t"),
         (lambda tr: uniform_best_guess(80, 3.0, tr), "hypothesis size"),
+        (lambda tr: verify_proof(OFFICIAL_80, tr, {0.0, 20, 79}), "placement coin"),
+        (lambda tr: verify_proof(OFFICIAL_80, tr, {True, 20, 79}), "placement coin"),
+        (lambda tr: verify_proof(OFFICIAL_80, tr, {"0", 20, 79}), "placement coin"),
+        (lambda tr: evaluate_proof(OFFICIAL_80, tr, {0.0, 20, 79}), "placement coin"),
+        (lambda tr: evaluate_proof(OFFICIAL_80, tr, {True, 20, 79}), "placement coin"),
+        (lambda tr: evaluate_proof(OFFICIAL_80, tr, {"0", 20, 79}), "placement coin"),
+        (lambda tr: simulate_transcript(tr.plan, {0.0, 20, 79}), "fake coin"),
+        (lambda tr: simulate_transcript(tr.plan, {True, 20, 79}), "fake coin"),
+        (lambda tr: simulate_transcript(tr.plan, {"0", 20, 79}), "fake coin"),
+        (lambda tr: simulate_outcome(tr.plan.weighings[0], {0.0}), "fake coin"),
+        (lambda tr: simulate_outcome(tr.plan.weighings[0], {True}), "fake coin"),
+        (lambda tr: simulate_outcome(tr.plan.weighings[0], {"0"}), "fake coin"),
     ],
-    ids=["count-size", "count-bool-size", "count-t", "guess-size"],
+    ids=[
+        "count-size", "count-bool-size", "count-t", "guess-size",
+        "verify-float-coin", "verify-bool-coin", "verify-str-coin",
+        "evaluate-float-coin", "evaluate-bool-coin", "evaluate-str-coin",
+        "simulate-float-fake", "simulate-bool-fake", "simulate-str-fake",
+        "outcome-float-fake", "outcome-bool-fake", "outcome-str-fake",
+    ],
 )
 def test_judge_refuses_non_integer_counts(call, what):
-    # True would otherwise count the size-1 sets, and 3.0 fail deep inside
-    transcript = build_official(ProblemInstance(80, 3, 2)).transcript()
+    # True would otherwise count the size-1 sets, and 3.0 fail deep inside;
+    # coin 0.0 and True would stand for coins 0 and 1, and "0" fail with a
+    # TypeError
+    transcript = build_official(OFFICIAL_80).transcript()
     with pytest.raises(ValidationError, match=f"^{what} must be an integer"):
         call(transcript)
 
@@ -161,26 +188,52 @@ def test_evaluate_proof_validates_the_plan_once(monkeypatch):
     assert calls == [transcript.plan]
 
 
-def test_a_request_routes_each_weighing_once(monkeypatch):
-    # the size-f and size-d folds follow one routing of the classes
-    calls = []
-    original = judge._split
+def test_a_transcript_is_routed_once(monkeypatch):
+    # every judge call on one transcript object reads the classes, routing
+    # and tallies the first one worked out; an equal new object starts over
+    splits, partitions = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(calls, original):
+        def call(*args):
+            calls.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(judge, "_split", counted)
+        return call
+
+    monkeypatch.setattr(judge, "_split", counted(splits, judge._split))
+    monkeypatch.setattr(
+        judge, "partition_by_itinerary", counted(partitions, judge.partition_by_itinerary)
+    )
     instance = ProblemInstance(80, 3, 2)
     bundle = build_official(instance)
     transcript = bundle.transcript()
-    for request in (
-        lambda: evaluate_proof(instance, transcript, bundle.placement).verdict.valid,
-        lambda: classify_privacy(instance, transcript).discreet,
+    assert evaluate_proof(instance, transcript, bundle.placement).verdict.valid
+    assert len(splits) == len(transcript.plan.weighings) == 3
+    assert len(partitions) == 1
+    splits.clear()
+    partitions.clear()
+    assert classify_privacy(instance, transcript).discreet
+    assert verify_proof(instance, transcript, bundle.placement).valid
+    assert count_consistent(80, 3, transcript) == 8000
+    assert uniform_best_guess(80, 3, transcript) == (0, Fraction(1, 20))
+    assert count_consistent(80, 1, transcript) == len(brute_consistent(80, 1, transcript))
+    assert splits == [] and partitions == []
+    # the checks still run: True and 3.0 would find the tallies of 1 and 3
+    for t, s, error in ((80, True, ValidationError), (80, 3.0, ValidationError), (81, 3, ValueError)):
+        with pytest.raises(error):
+            count_consistent(t, s, transcript)
+
+    for fresh in (
+        Transcript(transcript.plan, transcript.outcomes),
+        copy.copy(transcript),
+        pickle.loads(pickle.dumps(transcript)),
     ):
-        calls.clear()
-        assert request()
-        assert len(calls) == len(transcript.plan.weighings) == 3
+        assert fresh == transcript and hash(fresh) == hash(transcript)
+        assert repr(fresh) == repr(transcript)
+        splits.clear()
+        partitions.clear()
+        assert evaluate_proof(instance, fresh, bundle.placement).verdict.valid
+        assert len(splits) == 3 and len(partitions) == 1
 
 
 def test_plan_problems_come_before_stray_placement_coins():
@@ -190,6 +243,8 @@ def test_plan_problems_come_before_stray_placement_coins():
     requests = [
         lambda: verify_proof(instance, transcript, {0, 7}),
         lambda: evaluate_proof(instance, transcript, {0, 7}),
+        lambda: verify_proof(instance, transcript, {0.0, 3}),
+        lambda: evaluate_proof(instance, transcript, {True, "3"}),
         lambda: count_consistent(4, 9, transcript),
         lambda: uniform_best_guess(4, 9, transcript),
         lambda: classify_privacy(instance, transcript),
@@ -344,13 +399,45 @@ def _random_transcripts(rng, count):
         yield t, f, placement, simulate_transcript(plan, source)
 
 
+def _answer(call, transcript):
+    """What `call` returns on the transcript, or the type and message of
+    what it raises."""
+    try:
+        return call(transcript)
+    except (ValueError, InvalidProofError) as exc:
+        return type(exc), str(exc)
+
+
 def test_single_pass_matches_brute_force_on_random_plans():
     rng = random.Random(2024)
+    order_rng = random.Random(2025)  # leaves the transcripts drawn from rng as they were
     valid_seen = 0
     for t, f, placement, transcript in _random_transcripts(rng, 400):
         survivors = brute_consistent(t, f, transcript)
+        # an extra weighing with overlapping pans makes the plan invalid
+        invalid = Transcript(
+            WeighingPlan(t, transcript.plan.weighings + (Weighing({0}, {0}),)),
+            transcript.outcomes + (Outcome.BALANCED,),
+        )
         for d in {0, t, rng.randint(0, t)} - {f}:
             instance = ProblemInstance(t, f, d)
+            # the five entry points in random order on one transcript object
+            # (sizes 0..t+1, so some raise) answer as on a fresh object each
+            s = order_rng.randint(0, t + 1)
+            calls = {
+                "verify": lambda tr: verify_proof(instance, tr, placement),
+                "privacy": lambda tr: classify_privacy(instance, tr),
+                "count": lambda tr: count_consistent(t, s, tr),
+                "guess": lambda tr: uniform_best_guess(t, s, tr),
+                "evaluate": lambda tr: evaluate_proof(instance, tr, placement),
+            }
+            for name in order_rng.sample(sorted(calls), len(calls)):
+                fresh = Transcript(transcript.plan, transcript.outcomes)
+                assert _answer(calls[name], transcript) == _answer(calls[name], fresh), name
+                refused = _answer(calls[name], invalid)
+                assert refused[0] is ValidationError
+                assert refused[1].startswith(f"weighing {len(transcript.outcomes)}: pans overlap")
+                assert _answer(calls[name], invalid) == refused
             count_d = len(brute_consistent(t, d, transcript))
             result = evaluate_proof(instance, transcript, placement)
             assert result.verdict == verify_proof(instance, transcript, placement)
