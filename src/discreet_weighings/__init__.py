@@ -5,11 +5,9 @@ a judge-side deduction engine, and bounded searches for discreet plans."""
 from .judge import (
     InvalidProofError,
     PrivacyReport,
-    ProofEvaluation,
     ProofVerdict,
     classify_privacy,
     count_consistent,
-    evaluate_proof,
     uniform_best_guess,
     verify_proof,
 )

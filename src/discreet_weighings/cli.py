@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .judge import InvalidProofError, evaluate_proof
+from .judge import InvalidProofError, classify_privacy, uniform_best_guess, verify_proof
 from .metrics import (
     equal_piles_factor,
     equal_piles_factor_limit,
@@ -51,8 +51,7 @@ def _bundle_from_args(args):
 
 def _evaluate(instance, transcript, placement, name, cases=None):
     """Full judge + metrics pass; returns (report dict, exit code)."""
-    evaluation = evaluate_proof(instance, transcript, placement)
-    verdict = evaluation.verdict
+    verdict = verify_proof(instance, transcript, placement)
     report = {
         "strategy": name,
         "instance": instance.to_json(),
@@ -66,10 +65,11 @@ def _evaluate(instance, transcript, placement, name, cases=None):
     }
     if not verdict.valid:
         return report, 1
+    # on the same transcript object, so the judge reuses the verdict's work
+    report["privacy"] = classify_privacy(instance, transcript).to_json()
     metrics = revealing_metrics(instance.t, instance.f, verdict.consistent_count_f)
-    report["privacy"] = evaluation.privacy.to_json()
     report["metrics"] = metrics.to_json()
-    report["guess"] = _guess_json(evaluation.guess, cases)
+    report["guess"] = _guess_json(uniform_best_guess(instance.t, instance.f, transcript), cases)
     return report, 0
 
 
@@ -189,13 +189,14 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_guess(args) -> int:
     bundle = _bundle_from_args(args)
-    evaluation = evaluate_proof(bundle.instance, bundle.transcript(), bundle.placement)
-    if not evaluation.verdict.valid:
+    instance, transcript = bundle.instance, bundle.transcript()
+    if not verify_proof(instance, transcript, bundle.placement).valid:
         raise InvalidProofError(f"{bundle.name} did not produce a valid proof")
+    guess = uniform_best_guess(instance.t, instance.f, transcript)
     out = {
         "strategy": bundle.name,
-        "instance": bundle.instance.to_json(),
-        **_guess_json(evaluation.guess, bundle.cases),
+        "instance": instance.to_json(),
+        **_guess_json(guess, bundle.cases),
     }
     print(json.dumps(out, indent=2))
     return 0

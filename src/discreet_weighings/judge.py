@@ -13,16 +13,19 @@ size-s sets are exactly the unions of per-class choices described by a small
 set of "class count vectors", and their number is a sum of products of
 binomials.  The same vectors also say, per class, how many surviving sets
 hold each of its coins, which is all the privacy report and the judge's
-uniform best guess need.  Nothing here lists subsets, and one pass over the
-size-f and size-d vectors answers a whole request:
+uniform best guess need.  Nothing here lists subsets, and the verdict, the
+privacy report and the guess on one transcript share one pass over the
+size-f and size-d vectors:
 
     >>> from discreet_weighings import ProblemInstance, build_official
     >>> inst = ProblemInstance(80, 3, 2)
     >>> bundle = build_official(inst)
-    >>> result = evaluate_proof(inst, bundle.transcript(), bundle.placement)
-    >>> result.verdict.consistent_count_f, result.privacy.discreet
-    (8000, True)
-    >>> result.guess  # coin 0 is fake in 1 of every 20 surviving sets
+    >>> transcript = bundle.transcript()
+    >>> verify_proof(inst, transcript, bundle.placement)
+    ProofVerdict(valid=True, consistent_count_f=8000, consistent_count_d=0)
+    >>> classify_privacy(inst, transcript).discreet
+    True
+    >>> uniform_best_guess(80, 3, transcript)  # coin 0 is fake in 1 of every 20 surviving sets
     (0, Fraction(1, 20))
 
 `consistent_count_vectors` finds the vectors by one refinement folded over
@@ -41,10 +44,10 @@ per level, and orders its splits by the same functions.
 
 Each `Transcript` object keeps what the judge has worked out of it (`_tally`):
 its classes, their routing and the signs shown, and one summary of the
-vectors per hypothesis size.  So `verify_proof` followed by
-`classify_privacy` on one transcript partitions and routes its plan once and
-folds each size once.  The memo lives on the object and is freed with it; an
-equal but distinct transcript is judged afresh.
+vectors per hypothesis size.  So `verify_proof`, `classify_privacy` and
+`uniform_best_guess` on one transcript partition and route its plan once
+and fold each size once.  The memo lives on the object and is freed with
+it; an equal but distinct transcript is judged afresh.
 """
 
 from __future__ import annotations
@@ -95,17 +98,6 @@ class PrivacyReport:
             "revealed_real": sorted(self.revealed_real),
             "revealed_fake": sorted(self.revealed_fake),
         }
-
-
-@dataclass(frozen=True)
-class ProofEvaluation:
-    """Everything the judge concludes from one transcript and placement.
-    `privacy` and `guess` (coin, probability) are None unless the proof is
-    valid."""
-
-    verdict: ProofVerdict
-    privacy: PrivacyReport | None
-    guess: tuple | None
 
 
 def _split(prefixes, column, sizes) -> tuple:
@@ -307,42 +299,29 @@ def uniform_best_guess(t: int, s: int, transcript: Transcript):
     return _tally(t, transcript, s).best_guess()
 
 
-def _sized_placement(instance: ProblemInstance, placement) -> frozenset:
+def verify_proof(
+    instance: ProblemInstance, transcript: Transcript, placement
+) -> ProofVerdict:
+    """Decide whether the transcript proves "exactly f fakes" to a judge whose
+    prior allows only the counts d and f.  Checked in order: the placement's
+    size, the plan (by the size-f count), the placement's coins, size d."""
     placement = frozenset(placement)
     if len(placement) != instance.f:
         raise ValueError(
             f"placement has {len(placement)} coins but the instance has f={instance.f}"
         )
-    return placement
-
-
-def _check_in_range(instance: ProblemInstance, placement: frozenset) -> None:
+    count_f = count_consistent(instance.t, instance.f, transcript)
     _checked_coins(placement, "placement coin")
     stray = [c for c in placement if not 0 <= c < instance.t]
     if stray:
         raise ValidationError(f"placement coins {sorted(stray)} out of range")
-
-
-def _verdict(transcript: Transcript, placement, count_f: int, count_d: int) -> ProofVerdict:
+    count_d = count_consistent(instance.t, instance.d, transcript)
     placement_consistent = all(
         w.outcome(placement) is o
         for w, o in zip(transcript.plan.weighings, transcript.outcomes)
     )
     valid = placement_consistent and count_f >= 1 and count_d == 0
     return ProofVerdict(valid, count_f, count_d)
-
-
-def verify_proof(
-    instance: ProblemInstance, transcript: Transcript, placement
-) -> ProofVerdict:
-    """Decide whether the transcript proves "exactly f fakes" to a judge whose
-    prior allows only the counts d and f."""
-    placement = _sized_placement(instance, placement)
-    # the plan is checked (by this count) before the placement's coins
-    count_f = count_consistent(instance.t, instance.f, transcript)
-    _check_in_range(instance, placement)
-    count_d = count_consistent(instance.t, instance.d, transcript)
-    return _verdict(transcript, placement, count_f, count_d)
 
 
 def classify_privacy(instance: ProblemInstance, transcript: Transcript) -> PrivacyReport:
@@ -355,20 +334,3 @@ def classify_privacy(instance: ProblemInstance, transcript: Transcript) -> Priva
             "privacy classification is only defined for a valid proof"
         )
     return tally_f.privacy()
-
-
-def evaluate_proof(
-    instance: ProblemInstance, transcript: Transcript, placement
-) -> ProofEvaluation:
-    """The verdict of `verify_proof` and, for a valid proof, the report of
-    `classify_privacy` and the uniform best guess, from one computation of
-    the size-f and size-d class vectors."""
-    placement = _sized_placement(instance, placement)
-    # the plan is checked (by this tally) before the placement's coins
-    tally_f = _tally(instance.t, transcript, instance.f)
-    _check_in_range(instance, placement)
-    tally_d = _tally(instance.t, transcript, instance.d)
-    verdict = _verdict(transcript, placement, tally_f.count, tally_d.count)
-    if not verdict.valid:
-        return ProofEvaluation(verdict, None, None)
-    return ProofEvaluation(verdict, tally_f.privacy(), tally_f.best_guess())

@@ -185,7 +185,7 @@ def simulate_transcript(plan: WeighingPlan, fakes: Iterable) -> Transcript:
 
 def itinerary_of(plan: WeighingPlan, coin: int) -> str:
     """The coin's path through the plan: one of L/R/O per weighing."""
-    if not 0 <= coin < plan.t:
+    if not 0 <= _checked_int(coin, "coin") < plan.t:
         raise ValidationError(f"coin {coin} outside 0..{plan.t - 1}")
     symbols = []
     for w in plan.weighings:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .judge import evaluate_proof
+from .judge import classify_privacy, uniform_best_guess, verify_proof
 from .metrics import (
     approx3,
     equal_piles_factor,
@@ -67,15 +67,12 @@ def _row(check_id, group, description, expected, computed) -> CheckRow:
 def _evaluated(t, f, d, builder, **kwargs) -> dict:
     instance = ProblemInstance(t, f, d)
     bundle = builder(instance, **kwargs)
-    evaluation = evaluate_proof(instance, bundle.transcript(), bundle.placement)
-    verdict = evaluation.verdict
-    out = {
-        "bundle": bundle,
-        "verdict": verdict,
-        "privacy": evaluation.privacy,
-        "guess": evaluation.guess,
-    }
+    transcript = bundle.transcript()
+    verdict = verify_proof(instance, transcript, bundle.placement)
+    out = {"bundle": bundle, "verdict": verdict, "privacy": None, "guess": None}
     if verdict.valid:
+        out["privacy"] = classify_privacy(instance, transcript)
+        out["guess"] = uniform_best_guess(t, f, transcript)
         out["metrics"] = revealing_metrics(t, f, verdict.consistent_count_f)
     return out
 

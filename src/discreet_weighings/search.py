@@ -346,26 +346,15 @@ def _walk_key(classes, codes) -> tuple:
 def _labeled_witnesses(t: int, f: int, d: int, max_weighings: int):
     """Yield every labeled witness node the unpruned walk yields, in its
     order: each orbit's witnesses from `_iter_witnesses`, expanded over the
-    transforms whose every weighing is the form `_splits` keeps.
-
-    The first node of each orbit in that order is never skipped, so the
-    orbit walk meets it first, and no orbit met later has a node before
-    where the walk is.  A pending node is final once the walk gets to it."""
-    pending: list = []  # (walk key, node), the least last once sorted
+    transforms whose every weighing is the form `_splits` keeps, and sorted
+    by where the walk meets them."""
     expanded: set = set()
     for classes, codes in _iter_witnesses(t, f, d, max_weighings):
         if (classes, codes) not in expanded:
             sizes = [n for _, n in classes]
             for itins, image_codes in _images(classes, codes, _walk_form(sizes)):
-                node = tuple(sorted(zip(itins, sizes))), image_codes
-                if node not in expanded:
-                    expanded.add(node)
-                    pending.append((_walk_key(*node), node))
-        pending.sort(reverse=True)
-        here = _walk_key(classes, codes)
-        while pending and pending[-1][0] <= here:
-            yield pending.pop()[1]
-    yield from (node for _, node in reversed(pending))
+                expanded.add((tuple(sorted(zip(itins, sizes))), image_codes))
+    yield from sorted(expanded, key=lambda node: _walk_key(*node))
 
 
 def _expand_witness(instance: ProblemInstance, classes, codes) -> StrategyBundle:

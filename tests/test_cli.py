@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from discreet_weighings import ProblemInstance, build_leftover_reveal, build_official
+from discreet_weighings import BUILDERS, ProblemInstance, build_leftover_reveal, build_official
+from discreet_weighings import judge
 from discreet_weighings.cli import main
 from discreet_weighings.model import plan_to_json
 
@@ -207,6 +208,29 @@ def test_guess_subcommand(capsys):
     assert data["minimax"]["value"] == {"num": 1, "den": 25}
     assert data["minimax"]["distribution"][0] == {"num": 23, "den": 25}
     assert data["uniform"]["prob"] == {"num": 96, "den": 2209}  # 576/13254 reduced
+
+
+@pytest.mark.parametrize("command,strategy", [("construct", "official"), ("guess", "triple-case")])
+def test_one_request_judges_its_transcript_once(capsys, monkeypatch, command, strategy):
+    # the verdict, privacy report and guess share one partition and one
+    # routing of the plan
+    calls = {"partition_by_itinerary": 0, "_split": 0}
+
+    def counted(name):
+        original = getattr(judge, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(judge, name, counted(name))
+    code, _, _ = run_cli(capsys, command, strategy, "--t", "80", "--f", "3", "--d", "2")
+    assert code == 0
+    weighings = len(BUILDERS[strategy](ProblemInstance(80, 3, 2)).plan.weighings)
+    assert calls == {"partition_by_itinerary": 1, "_split": weighings}
 
 
 def test_search_subcommand(capsys):

@@ -42,7 +42,6 @@ def test_public_api_is_pinned():
         "Pile",
         "PrivacyReport",
         "ProblemInstance",
-        "ProofEvaluation",
         "ProofVerdict",
         "RevealingMetrics",
         "StrategyBundle",
@@ -63,7 +62,6 @@ def test_public_api_is_pinned():
         "count_consistent",
         "equal_piles_factor",
         "equal_piles_factor_limit",
-        "evaluate_proof",
         "itinerary_of",
         "minimax_distribution",
         "optimal_f2_new_possibilities",

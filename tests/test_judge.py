@@ -21,7 +21,6 @@ from discreet_weighings import (
     build_triple_case,
     classify_privacy,
     count_consistent,
-    evaluate_proof,
     simulate_outcome,
     simulate_transcript,
     uniform_best_guess,
@@ -110,10 +109,11 @@ def test_triple_case_counts_at_scale(t, f):
     c_sizes = [2] * r + [1] * (f - r)
     instance = ProblemInstance(t, f, f - 1)
     bundle = build_triple_case(instance)
-    result = evaluate_proof(instance, bundle.transcript(), bundle.placement)
-    assert result.verdict.consistent_count_f == prod(a_sizes) + prod(b_sizes) + prod(c_sizes)
-    assert result.verdict.consistent_count_d == 0
-    assert result.verdict.valid and result.privacy.discreet
+    transcript = bundle.transcript()
+    verdict = verify_proof(instance, transcript, bundle.placement)
+    assert verdict.consistent_count_f == prod(a_sizes) + prod(b_sizes) + prod(c_sizes)
+    assert verdict.consistent_count_d == 0
+    assert verdict.valid and classify_privacy(instance, transcript).discreet
 
 
 def test_counting_plans_with_more_classes_than_the_recursion_limit():
@@ -144,9 +144,6 @@ OFFICIAL_80 = ProblemInstance(80, 3, 2)
         (lambda tr: verify_proof(OFFICIAL_80, tr, {0.0, 20, 79}), "placement coin"),
         (lambda tr: verify_proof(OFFICIAL_80, tr, {True, 20, 79}), "placement coin"),
         (lambda tr: verify_proof(OFFICIAL_80, tr, {"0", 20, 79}), "placement coin"),
-        (lambda tr: evaluate_proof(OFFICIAL_80, tr, {0.0, 20, 79}), "placement coin"),
-        (lambda tr: evaluate_proof(OFFICIAL_80, tr, {True, 20, 79}), "placement coin"),
-        (lambda tr: evaluate_proof(OFFICIAL_80, tr, {"0", 20, 79}), "placement coin"),
         (lambda tr: simulate_transcript(tr.plan, {0.0, 20, 79}), "fake coin"),
         (lambda tr: simulate_transcript(tr.plan, {True, 20, 79}), "fake coin"),
         (lambda tr: simulate_transcript(tr.plan, {"0", 20, 79}), "fake coin"),
@@ -157,7 +154,6 @@ OFFICIAL_80 = ProblemInstance(80, 3, 2)
     ids=[
         "count-size", "count-bool-size", "count-t", "guess-size",
         "verify-float-coin", "verify-bool-coin", "verify-str-coin",
-        "evaluate-float-coin", "evaluate-bool-coin", "evaluate-str-coin",
         "simulate-float-fake", "simulate-bool-fake", "simulate-str-fake",
         "outcome-float-fake", "outcome-bool-fake", "outcome-str-fake",
     ],
@@ -171,7 +167,7 @@ def test_judge_refuses_non_integer_counts(call, what):
         call(transcript)
 
 
-def test_evaluate_proof_validates_the_plan_once(monkeypatch):
+def test_judging_one_transcript_validates_its_plan_once(monkeypatch):
     calls = []
     original = model.validate_plan
 
@@ -184,7 +180,9 @@ def test_evaluate_proof_validates_the_plan_once(monkeypatch):
     bundle = build_official(instance)
     transcript = bundle.transcript()
     calls.clear()
-    assert evaluate_proof(instance, transcript, bundle.placement).verdict.valid
+    assert verify_proof(instance, transcript, bundle.placement).valid
+    assert classify_privacy(instance, transcript).discreet
+    assert uniform_best_guess(80, 3, transcript) == (0, Fraction(1, 20))
     assert calls == [transcript.plan]
 
 
@@ -207,7 +205,7 @@ def test_a_transcript_is_routed_once(monkeypatch):
     instance = ProblemInstance(80, 3, 2)
     bundle = build_official(instance)
     transcript = bundle.transcript()
-    assert evaluate_proof(instance, transcript, bundle.placement).verdict.valid
+    assert verify_proof(instance, transcript, bundle.placement).valid
     assert len(splits) == len(transcript.plan.weighings) == 3
     assert len(partitions) == 1
     splits.clear()
@@ -232,7 +230,7 @@ def test_a_transcript_is_routed_once(monkeypatch):
         assert repr(fresh) == repr(transcript)
         splits.clear()
         partitions.clear()
-        assert evaluate_proof(instance, fresh, bundle.placement).verdict.valid
+        assert verify_proof(instance, fresh, bundle.placement).valid
         assert len(splits) == 3 and len(partitions) == 1
 
 
@@ -242,9 +240,8 @@ def test_plan_problems_come_before_stray_placement_coins():
     instance = ProblemInstance(4, 2, 1)
     requests = [
         lambda: verify_proof(instance, transcript, {0, 7}),
-        lambda: evaluate_proof(instance, transcript, {0, 7}),
         lambda: verify_proof(instance, transcript, {0.0, 3}),
-        lambda: evaluate_proof(instance, transcript, {True, "3"}),
+        lambda: verify_proof(instance, transcript, {True, "3"}),
         lambda: count_consistent(4, 9, transcript),
         lambda: uniform_best_guess(4, 9, transcript),
         lambda: classify_privacy(instance, transcript),
@@ -421,7 +418,7 @@ def test_single_pass_matches_brute_force_on_random_plans():
         )
         for d in {0, t, rng.randint(0, t)} - {f}:
             instance = ProblemInstance(t, f, d)
-            # the five entry points in random order on one transcript object
+            # the four entry points in random order on one transcript object
             # (sizes 0..t+1, so some raise) answer as on a fresh object each
             s = order_rng.randint(0, t + 1)
             calls = {
@@ -429,7 +426,6 @@ def test_single_pass_matches_brute_force_on_random_plans():
                 "privacy": lambda tr: classify_privacy(instance, tr),
                 "count": lambda tr: count_consistent(t, s, tr),
                 "guess": lambda tr: uniform_best_guess(t, s, tr),
-                "evaluate": lambda tr: evaluate_proof(instance, tr, placement),
             }
             for name in order_rng.sample(sorted(calls), len(calls)):
                 fresh = Transcript(transcript.plan, transcript.outcomes)
@@ -439,22 +435,20 @@ def test_single_pass_matches_brute_force_on_random_plans():
                 assert refused[1].startswith(f"weighing {len(transcript.outcomes)}: pans overlap")
                 assert _answer(calls[name], invalid) == refused
             count_d = len(brute_consistent(t, d, transcript))
-            result = evaluate_proof(instance, transcript, placement)
-            assert result.verdict == verify_proof(instance, transcript, placement)
-            assert result.verdict.consistent_count_f == len(survivors)
-            assert result.verdict.consistent_count_d == count_d
+            verdict = verify_proof(instance, transcript, placement)
+            assert verdict.consistent_count_f == len(survivors)
+            assert verdict.consistent_count_d == count_d
             valid = placement in survivors and count_d == 0
-            assert result.verdict.valid == valid
+            assert verdict.valid == valid
             if not valid:
-                assert result.privacy is None and result.guess is None
                 continue
             valid_seen += 1
             somewhere = frozenset().union(*survivors)
             everywhere = frozenset(range(t)).intersection(*survivors)
-            assert result.privacy.revealed_real == frozenset(range(t)) - somewhere
-            assert result.privacy.revealed_fake == everywhere
-            assert result.privacy == classify_privacy(instance, transcript)
-            assert result.guess == brute_best_guess(survivors)
+            privacy = classify_privacy(instance, transcript)
+            assert privacy.revealed_real == frozenset(range(t)) - somewhere
+            assert privacy.revealed_fake == everywhere
+            assert uniform_best_guess(t, f, transcript) == brute_best_guess(survivors)
     assert valid_seen >= 100
 
 

@@ -114,6 +114,10 @@ def test_itinerary_basics():
     assert itinerary_of(plan, 1) == "RO"
     with pytest.raises(ValidationError):
         itinerary_of(plan, 4)
+    # True and 1.0 would stand for coin 1, and "1" fail with a TypeError
+    for coin in (True, 1.0, "1"):
+        with pytest.raises(ValidationError, match="^coin must be an integer"):
+            itinerary_of(plan, coin)
 
 
 def test_itinerary_of_triple_case_nine_coins():
