@@ -69,22 +69,16 @@ def _evaluate(instance, transcript, placement, name, cases=None):
     report["privacy"] = classify_privacy(instance, transcript).to_json()
     metrics = revealing_metrics(instance.t, instance.f, verdict.consistent_count_f)
     report["metrics"] = metrics.to_json()
-    report["guess"] = _guess_json(uniform_best_guess(instance.t, instance.f, transcript), cases)
-    return report, 0
-
-
-def _guess_json(guess, cases=None) -> dict:
-    """The uniform best guess and, given the case structure, the lawyer's
-    minimax placement."""
-    coin, prob = guess
-    out = {"uniform": {"coin": coin, "prob": rational_to_json(prob, display=False)}}
-    if cases is not None:
+    coin, prob = uniform_best_guess(instance.t, instance.f, transcript)
+    guess = {"uniform": {"coin": coin, "prob": rational_to_json(prob, display=False)}}
+    if cases is not None:  # the lawyer's minimax placement over the cases
         distribution, value = minimax_distribution(cases)
-        out["minimax"] = {
+        guess["minimax"] = {
             "distribution": [rational_to_json(p, display=False) for p in distribution],
             "value": rational_to_json(value, display=False),
         }
-    return out
+    report["guess"] = guess
+    return report, 0
 
 
 def _frac(data) -> str:
@@ -189,15 +183,12 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_guess(args) -> int:
     bundle = _bundle_from_args(args)
-    instance, transcript = bundle.instance, bundle.transcript()
-    if not verify_proof(instance, transcript, bundle.placement).valid:
+    report, code = _evaluate(
+        bundle.instance, bundle.transcript(), bundle.placement, bundle.name, bundle.cases
+    )
+    if code:
         raise InvalidProofError(f"{bundle.name} did not produce a valid proof")
-    guess = uniform_best_guess(instance.t, instance.f, transcript)
-    out = {
-        "strategy": bundle.name,
-        "instance": instance.to_json(),
-        **_guess_json(guess, bundle.cases),
-    }
+    out = {"strategy": report["strategy"], "instance": report["instance"], **report["guess"]}
     print(json.dumps(out, indent=2))
     return 0
 

@@ -50,7 +50,7 @@ from .model import (
     conjugate,
     partition_by_itinerary,
 )
-from .strategies import StrategyBundle
+from .strategies import StrategyBundle, _contiguous_piles
 
 MAX_SEARCH_T = 12
 MAX_SEARCH_WEIGHINGS = 4
@@ -93,11 +93,7 @@ class ItineraryProfile:
 
     def class_ranges(self) -> dict:
         """Contiguous coin ranges per class, assigned in itinerary order."""
-        ranges, start = {}, 0
-        for itin, n in self.counts:
-            ranges[itin] = frozenset(range(start, start + n))
-            start += n
-        return ranges
+        return dict(zip((itin for itin, _ in self.counts), _contiguous_piles(n for _, n in self.counts)))
 
     def to_plan(self) -> WeighingPlan:
         """Expand to a labeled plan that reproduces this profile."""
@@ -222,11 +218,6 @@ def _images(classes, codes, keep):
     yield from extend(("",) * len(classes), (), tuple(range(len(codes))))
 
 
-def _showing(target):
-    """An `_images` filter that keeps the images showing the codes `target`."""
-    return lambda prefixes, column, code: code == target[len(prefixes[0])]
-
-
 def _walk_form(sizes):
     """An `_images` filter that keeps the images the unpruned walk meets:
     each weighing's split of the classes before it (`judge._split`) is at
@@ -240,29 +231,34 @@ def _walk_form(sizes):
     return keep
 
 
-def _canonical_key(classes, codes) -> tuple:
-    """The least image of a node over every order of its weighings and every
-    swap of one weighing's pans.
+def _orbit(classes, codes):
+    """A node's key and moves, from one pass over its images.
 
-    Only images whose codes are the node's code signs in ascending order
-    are compared: each weighing with a nonzero code is swapped to show +1,
-    so only the balanced weighings keep a free swap.  Two nodes get the same
-    key exactly when such a transform maps one onto the other."""
+    The key is the least image of the node over every order of its weighings
+    and every swap of one weighing's pans, among the images whose codes are
+    the node's code signs in ascending order: each weighing with a nonzero
+    code is swapped to show +1, so only the balanced weighings keep a free
+    swap.  Two nodes get the same key exactly when such a transform maps one
+    onto the other.
+
+    Two transforms reach the key exactly when they differ by one that fixes
+    the node: with g0 the first to reach it, each other h gives g0^-1 h.  The
+    moves are the class permutations of those (`perm[j]` is the class that
+    class j maps to), without the identity."""
     sizes = [n for _, n in classes]
     least = tuple(sorted(abs(code) for code in codes))
-    return least, min(tuple(sorted(zip(itins, sizes))) for itins, _ in _images(classes, codes, _showing(least)))
-
-
-def _stabiliser(classes, codes) -> set:
-    """The class permutations of the transforms that map a node onto itself
-    (`perm[j]` is the class that class j maps to); the identity among them."""
-    index = {itin: j for j, (itin, _) in enumerate(classes)}
-    perms = set()
-    for itins, _ in _images(classes, codes, _showing(codes)):
-        perm = tuple(index.get(itin) for itin in itins)
-        if None not in perm and all(classes[i][1] == n for i, (_, n) in zip(perm, classes)):
-            perms.add(perm)
-    return perms
+    key, reaching = None, []
+    for itins, _ in _images(classes, codes, lambda prefixes, _column, code: code == least[len(prefixes[0])]):
+        image = tuple(sorted(zip(itins, sizes)))
+        if key is None or image < key:
+            key, reaching = image, [itins]
+        elif image == key:
+            reaching.append(itins)
+    # itineraries are distinct, so h's image of class j is g0's of one class
+    index = {itin: i for i, itin in enumerate(reaching[0])}
+    moves = {tuple(index[itin] for itin in itins) for itins in reaching[1:]}
+    moves.discard(tuple(range(len(classes))))
+    return (least, key), moves
 
 
 def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
@@ -283,21 +279,21 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     in `_splits` order, among its images and their mirrors under the
     node's stabiliser: the images give the same children up to a transform
     that fixes the node, and the least of them is walked first.  An
-    internal node is skipped when an earlier node maps onto it
-    (`_canonical_key`).  Neither skip changes the first witness: two nodes
+    internal node is skipped when an earlier node maps onto it.  One pass
+    over a node's images (`_orbit`), made when its parent keys it, gives
+    both its key and its stabiliser; the root is never keyed and has a
+    trivial stabiliser.  Neither skip changes the first witness: two nodes
     of one orbit are never ancestor and descendant, so the earlier one's
     subtree was walked in full before, and being pinned or a witness does
     not depend on the order or the pans.  Later witnesses of an orbit
     already met may be skipped; `_labeled_witnesses` restores them."""
     seen: set = set()
 
-    def recurse(classes, codes, vectors_f, vectors_d):
+    def recurse(classes, codes, vectors_f, vectors_d, moves):
         if len(codes) >= max_weighings:
             return
-        identity = tuple(range(len(classes)))
         # each perm's inverse is in the group too, so indexing by perm
         # walks the same images as routing class j's part to class perm[j]
-        moves = [perm for perm in _stabiliser(classes, codes) if perm != identity]
         for split in _splits([n for _, n in classes]):
             if any(
                 image < split or _mirror(image) < split
@@ -318,8 +314,9 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
                 if child is None:
                     child = _apply_split(classes, split)
                 child_codes = codes + (code,)
+                child_moves = ()  # a leaf is neither keyed nor expanded
                 if len(child_codes) < max_weighings:
-                    key = _canonical_key(child, child_codes)
+                    key, child_moves = _orbit(child, child_codes)
                     if key in seen:
                         continue
                     seen.add(key)
@@ -328,9 +325,9 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
                 child_d = refined_d[code]
                 if not child_d:
                     yield child, child_codes
-                yield from recurse(child, child_codes, child_f, child_d)
+                yield from recurse(child, child_codes, child_f, child_d, child_moves)
 
-    yield from recurse((("", t),), (), [((0, f),)], [((0, d),)] if d else [()])
+    yield from recurse((("", t),), (), [((0, f),)], [((0, d),)] if d else [()], ())
 
 
 def _walk_key(classes, codes) -> tuple:
@@ -365,12 +362,6 @@ def _expand_witness(instance: ProblemInstance, classes, codes) -> StrategyBundle
     found = map(dict, consistent_count_vectors(instance.t, _routing(symbols, sizes), codes, instance.f))
     # dense and sorted, so the cases are listed in lexicographic order
     vectors = sorted(tuple(fakes.get(j, 0) for j in range(len(symbols))) for fakes in found)
-    # A vector's lexicographically first set takes the lowest coins of each
-    # class; the first of these over all vectors is the first consistent set.
-    placement = min(
-        sorted(coin for itin, c in zip(symbols, vec) for coin in sorted(ranges[itin])[:c])
-        for vec in vectors
-    )
     cases = CaseStructure(
         tuple(
             tuple(Pile(ranges[itin], c) for itin, c in zip(symbols, vec) if c)
@@ -381,7 +372,6 @@ def _expand_witness(instance: ProblemInstance, classes, codes) -> StrategyBundle
         name="search-witness",
         instance=instance,
         plan=profile.to_plan(),
-        placement=frozenset(placement),
         cases=cases,
         expected_outcomes=tuple(Outcome.from_sign(c) for c in codes),
         expected_discreet=True,
@@ -492,12 +482,10 @@ def check_odd_t_itineraries(t: int, max_weighings: int) -> OddTItineraryReport:
     """Verify the odd-t structural conditions over all bounded discreet
     witnesses for two fakes with one to disprove; vacuously true when the
     bounded search finds none."""
-    _checked_int(max_weighings, "max_weighings")
-    if _checked_int(t, "t") % 2 == 0:
+    _checked_instance(t, 2, 1, max_weighings)
+    if t % 2 == 0:
         raise ValueError(f"this check applies to odd coin counts, got t={t}")
-    if t > 11:
-        raise ValueError(f"bounded to t <= 11, got t={t}")
-    if not 1 <= max_weighings <= 3:
+    if max_weighings > 3:
         raise ValueError(f"bounded to 1..3 weighings, got {max_weighings}")
     profiles = all_discreet_profiles(t, 2, 1, max_weighings)
     failures = tuple(p for p in profiles if not _satisfies_odd_conditions(p))

@@ -1,19 +1,20 @@
 """Constructors for the named weighing strategies.
 
-Each builder returns a :class:`StrategyBundle`: the plan, one concrete fake
-placement, the case structure of placements the judge cannot tell apart, and
-the properties the strategy claims (discreet or not, which coins it expects
-to expose).  The judge engine cross-checks every claim.
+Each builder returns a :class:`StrategyBundle`: the plan, the case
+structure of placements the judge cannot tell apart, and the properties the
+strategy claims (discreet or not, which coins it expects to expose).  The
+judge engine cross-checks every claim.
 
-Piles occupy contiguous index ranges in the order they are introduced, and a
-pile's fakes default to its lowest indices, so every construction is fully
-deterministic.
+Piles occupy contiguous index ranges in the order they are introduced.  The
+bundle derives its one concrete fake placement from its cases: each pile's
+fakes take its lowest indices, in the case whose fakes sort first.  So every
+construction is fully deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
 
 from .metrics import CaseStructure, Pile
@@ -37,11 +38,18 @@ class StrategyBundle:
     name: str
     instance: ProblemInstance
     plan: WeighingPlan
-    placement: frozenset
+    placement: frozenset = field(init=False)
     cases: CaseStructure
     expected_outcomes: tuple
     expected_discreet: bool
     revealed_expected: frozenset
+
+    def __post_init__(self) -> None:
+        placement = min(
+            sorted(itertools.chain.from_iterable(sorted(p.coins)[: p.fakes] for p in case))
+            for case in self.cases.cases
+        )
+        object.__setattr__(self, "placement", frozenset(placement))
 
     def transcript(self):
         return simulate_transcript(self.plan, self.placement)
@@ -87,15 +95,11 @@ def build_equal_piles(instance: ProblemInstance, a: int) -> StrategyBundle:
     pile_size, per_pile = t // a, f // a
     piles = _contiguous_piles([pile_size] * a)
     weighings = tuple(Weighing(piles[0], piles[i]) for i in range(1, a))
-    placement = frozenset(
-        itertools.chain.from_iterable(sorted(p)[:per_pile] for p in piles)
-    )
     cases = CaseStructure((tuple(Pile(p, per_pile) for p in piles),))
     return StrategyBundle(
         name="equal-piles",
         instance=instance,
         plan=WeighingPlan(t, weighings),
-        placement=placement,
         cases=cases,
         expected_outcomes=(Outcome.BALANCED,) * (a - 1),
         expected_discreet=True,
@@ -129,7 +133,6 @@ def build_triple_case(instance: ProblemInstance) -> StrategyBundle:
         Weighing(b_piles[0] | c_piles[0], b_piles[i] | c_piles[i])
         for i in range(1, f)
     )
-    placement = frozenset(min(p) for p in a_piles)
     cases = CaseStructure(
         (
             tuple(Pile(p) for p in a_piles),
@@ -141,7 +144,6 @@ def build_triple_case(instance: ProblemInstance) -> StrategyBundle:
         name="triple-case",
         instance=instance,
         plan=WeighingPlan(t, weighings),
-        placement=placement,
         cases=cases,
         expected_outcomes=(Outcome.BALANCED,) * (2 * (f - 1)),
         expected_discreet=True,
@@ -170,7 +172,6 @@ def build_official(instance: ProblemInstance) -> StrategyBundle:
         Weighing(pile_a | pile_b, pile_e),
         Weighing(pile_c | pile_d, pile_a | pile_b | pile_e),
     )
-    placement = frozenset({min(pile_a), min(pile_d), min(pile_e)})
     cases = CaseStructure(
         (
             (Pile(pile_a), Pile(pile_d), Pile(pile_e)),
@@ -181,7 +182,6 @@ def build_official(instance: ProblemInstance) -> StrategyBundle:
         name="official",
         instance=instance,
         plan=WeighingPlan(t, weighings),
-        placement=placement,
         cases=cases,
         expected_outcomes=(Outcome.BALANCED, Outcome.BALANCED, Outcome.RIGHT_LIGHTER),
         expected_discreet=True,
@@ -233,13 +233,11 @@ def build_leftover_reveal(instance: ProblemInstance) -> StrategyBundle:
         Weighing(frozenset({chained[j]}), frozenset({chained[j + 1]}))
         for j in range(len(chained) - 1)
     )
-    placement = frozenset(min(p) for p in piles)
     cases = CaseStructure((tuple(Pile(p) for p in pools),))
     return StrategyBundle(
         name="leftover-reveal",
         instance=instance,
         plan=WeighingPlan(t, weighings),
-        placement=placement,
         cases=cases,
         expected_outcomes=(Outcome.BALANCED,) * len(weighings),
         expected_discreet=False,
@@ -263,13 +261,11 @@ def build_reference_pile(instance: ProblemInstance) -> StrategyBundle:
     piles = _contiguous_piles([size] * (f + 1))
     fake_piles, reference = piles[:f], piles[f]
     weighings = tuple(Weighing(p, reference) for p in fake_piles)
-    placement = frozenset(min(p) for p in fake_piles)
     cases = CaseStructure((tuple(Pile(p) for p in fake_piles),))
     return StrategyBundle(
         name="reference-pile",
         instance=instance,
         plan=WeighingPlan(t, weighings),
-        placement=placement,
         cases=cases,
         expected_outcomes=(Outcome.LEFT_LIGHTER,) * f,
         expected_discreet=False,

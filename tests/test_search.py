@@ -20,11 +20,10 @@ from discreet_weighings.model import conjugate, itinerary_of
 from discreet_weighings.search import (
     ItineraryProfile,
     _apply_split,
-    _canonical_key,
     _expand_witness,
     _labeled_witnesses,
+    _orbit,
     _splits,
-    _stabiliser,
     _walk_form,
     all_discreet_profiles,
     check_odd_t_itineraries,
@@ -296,9 +295,9 @@ def test_canonical_key_is_invariant_under_reordering_and_pan_swaps():
     for _ in range(200):
         w = rng.randint(1, 3)
         classes, codes = _random_node(rng, w, rng.randint(1, min(3**w, 6)))
-        key = _canonical_key(classes, codes)
+        key, _moves = _orbit(classes, codes)
         for order, swapped in _transforms(w):
-            assert _canonical_key(*_transformed(classes, codes, order, swapped)) == key
+            assert _orbit(*_transformed(classes, codes, order, swapped))[0] == key
 
 
 def test_canonical_keys_are_equal_exactly_on_orbits():
@@ -315,7 +314,7 @@ def test_canonical_keys_are_equal_exactly_on_orbits():
                         nodes.append((tuple(sorted(zip(chosen, counts))), codes))
     by_key: dict = {}
     for node in nodes:
-        by_key.setdefault(_canonical_key(*node), set()).add(node)
+        by_key.setdefault(_orbit(*node)[0], set()).add(node)
     for group in by_key.values():
         classes, codes = next(iter(group))
         orbit = {_transformed(classes, codes, *g) for g in _transforms(len(codes))}
@@ -332,7 +331,7 @@ def test_canonical_keys_are_equal_exactly_on_orbits():
         else:
             b = _random_node(rng, 3, k)
         mapped = any(_transformed(*a, *g) == b for g in _transforms(3))
-        assert (_canonical_key(*a) == _canonical_key(*b)) == mapped
+        assert (_orbit(*a)[0] == _orbit(*b)[0]) == mapped
 
 
 def _symmetric_node(rng, w):
@@ -365,9 +364,31 @@ def test_stabiliser_is_the_class_permutations_of_the_fixing_transforms():
         for order, swapped in _transforms(w):
             if _transformed(classes, codes, order, swapped) == (classes, codes):
                 expected.add(tuple(index[_image(itin, order, swapped)] for itin, _ in classes))
-        assert _stabiliser(classes, codes) == expected, (classes, codes)
+        # the moves are the stabiliser without the identity
+        identity = tuple(range(len(classes)))
+        assert set(_orbit(classes, codes)[1]) == expected - {identity}, (classes, codes)
         nontrivial += len(expected) > 1
     assert nontrivial >= 50  # 90 of the 300 nodes have a nontrivial stabiliser
+
+
+def test_each_keyed_node_walks_its_images_once(monkeypatch):
+    # a node's key and moves come from one pass over its images, made when
+    # its parent keys it; the root is never keyed and walks none.  The full
+    # walk at (10, 3, 2, 3) takes seconds, so it is followed to its first
+    # witness and the two cheaper walks in full.
+    calls = {"_images": 0, "_orbit": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(search, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(search, name, counted)
+    for t, f, d, w, witnesses in ((10, 3, 2, 3, 1), (9, 2, 1, 3, None), (8, 2, 0, 3, None)):
+        calls.update(dict.fromkeys(calls, 0))
+        for _ in itertools.islice(search._iter_witnesses(t, f, d, w), witnesses):
+            pass
+        assert calls["_orbit"] > 0, (t, f, d, w)
+        assert calls["_images"] == calls["_orbit"], (t, f, d, w)
 
 
 def test_profile_listing_equals_the_unpruned_walk():
@@ -388,8 +409,12 @@ ORBIT_SWEEP = [
 
 def test_orbit_skipping_search_finds_the_first_witness_of_the_full_walk():
     for t, f, d, w in ORBIT_SWEEP:
-        first = next(_labeled_witnesses(t, f, d, w), None)
-        expected = None if first is None else _expand_witness(ProblemInstance(t, f, d), *first)
+        if t >= 9:
+            # the brute-force walk, which stops at its first witness
+            expected = exhaustive_search_discreet(t, f, d, w)
+        else:
+            first = next(_labeled_witnesses(t, f, d, w), None)
+            expected = None if first is None else _expand_witness(ProblemInstance(t, f, d), *first)
         found = search_discreet(t, f, d, w)
         assert (found is None) == (expected is None), (t, f, d, w)
         if found is not None:
