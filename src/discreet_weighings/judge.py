@@ -148,13 +148,19 @@ def _parts(l: int, r: int, o: int, c: int) -> tuple:
     return tuple(ways)
 
 
-def _refine(vectors, split) -> dict:
+def _refine(vectors, split, table: dict) -> dict:
     """The child vectors of sparse class count `vectors` under one more
     weighing that routes class j's coins (l, r, o) = `split[j]`, bucketed
     by the sign that weighing shows.  A sparse vector lists (class, fakes)
     for each class that holds a fake, in class order.  Child classes are
     numbered per parent class by its nonempty L, O, R parts, which is
-    itinerary order, since "L" < "O" < "R"."""
+    itinerary order, since "L" < "O" < "R".
+
+    `table` holds the renumbered ways of a class with c fakes, keyed by
+    (its first child's number, l, r and o each clamped to c, c): those five
+    values fix the ways, so one table serves every call that shares it.
+    The caller owns it and frees it with its walk or fold; the search
+    passes one per walk and `consistent_count_vectors` one per fold."""
     bases = []
     base = 0
     for l, r, o in split:
@@ -169,12 +175,16 @@ def _refine(vectors, split) -> dict:
             if ways is None:
                 j, c = pair
                 l, r, o = split[j]
-                b = bases[j]
                 # no part holds more than c fakes, so clamping changes no way
-                clamped = _parts(l if l < c else c, r if r < c else c, o if o < c else c, c)
-                ways = placed[pair] = [
-                    (tuple([(b + i, x) for i, x in part]), delta) for part, delta in clamped
-                ]
+                key = (bases[j], l if l < c else c, r if r < c else c, o if o < c else c, c)
+                ways = table.get(key)
+                if ways is None:
+                    b, l, r, o, c = key
+                    ways = table[key] = [
+                        (tuple([(b + i, x) for i, x in part]), delta)
+                        for part, delta in _parts(l, r, o, c)
+                    ]
+                placed[pair] = ways
             partial = [(head + part, diff + delta) for head, diff in partial for part, delta in ways]
         for child, diff in partial:
             buckets[(diff > 0) - (diff < 0)].append(child)
@@ -194,8 +204,9 @@ def consistent_count_vectors(t: int, routing, codes, size: int) -> list:
     if not 0 <= size <= t:
         return []
     vectors = [((0, size),)] if size else [()]
+    table: dict = {}
     for split, code in zip(routing, codes):
-        vectors = _refine(vectors, split)[code]
+        vectors = _refine(vectors, split, table)[code]
         if not vectors:
             break
     return vectors

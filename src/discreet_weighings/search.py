@@ -19,13 +19,14 @@ outcomes.  A node that survives the size-f filter is a witness when it has
 no size-d vector.
 
 Every walk meets each orbit of nodes under reordering the weighings and
-swapping the pans of any of them once: a node skips the splits that a
-transform fixing it maps onto a lesser one, and an internal node is skipped
-when an earlier node maps onto it.  `search_discreet` returns the first
-witness, which is the unpruned walk's first.  The listings of every profile
-expand each orbit's witnesses into the labeled nodes the unpruned walk
-would meet and merge them back into its order, so they list the same
-profiles in the same order without walking each labeled node.
+swapping the pans of any of them once: a node skips a split when a
+transform fixing it maps a split it already walked onto that split or its
+mirror, and an internal node is skipped when an earlier node maps onto it.
+`search_discreet` returns the first witness, which is the unpruned walk's
+first.  The listings of every profile expand each orbit's witnesses into
+the labeled nodes the unpruned walk would meet and merge them back into its
+order, so they list the same profiles in the same order without walking
+each labeled node.
 
 Every result is relative to the weighing bound it was run with: exhausting
 the search certifies that no plan with at most `max_weighings` weighings
@@ -186,6 +187,8 @@ def _apply_split(classes, split):
 def _pinned_class(sizes, vectors) -> bool:
     """True when some class is pinned: never fake in any consistent sparse
     vector, or entirely fake in all of them."""
+    if sum(map(len, vectors)) < len(sizes):
+        return True  # too few (class, fakes) pairs for every class to hold one
     if any(c == sizes[j] for j, c in set(vectors[0]).intersection(*vectors)):
         return True
     return len(dict(itertools.chain.from_iterable(vectors))) < len(sizes)
@@ -275,32 +278,40 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     a witness when it has no size-d vector.
 
     Two more skips walk each orbit once, in the style of McKay's
-    isomorph-free generation.  A split is skipped unless it is the least,
-    in `_splits` order, among its images and their mirrors under the
-    node's stabiliser: the images give the same children up to a transform
-    that fixes the node, and the least of them is walked first.  An
-    internal node is skipped when an earlier node maps onto it.  One pass
-    over a node's images (`_orbit`), made when its parent keys it, gives
-    both its key and its stabiliser; the root is never keyed and has a
-    trivial stabiliser.  Neither skip changes the first witness: two nodes
-    of one orbit are never ancestor and descendant, so the earlier one's
-    subtree was walked in full before, and being pinned or a witness does
-    not depend on the order or the pans.  Later witnesses of an orbit
-    already met may be skipped; `_labeled_witnesses` restores them."""
+    isomorph-free generation.  The images of a split under the node's
+    stabiliser give the same children up to a transform that fixes the
+    node, and so do their mirrors.  Each split walked adds its images to a
+    set for the node (`covered`, mirrors left out), and a later split is
+    skipped when it or its mirror is in that set.  Splits come in
+    increasing order and the stabiliser is a group, so this walks exactly
+    the least split of each such family.  An internal node is skipped when
+    an earlier node maps onto it.  One pass over a node's images (`_orbit`),
+    made when its parent keys it, gives both its key and its stabiliser;
+    the root is never keyed and has a trivial stabiliser.  Neither skip
+    changes the first witness: two nodes of one orbit are never ancestor
+    and descendant, so the earlier one's subtree was walked in full before,
+    and being pinned or a witness does not depend on the order or the pans.
+    Later witnesses of an orbit already met may be skipped;
+    `_labeled_witnesses` restores them.
+
+    One ways table (`judge._refine`) serves every refinement of the walk,
+    so each class's ways are renumbered once per walk, not once per split."""
     seen: set = set()
+    table: dict = {}
 
     def recurse(classes, codes, vectors_f, vectors_d, moves):
         if len(codes) >= max_weighings:
             return
-        # each perm's inverse is in the group too, so indexing by perm
-        # walks the same images as routing class j's part to class perm[j]
+        covered: set = set()  # the images of the splits kept so far
         for split in _splits([n for _, n in classes]):
-            if any(
-                image < split or _mirror(image) < split
-                for image in (tuple(split[j] for j in perm) for perm in moves)
-            ):
-                continue
-            refined_f = _refine(vectors_f, split)
+            if moves:
+                if split in covered or _mirror(split) in covered:
+                    continue
+                # each perm's inverse is in the group too, so indexing by
+                # perm gives the same images as routing class j's part to
+                # class perm[j]
+                covered.update(tuple(map(split.__getitem__, perm)) for perm in moves)
+            refined_f = _refine(vectors_f, split, table)
             sizes = child = refined_d = None
             for code in _CODES:
                 child_f = refined_f[code]
@@ -321,7 +332,7 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
                         continue
                     seen.add(key)
                 if refined_d is None:
-                    refined_d = _refine(vectors_d, split)
+                    refined_d = _refine(vectors_d, split, table)
                 child_d = refined_d[code]
                 if not child_d:
                     yield child, child_codes

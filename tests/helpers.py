@@ -412,3 +412,20 @@ def exhaustive_search_discreet(t, f, d, max_weighings):
     for classes, codes in exhaustive_witnesses(t, f, d, max_weighings):
         return _expand_witness(ProblemInstance(t, f, d), classes, codes)
     return None
+
+
+def least_splits(splits, moves):
+    """The splits a search node walks, by the per-split image rule: with
+    `moves` the class permutations of the transforms fixing the node
+    (`perm[j]` is the class that class j maps to), a split is walked
+    unless a move, with or without swapping the pans, maps it onto a
+    lesser split.  Each move's inverse is a move too, so indexing the
+    split by a move gives the same images as routing by it."""
+    return [
+        split
+        for split in splits
+        if not any(
+            image < split or tuple((r, l, o) for l, r, o in image) < split
+            for image in (tuple(split[j] for j in perm) for perm in moves)
+        )
+    ]

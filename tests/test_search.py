@@ -36,6 +36,7 @@ from helpers import (
     exhaustive_search_discreet,
     exhaustive_witnesses,
     labeled_plans,
+    least_splits,
     random_plan,
 )
 
@@ -154,8 +155,11 @@ def _dense(vec, k):
 
 def test_refined_vectors_match_the_enumerator_on_random_splits():
     # a parent's size-f vectors, refined over every split (and its mirror),
-    # must be the child's vectors for each sign of the new weighing
+    # must be the child's vectors for each sign of the new weighing.  One
+    # ways table serves every split, mirror and parent, as one serves a
+    # whole search walk, so a table key that fixes too little shows here.
     rng = random.Random(9)
+    table: dict = {}
     for _ in range(60):
         w = rng.randint(0, 2)
         k = rng.randint(1, min(3**w, 4))
@@ -168,7 +172,7 @@ def test_refined_vectors_match_the_enumerator_on_random_splits():
         for split in _splits(sizes):
             for routed in (split, tuple((r, l, o) for l, r, o in split)):
                 child = _apply_split(classes, routed)
-                buckets = _refine(parent, routed)
+                buckets = _refine(parent, routed, table)
                 for sign in (0, 1, -1):
                     expected = brute_count_vectors(
                         [itin for itin, _ in child], [n for _, n in child], codes + (sign,), f
@@ -419,6 +423,76 @@ def test_orbit_skipping_search_finds_the_first_witness_of_the_full_walk():
         assert (found is None) == (expected is None), (t, f, d, w)
         if found is not None:
             assert found.to_json() == expected.to_json(), (t, f, d, w)
+
+
+def test_pinned_class_is_its_definition_on_random_vector_families():
+    # pinned: some class is in no vector, or full in every vector.  Sparse
+    # families of few vectors often hold fewer (class, fakes) pairs than
+    # there are classes, which the pigeonhole test decides alone
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(3000):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 6))]
+        density = rng.random()
+        vectors = [
+            tuple((j, rng.randint(1, n)) for j, n in enumerate(sizes) if rng.random() < density)
+            for _ in range(rng.randint(1, 4))
+        ]
+        columns = [[dict(vec).get(j, 0) for vec in vectors] for j in range(len(sizes))]
+        never = any(not any(column) for column in columns)
+        full = any(min(column) == n for column, n in zip(columns, sizes))
+        assert search._pinned_class(sizes, vectors) == (never or full), (sizes, vectors)
+        seen.add((sum(map(len, vectors)) < len(sizes), never, full))
+    # with too few pairs, and with enough: each way to be pinned, and not
+    assert {(True, True, False), (False, True, False), (False, False, True), (False, False, False)} <= seen
+
+
+def test_each_node_refines_the_splits_the_image_rule_keeps(monkeypatch):
+    # a node skips a split when a move maps an earlier kept split onto it
+    # or onto its mirror; that must keep exactly the splits no move maps
+    # onto a lesser one (`helpers.least_splits`).  The walk's size-f
+    # refinements are recorded: they carry f fakes, and a node's vectors
+    # are the bucket its parent's last refinement put them in.  The full
+    # walk at (10, 3, 2, 3) takes seconds, so it is followed to its first
+    # witness, and two cheaper three-weighing walks are followed in full.
+    real = search._refine
+    skipping = 0
+    for t, f, d, w in ORBIT_SWEEP + [(9, 2, 1, 3), (8, 2, 0, 3)]:
+        path = []  # [classes, codes, vectors, refined splits, last buckets] per node
+        nodes = []
+
+        def recording(vectors, split, table):
+            buckets = real(vectors, split, table)
+            if vectors and sum(c for _, c in vectors[0]) == f:
+                while path and path[-1][2] is not vectors:
+                    parent = path[-1]
+                    code = next((c for c, bucket in parent[4].items() if bucket is vectors), None)
+                    if code is None:
+                        path.pop()  # the parent's subtree is done
+                    else:
+                        child = _apply_split(parent[0], parent[3][-1])
+                        path.append([child, parent[1] + (code,), vectors, [], None])
+                        nodes.append(path[-1])
+                if not path:
+                    path.append([(("", t),), (), vectors, [], None])
+                    nodes.append(path[-1])
+                path[-1][3].append(split)
+                path[-1][4] = buckets
+            return buckets
+
+        monkeypatch.setattr(search, "_refine", recording)
+        cut = 1 if t == 10 else None
+        for _ in itertools.islice(search._iter_witnesses(t, f, d, w), cut):
+            pass
+        assert nodes and not nodes[0][1], (t, f, d, w)
+        if cut:  # the nodes on the path when the walk stopped are not done
+            nodes = [node for node in nodes if all(node is not open_node for open_node in path)]
+        for classes, codes, _vectors, refined, _buckets in nodes:
+            splits = _splits([n for _, n in classes])
+            expected = least_splits(splits, _orbit(classes, codes)[1] if codes else ())
+            assert refined == expected, (t, f, d, w, classes, codes)
+            skipping += len(expected) < len(splits)
+    assert skipping > 0
 
 
 @pytest.mark.parametrize(
