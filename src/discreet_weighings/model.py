@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -281,7 +282,7 @@ def coins_from_json(values, what: str) -> frozenset:
     listed = [_checked_int(c, f"coin index in {what}") for c in values]
     coins = frozenset(listed)
     if len(coins) < len(listed):
-        repeated = sorted(c for c in coins if listed.count(c) > 1)
+        repeated = sorted(c for c, n in Counter(listed).items() if n > 1)
         raise ValidationError(f"{what} lists coins {repeated} more than once")
     return coins
 

@@ -16,7 +16,8 @@ from scratch: they are its parent's vectors, each refined once over the
 new weighing's split by the judge's counting step (`judge._refine`) and
 bucketed by the sign that weighing shows, so one pass serves all three
 outcomes.  A node that survives the size-f filter is a witness when it has
-no size-d vector.
+no size-d vector.  A witness carries its size-f vectors, and its bundle's
+cases are read off them.
 
 Every walk meets each orbit of nodes under reordering the weighings and
 swapping the pans of any of them once: a node skips a split when a
@@ -26,7 +27,11 @@ mirror, and an internal node is skipped when an earlier node maps onto it.
 first.  The listings of every profile expand each orbit's witnesses into
 the labeled nodes the unpruned walk would meet and merge them back into its
 order, so they list the same profiles in the same order without walking
-each labeled node.
+each labeled node.  Each step of an expansion is labeled by its split of
+the classes before it (the judge's split rule, `judge._split`) and its
+code, which is where the walk meets it, so the merge is one sort by those
+labels.  The judge's counting step and split rule are all the search takes
+from the judge.
 
 Every result is relative to the weighing bound it was run with: exhausting
 the search certifies that no plan with at most `max_weighings` weighings
@@ -39,7 +44,7 @@ import itertools
 from dataclasses import dataclass
 from operator import add
 
-from .judge import _mirror, _refine, _routing, _split, consistent_count_vectors
+from .judge import _refine, _split
 from .metrics import CaseStructure, Pile
 from .model import (
     ITINERARY_SYMBOLS,
@@ -71,6 +76,7 @@ class ItineraryProfile:
         if not counts:
             raise ValueError("a profile needs at least one itinerary class")
         length = len(counts[0][0])
+        previous = None
         for itin, n in counts:
             if len(itin) != length:
                 raise ValueError("itineraries of mixed lengths")
@@ -78,9 +84,12 @@ class ItineraryProfile:
                 raise ValueError(f"itinerary {itin!r} has symbols outside L/R/O")
             if n < 1:
                 raise ValueError(f"class {itin!r} has count {n}")
-        sizes = [n for _, n in counts]
+            if itin == previous:  # sorted, so a repeat is adjacent
+                raise ValueError(f"itinerary {itin!r} is listed more than once")
+            previous = itin
         for pos in range(length):
-            ((left, right, _),) = _split([""] * len(counts), [itin[pos] for itin, _ in counts], sizes)
+            left = sum(n for itin, n in counts if itin[pos] == "L")
+            right = sum(n for itin, n in counts if itin[pos] == "R")
             if left != right or left < 1:
                 raise ValueError(f"weighing {pos}: pans hold {left} vs {right} coins")
 
@@ -131,6 +140,11 @@ def _checked_instance(t: int, f: int, d: int, max_weighings: int) -> ProblemInst
             f"got {max_weighings}"
         )
     return instance
+
+
+def _mirror(split) -> tuple:
+    """The split with the pans swapped."""
+    return tuple((r, l, o) for l, r, o in split)
 
 
 def _splits(sizes):
@@ -197,26 +211,28 @@ def _pinned_class(sizes, vectors) -> bool:
 def _images(classes, codes, keep):
     """Every image of a node under reordering its weighings and swapping the
     pans of any of them, which negates that weighing's code, as (each
-    class's image itinerary, in class order; the image codes).
+    class's image itinerary, in class order; the labels of its steps).
 
     Images are built one weighing at a time.  `keep(prefixes, column, code)`
-    says whether the next weighing may route the classes, whose image
+    labels the step where the next weighing routes the classes, whose image
     itineraries so far are `prefixes`, by `column` (a symbol per class) and
-    show `code`; every image it refuses is cut there."""
+    shows `code`.  It returns None to refuse the step, and every image it
+    refuses is cut there."""
     options = []
     for p, code in enumerate(codes):
         column = "".join(itin[p] for itin, _ in classes)
         options.append(((column, code), (conjugate(column), -code)))
 
-    def extend(prefixes, image_codes, left):
+    def extend(prefixes, labels, left):
         if not left:
-            yield prefixes, image_codes
+            yield prefixes, labels
             return
         for i, p in enumerate(left):
             rest = left[:i] + left[i + 1 :]
             for column, code in options[p]:
-                if keep(prefixes, column, code):
-                    yield from extend(tuple(map(add, prefixes, column)), image_codes + (code,), rest)
+                label = keep(prefixes, column, code)
+                if label is not None:
+                    yield from extend(tuple(map(add, prefixes, column)), labels + (label,), rest)
 
     yield from extend(("",) * len(classes), (), tuple(range(len(codes))))
 
@@ -225,11 +241,16 @@ def _walk_form(sizes):
     """An `_images` filter that keeps the images the unpruned walk meets:
     each weighing's split of the classes before it (`judge._split`) is at
     most its mirror, as `_splits` keeps them.  That is, the first of those
-    classes whose pans differ has the lighter left pan."""
+    classes whose pans differ has the lighter left pan.
 
-    def keep(prefixes, column, _code):
+    A kept step is labeled (its split, the rank of its code in `_CODES`).
+    An image's labels are where the walk meets it: the walk tries the splits
+    in `_splits` order and the codes in `_CODES` order, and yields each node
+    before its children, so it meets nodes in the order of their labels."""
+
+    def keep(prefixes, column, code):
         split = _split(prefixes, column, sizes)
-        return split <= _mirror(split)
+        return (split, _CODES.index(code)) if split <= _mirror(split) else None
 
     return keep
 
@@ -251,7 +272,11 @@ def _orbit(classes, codes):
     sizes = [n for _, n in classes]
     least = tuple(sorted(abs(code) for code in codes))
     key, reaching = None, []
-    for itins, _ in _images(classes, codes, lambda prefixes, _column, code: code == least[len(prefixes[0])]):
+
+    def showing_least(prefixes, _column, code):
+        return True if code == least[len(prefixes[0])] else None  # the labels go unused
+
+    for itins, _ in _images(classes, codes, showing_least):
         image = tuple(sorted(zip(itins, sizes)))
         if key is None or image < key:
             key, reaching = image, [itins]
@@ -267,7 +292,8 @@ def _orbit(classes, codes):
 def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     """Depth-first over (profile, outcome sequence) nodes, yielding a
     discreet-valid node of every orbit under reordering the weighings and
-    swapping pans, in a fixed order.
+    swapping pans, in a fixed order, as (classes, codes, its size-f
+    vectors).
 
     Each node carries its consistent size-f and size-d class vectors, in
     the judge's sparse form: a child's are exactly the refinements of its
@@ -292,7 +318,10 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     and descendant, so the earlier one's subtree was walked in full before,
     and being pinned or a witness does not depend on the order or the pans.
     Later witnesses of an orbit already met may be skipped;
-    `_labeled_witnesses` restores them.
+    `_labeled_witnesses` restores them.  A witness's size-f vectors are
+    the bucket of its parent's refinement that showed its last code, with
+    its classes numbered in itinerary order, as `_expand_witness` takes
+    them.
 
     One ways table (`judge._refine`) serves every refinement of the walk,
     so each class's ways are renumbered once per walk, not once per split."""
@@ -335,48 +364,45 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
                     refined_d = _refine(vectors_d, split, table)
                 child_d = refined_d[code]
                 if not child_d:
-                    yield child, child_codes
+                    yield child, child_codes, child_f
                 yield from recurse(child, child_codes, child_f, child_d, child_moves)
 
     yield from recurse((("", t),), (), [((0, f),)], [((0, d),)] if d else [()], ())
 
 
-def _walk_key(classes, codes) -> tuple:
-    """Where the unpruned walk meets a labeled node: per weighing, its split
-    of the classes before it (`judge._routing`) and then the rank of its code.
-    That is the order of a depth-first walk over the splits in `_splits`
-    order and the codes in `_CODES` order that yields each node before its
-    children."""
-    routing = _routing([itin for itin, _ in classes], [n for _, n in classes])
-    return tuple(zip(routing, map(_CODES.index, codes)))
-
-
 def _labeled_witnesses(t: int, f: int, d: int, max_weighings: int):
     """Yield every labeled witness node the unpruned walk yields, in its
-    order: each orbit's witnesses from `_iter_witnesses`, expanded over the
-    transforms whose every weighing is the form `_splits` keeps, and sorted
-    by where the walk meets them."""
-    expanded: set = set()
-    for classes, codes in _iter_witnesses(t, f, d, max_weighings):
+    order, as (classes, codes).  Each orbit's witnesses from
+    `_iter_witnesses` are expanded over the transforms whose every weighing
+    is the form `_splits` keeps, and sorted by the labels `_walk_form`
+    gives their steps.  A witness that an earlier expansion already
+    produced is not expanded again."""
+    expanded: dict = {}  # labeled node -> its labels
+    for classes, codes, _vectors in _iter_witnesses(t, f, d, max_weighings):
         if (classes, codes) not in expanded:
             sizes = [n for _, n in classes]
-            for itins, image_codes in _images(classes, codes, _walk_form(sizes)):
-                expanded.add((tuple(sorted(zip(itins, sizes))), image_codes))
-    yield from sorted(expanded, key=lambda node: _walk_key(*node))
+            for itins, labels in _images(classes, codes, _walk_form(sizes)):
+                node = (tuple(sorted(zip(itins, sizes))), tuple(_CODES[rank] for _, rank in labels))
+                expanded[node] = labels
+    yield from sorted(expanded, key=expanded.__getitem__)
 
 
-def _expand_witness(instance: ProblemInstance, classes, codes) -> StrategyBundle:
+def _expand_witness(instance: ProblemInstance, classes, codes, vectors) -> StrategyBundle:
+    """The bundle of a witness node: its profile's plan, the outcomes
+    `codes` and one case per consistent size-f sparse vector in `vectors`,
+    whose classes are numbered in itinerary order, as `_iter_witnesses`
+    yields them."""
     profile = ItineraryProfile(classes)
     symbols = [itin for itin, _ in profile.counts]
-    sizes = [n for _, n in profile.counts]
     ranges = profile.class_ranges()
-    found = map(dict, consistent_count_vectors(instance.t, _routing(symbols, sizes), codes, instance.f))
     # dense and sorted, so the cases are listed in lexicographic order
-    vectors = sorted(tuple(fakes.get(j, 0) for j in range(len(symbols))) for fakes in found)
+    dense = sorted(
+        tuple(fakes.get(j, 0) for j in range(len(symbols))) for fakes in map(dict, vectors)
+    )
     cases = CaseStructure(
         tuple(
             tuple(Pile(ranges[itin], c) for itin, c in zip(symbols, vec) if c)
-            for vec in vectors
+            for vec in dense
         )
     )
     return StrategyBundle(
@@ -396,8 +422,8 @@ def search_discreet(t: int, f: int, d: int, max_weighings: int):
     coin.  Returns a witness bundle, or None once the bounded space is
     exhausted (which says nothing about longer plans)."""
     instance = _checked_instance(t, f, d, max_weighings)
-    for classes, codes in _iter_witnesses(t, f, d, max_weighings):
-        return _expand_witness(instance, classes, codes)
+    for witness in _iter_witnesses(t, f, d, max_weighings):
+        return _expand_witness(instance, *witness)
     return None
 
 

@@ -213,13 +213,9 @@ def build_leftover_reveal(instance: ProblemInstance) -> StrategyBundle:
     base, extra = divmod(borrow_total, f)
     borrowed = []
     pools = []
+    # take <= ceil((d+1)/f) <= k - 1 by the check above, so each pile keeps a coin
     for i, pile in enumerate(piles):
         take = base + (1 if i < extra else 0)
-        _require(
-            take <= k - 1,
-            f"leftover-reveal cannot borrow {take} coins from a pile of {k} "
-            f"while keeping its fake hidden",
-        )
         coins = sorted(pile)
         borrowed.extend(coins[k - take :])
         pools.append(frozenset(coins[: k - take]))

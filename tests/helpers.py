@@ -350,6 +350,12 @@ def brute_count_vectors(symbols, sizes, codes, size):
     return found
 
 
+def sparse(vec):
+    """A dense class count vector in the library's sparse form: (class,
+    fakes) for each class that holds a fake, in class order."""
+    return tuple((j, c) for j, c in enumerate(vec) if c)
+
+
 def dense_count_vectors(symbols, sizes, codes, size):
     """The library's fold (`judge.consistent_count_vectors`) in the form
     `brute_count_vectors` gives: the classes in any order, and one dense
@@ -402,15 +408,23 @@ def exhaustive_witnesses(t, f, d, max_weighings):
     yield from walk((("", t),), ())
 
 
+def brute_witness_bundle(t, f, d, classes, codes):
+    """A witness node (classes, codes) expanded to the bundle
+    `search_discreet` gives, from its size-f vectors by brute force, so its
+    cases are checked against the enumerator, not the library's fold."""
+    from discreet_weighings import ProblemInstance
+    from discreet_weighings.search import _expand_witness
+
+    vectors = brute_count_vectors([itin for itin, _ in classes], [n for _, n in classes], codes, f)
+    return _expand_witness(ProblemInstance(t, f, d), classes, codes, [sparse(vec) for vec in vectors])
+
+
 def exhaustive_search_discreet(t, f, d, max_weighings):
     """The first witness of `exhaustive_witnesses`, expanded to the same
     bundle as `search_discreet`, or None: a pruning rule that drops a
     witness shows up as a different (or missing) first witness."""
-    from discreet_weighings import ProblemInstance
-    from discreet_weighings.search import _expand_witness
-
     for classes, codes in exhaustive_witnesses(t, f, d, max_weighings):
-        return _expand_witness(ProblemInstance(t, f, d), classes, codes)
+        return brute_witness_bundle(t, f, d, classes, codes)
     return None
 
 

@@ -1,7 +1,10 @@
 """The examples in the documentation run and print what they say."""
 
+import ast
 import contextlib
+import dataclasses
 import doctest
+import importlib
 import io
 import re
 import types
@@ -12,6 +15,7 @@ import discreet_weighings.judge
 import discreet_weighings.metrics
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(discreet_weighings.__file__).resolve().parent
 
 
 def test_judge_docstring_examples():
@@ -97,3 +101,46 @@ def test_readme_quick_start_prints_what_its_comments_say():
     assert len(printed) == len(comments)
     for text, comment in zip(printed, comments):
         assert comment.startswith(text), (text, comment)
+
+
+def _package_names() -> set:
+    """Every name defined in a package module or in one of its classes,
+    dataclass fields included."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        module = importlib.import_module(f"discreet_weighings.{path.stem}")
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                names.update(vars(value))
+                if dataclasses.is_dataclass(value):
+                    names.update(field.name for field in dataclasses.fields(value))
+        names.update(vars(module))
+    return names
+
+
+def _docs():
+    """(where, text) for README.md and each docstring of a package module,
+    class or function, nested functions included."""
+    yield "README.md", (ROOT / "README.md").read_text()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node)
+                if doc:
+                    yield f"{path.name}:{getattr(node, 'name', 'module')}", doc
+
+
+def test_backticked_private_names_in_the_docs_exist():
+    # a doc that names a deleted helper, such as `_walk_key`, fails here
+    names = _package_names()
+    stale = []
+    checked = 0
+    for where, text in _docs():
+        for match in re.finditer(r"(`+)(.+?)\1", text, re.S):
+            lead = re.match(r"[A-Za-z_][\w.]*", match.group(2))
+            name = lead.group(0).rsplit(".", 1)[-1] if lead else ""
+            if name.startswith("_"):
+                checked += 1
+                if name not in names:
+                    stale.append((where, lead.group(0)))
+    assert checked > 0 and not stale, stale

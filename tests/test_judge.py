@@ -463,3 +463,44 @@ def test_uniform_guess_matches_brute_force_on_random_plans():
                 with pytest.raises(ValueError):
                     uniform_best_guess(t, s, transcript)
 
+
+
+def _negated(transcript):
+    """The transcript with every outcome negated."""
+    return Transcript(transcript.plan, tuple(Outcome.from_sign(-o.sign) for o in transcript.outcomes))
+
+
+def _assert_complement_duality(transcript):
+    # a set is consistent with T exactly when its complement is with T
+    # negated, since both pans of every weighing hold as many coins.  So
+    # the coins in no size-s set on T are those in every size-(t - s) set
+    # on the negation, and the other way round
+    t = transcript.plan.t
+    dual = _negated(transcript)
+    for s in range(t + 1):
+        assert count_consistent(t, s, transcript) == count_consistent(t, t - s, dual), s
+        if count_consistent(t, s, transcript):
+            tally, dual_tally = judge._tally(t, transcript, s), judge._tally(t, dual, t - s)
+            assert tally.privacy().revealed_real == dual_tally.privacy().revealed_fake, s
+            assert tally.privacy().revealed_fake == dual_tally.privacy().revealed_real, s
+
+
+def test_complement_duality_on_random_plans():
+    rng = random.Random(21)
+    for trial in range(150):
+        t = rng.randint(2, 12)
+        plan = random_plan(rng, t, rng.randint(1, 4))
+        if trial % 2:
+            transcript = simulate_transcript(plan, random_fakes(rng, t, rng.randint(0, t)))
+        else:  # any outcomes at all, even ones no fake set shows
+            transcript = Transcript(plan, tuple(rng.choice(list(Outcome)) for _ in plan.weighings))
+        _assert_complement_duality(transcript)
+
+
+@pytest.mark.parametrize(
+    # equal-piles needs its pile count to divide both 80 and 3
+    "build", [build_official, build_triple_case, build_leftover_reveal, build_reference_pile],
+    ids=["official", "triple-case", "leftover-reveal", "reference-pile"],
+)
+def test_complement_duality_on_the_builtin_transcripts(build):
+    _assert_complement_duality(build(ProblemInstance(80, 3, 2)).transcript())

@@ -22,6 +22,7 @@ from discreet_weighings import (
     transcript_to_json,
     validate_plan,
 )
+from discreet_weighings.model import coins_from_json
 from helpers import itinerary_groups, many_class_plan, random_fakes, random_plan
 
 HALVES = Weighing(frozenset(range(40)), frozenset(range(40, 80)))
@@ -271,6 +272,17 @@ def test_plan_json_round_trip():
     data = transcript_to_json(transcript)
     assert data["outcomes"] == [o.value for o in transcript.outcomes]
     assert transcript_from_json(data) == transcript
+
+
+def test_coins_from_json_reports_each_repeated_coin_once_in_order():
+    # found in one pass: counting every coin's copies on its own took time
+    # quadratic in the list's length
+    listed = list(range(100_000)) + [99_999, 7, 7, 512, 7]
+    random.Random(3).shuffle(listed)
+    with pytest.raises(ValidationError) as exc:
+        coins_from_json(listed, "placement")
+    assert str(exc.value) == "placement lists coins [7, 512, 99999] more than once"
+    assert coins_from_json(list(range(100_000)), "placement") == frozenset(range(100_000))
 
 
 def test_malformed_json_rejected():

@@ -14,14 +14,15 @@ from discreet_weighings import (
     search_discreet,
     verify_proof,
 )
-from discreet_weighings import search
-from discreet_weighings.judge import _mirror, _refine, _split
+from discreet_weighings import judge, search
+from discreet_weighings.judge import _refine, _split
 from discreet_weighings.model import conjugate, itinerary_of
 from discreet_weighings.search import (
     ItineraryProfile,
+    _CODES,
     _apply_split,
-    _expand_witness,
     _labeled_witnesses,
+    _mirror,
     _orbit,
     _splits,
     _walk_form,
@@ -33,11 +34,13 @@ from helpers import (
     brute_count_vectors,
     brute_discreet_instances,
     brute_optimal_pairs,
+    brute_witness_bundle,
     exhaustive_search_discreet,
     exhaustive_witnesses,
     labeled_plans,
     least_splits,
     random_plan,
+    sparse,
 )
 
 SEARCHES = {"pruned": search_discreet, "exhaustive": exhaustive_search_discreet}
@@ -142,10 +145,6 @@ def test_pruned_and_exhaustive_searches_agree(t, f, d):
         assert pruned.placement == exhaustive.placement
 
 
-def _sparse(vec):
-    return tuple((j, c) for j, c in enumerate(vec) if c)
-
-
 def _dense(vec, k):
     dense = [0] * k
     for j, c in vec:
@@ -168,7 +167,7 @@ def test_refined_vectors_match_the_enumerator_on_random_splits():
         classes = tuple(zip(symbols, sizes))
         codes = tuple(rng.choice((0, 1, -1)) for _ in range(w))
         f = rng.randint(0, sum(sizes))
-        parent = [_sparse(vec) for vec in brute_count_vectors(symbols, sizes, codes, f)]
+        parent = [sparse(vec) for vec in brute_count_vectors(symbols, sizes, codes, f)]
         for split in _splits(sizes):
             for routed in (split, tuple((r, l, o) for l, r, o in split)):
                 child = _apply_split(classes, routed)
@@ -234,7 +233,8 @@ def test_split_and_mirror_count_each_prefix_class_on_each_pan():
 
 def test_walk_form_keeps_the_images_with_the_lighter_left_pan_first():
     # per weighing, the first class before it (in prefix order) whose pans
-    # hold different numbers of coins must have the lighter left pan
+    # hold different numbers of coins must have the lighter left pan.  A
+    # kept step is labeled by the per-class pan loads and the code's rank
     rng = random.Random(14)
     for _ in range(3000):
         w = rng.randint(0, 3)
@@ -242,31 +242,33 @@ def test_walk_form_keeps_the_images_with_the_lighter_left_pan_first():
         prefixes = ["".join(rng.choice("LRO") for _ in range(w)) for _ in range(k)]
         column = [rng.choice("LRO") for _ in range(k)]
         sizes = [rng.randint(1, 3) for _ in range(k)]
+        code = rng.choice(_CODES)
         loads: dict = {}
         for prefix, symbol, n in zip(prefixes, column, sizes):
             pans = loads.setdefault(prefix, {"L": 0, "R": 0, "O": 0})
             pans[symbol] += n
         differing = [pans for _, pans in sorted(loads.items()) if pans["L"] != pans["R"]]
-        expected = not differing or differing[0]["L"] < differing[0]["R"]
-        assert _walk_form(sizes)(prefixes, column, 0) == expected, (prefixes, column, sizes)
+        split = tuple((pans["L"], pans["R"], pans["O"]) for _, pans in sorted(loads.items()))
+        expected = None
+        if not differing or differing[0]["L"] < differing[0]["R"]:
+            expected = (split, _CODES.index(code))
+        assert _walk_form(sizes)(prefixes, column, code) == expected, (prefixes, column, sizes)
 
 
-def test_search_counts_size_f_vectors_only_for_the_witness(monkeypatch):
+def test_search_takes_only_the_refinement_step_and_split_rule_from_the_judge():
     # the walk refines its parents' size-f and size-d vectors and never
-    # recounts them; the judge is asked only to expand the witness
-    sizes = []
-    real = search.consistent_count_vectors
-
-    def counted(t, routing, codes, size):
-        sizes.append(size)
-        return real(t, routing, codes, size)
-
-    monkeypatch.setattr(search, "consistent_count_vectors", counted)
-    assert search_discreet(8, 2, 0, 3) is None
-    assert sizes == []
-
-    assert search_discreet(9, 2, 1, 2) is not None
-    assert sizes == [2]
+    # recounts them, and the witness bundle is built from the vectors the
+    # walk carried to it: no fold from scratch, not even for the witness
+    taken = {
+        name
+        for name, value in vars(search).items()
+        if getattr(value, "__module__", None) == judge.__name__
+    }
+    assert taken == {"_refine", "_split"}
+    for t, f, d, w in ((9, 2, 1, 2), (4, 2, 3, 3), (10, 3, 2, 3)):
+        classes, codes, _vectors = next(search._iter_witnesses(t, f, d, w))
+        expected = brute_witness_bundle(t, f, d, classes, codes)
+        assert search_discreet(t, f, d, w).to_json() == expected.to_json(), (t, f, d, w)
 
 
 def _image(itin, order, swapped):
@@ -418,7 +420,7 @@ def test_orbit_skipping_search_finds_the_first_witness_of_the_full_walk():
             expected = exhaustive_search_discreet(t, f, d, w)
         else:
             first = next(_labeled_witnesses(t, f, d, w), None)
-            expected = None if first is None else _expand_witness(ProblemInstance(t, f, d), *first)
+            expected = None if first is None else brute_witness_bundle(t, f, d, *first)
         found = search_discreet(t, f, d, w)
         assert (found is None) == (expected is None), (t, f, d, w)
         if found is not None:
@@ -544,6 +546,9 @@ def test_profile_validation():
         ItineraryProfile((("L", 1), ("RR", 1)))  # mixed lengths
     with pytest.raises(ValueError):
         ItineraryProfile((("LX", 1), ("RO", 1)))
+    # the pans hold 2 v 2, but the plan would leave a coin on neither pan
+    with pytest.raises(ValueError, match="'L' is listed more than once"):
+        ItineraryProfile((("L", 1), ("L", 1), ("R", 2)))
     profile = ItineraryProfile((("L", 2), ("R", 2), ("O", 1)))
     assert profile.t == 5 and profile.num_weighings == 1
 
@@ -645,3 +650,21 @@ def test_optimal_pairs_match_closed_forms():
     for t in [*range(4, 121), 200, 401]:
         if t not in (5, 7):
             assert optimal_f2_new_possibilities(t) == closed_form_optimum(t)
+
+
+def test_complement_duality_of_the_search():
+    # the complement of a consistent size-f set is a consistent size-(t - f)
+    # set of the negated transcript, and privacy is kept, so a profile has
+    # a discreet proof for (t, f, d) exactly when it has one for
+    # (t, t - f, t - d)
+    instances = [
+        (t, f, d, w) for w in (1, 2) for t in range(2, 8) for f in range(1, t) for d in range(t + 1) if d != f
+    ] + [(4, 2, 1, 3), (5, 3, 1, 3), (6, 2, 1, 3), (6, 3, 1, 3), (7, 3, 2, 3), (7, 4, 1, 3)]
+    found = 0
+    for t, f, d, w in instances:
+        profiles = set(all_discreet_profiles(t, f, d, w))
+        assert profiles == set(all_discreet_profiles(t, t - f, t - d, w)), (t, f, d, w)
+        exhausted = search_discreet(t, f, d, w) is None
+        assert exhausted == (search_discreet(t, t - f, t - d, w) is None) == (not profiles), (t, f, d, w)
+        found += not exhausted
+    assert found >= 30  # 38 of the 230
