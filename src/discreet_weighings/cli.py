@@ -4,6 +4,9 @@ Subcommands: construct, verify, metrics, guess, search, reproduce.  JSON is
 the machine format; pass --human where available for a readable rendering.
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 141 when the reader closes standard output early (as `| head` does).
+
+`_evaluate` turns every proof into its report, and `reproduce` reads its
+rows off the reports that `construct` prints.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .model import (
     simulate_transcript,
     transcript_for_plan,
 )
-from .reference import SEARCH_BOUND_NOTE, run_reference_checks
 from .search import search_discreet
 from .strategies import BUILDERS, ConstructionError, build_equal_piles
 
@@ -81,8 +83,15 @@ def _evaluate(instance, transcript, placement, name, cases=None):
     return report, 0
 
 
-def _frac(data) -> str:
-    return str(Fraction(data["num"], data["den"]))
+def _bundle_report(bundle):
+    """`_evaluate` of a built strategy's proof."""
+    return _evaluate(
+        bundle.instance, bundle.transcript(), bundle.placement, bundle.name, bundle.cases
+    )
+
+
+def _frac(data) -> Fraction:
+    return Fraction(data["num"], data["den"])
 
 
 def _render_report(report) -> str:
@@ -117,7 +126,7 @@ def _render_report(report) -> str:
         )
         if "minimax" in report["guess"]:
             minimax = report["guess"]["minimax"]
-            mix = ", ".join(_frac(p) for p in minimax["distribution"])
+            mix = ", ".join(str(_frac(p)) for p in minimax["distribution"])
             lines.append(
                 f"minimax    value {_frac(minimax['value'])} at case distribution ({mix})"
             )
@@ -132,10 +141,7 @@ def _emit(args, report) -> None:
 
 
 def _cmd_construct(args) -> int:
-    bundle = _bundle_from_args(args)
-    report, code = _evaluate(
-        bundle.instance, bundle.transcript(), bundle.placement, bundle.name, bundle.cases
-    )
+    report, code = _bundle_report(_bundle_from_args(args))
     _emit(args, report)
     return code
 
@@ -182,12 +188,9 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_guess(args) -> int:
-    bundle = _bundle_from_args(args)
-    report, code = _evaluate(
-        bundle.instance, bundle.transcript(), bundle.placement, bundle.name, bundle.cases
-    )
+    report, code = _bundle_report(_bundle_from_args(args))
     if code:
-        raise InvalidProofError(f"{bundle.name} did not produce a valid proof")
+        raise InvalidProofError(f"{report['strategy']} did not produce a valid proof")
     out = {"strategy": report["strategy"], "instance": report["instance"], **report["guess"]}
     print(json.dumps(out, indent=2))
     return 0
@@ -205,6 +208,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    # imported here, since `reference` builds its rows from this module's reports
+    from .reference import SEARCH_BOUND_NOTE, run_reference_checks
+
     rows = run_reference_checks(args.filter)
     if not rows:
         print(f"error: no reference checks match filter {args.filter!r}", file=sys.stderr)

@@ -131,6 +131,8 @@ class CaseStructure:
             totals.add(sum(p.fakes for p in case))
         if len(totals) != 1:
             raise ValueError(f"cases disagree on the total fake count: {totals}")
+        if totals == {0}:  # no coin at risk leaves the minimax unbounded
+            raise ValueError("a case structure needs at least one fake")
 
     def to_json(self) -> dict:
         return {

@@ -118,6 +118,10 @@ class Transcript:
                 f"{len(self.outcomes)} outcomes for "
                 f"{len(self.plan.weighings)} weighings"
             )
+        stray = [o for o in self.outcomes if type(o) is not Outcome]
+        if stray:
+            # a string or a sign would fail later, deep in the judge
+            raise ValidationError(f"outcomes must be Outcome members, got {stray[0]!r}")
 
     def __reduce__(self):
         # a copy or an unpickled transcript starts with an empty memo
@@ -153,7 +157,13 @@ def _weighing_problems(weighing: Weighing, t) -> list[str]:
 
 
 def validate_plan(plan: WeighingPlan) -> list[str]:
-    """Return all structural violations of the plan; empty means valid."""
+    """Return all structural violations of the plan; empty means valid.  A
+    coin count that is not an int is the only problem reported, since the
+    weighings cannot be range-checked against it."""
+    try:
+        _checked_int(plan.t, "coin count")
+    except ValidationError as exc:
+        return [str(exc)]
     problems = [f"coin count must be positive, got t={plan.t}"] if plan.t < 1 else []
     for i, w in enumerate(plan.weighings):
         problems += [f"weighing {i}: {p}" for p in _weighing_problems(w, plan.t)]

@@ -1,12 +1,20 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import discreet_weighings
 from discreet_weighings import BUILDERS, ProblemInstance, build_leftover_reveal, build_official
-from discreet_weighings import judge
+from discreet_weighings import cli, judge
 from discreet_weighings.cli import main
 from discreet_weighings.model import plan_to_json
+from discreet_weighings.reference import run_reference_checks
+
+PACKAGE = Path(discreet_weighings.__file__).resolve().parent
 
 
 def run_cli(capsys, *argv):
@@ -276,6 +284,40 @@ def test_reproduce_human_filter(capsys):
     assert "all" in out and "passed" in out
 
 
+def test_reproduce_reads_the_reports_construct_prints(monkeypatch):
+    # one more survivor in the report moves exactly the rows that show its
+    # exact factor or coefficient; a second judging pipeline would not see it
+    revealing_metrics = cli.revealing_metrics
+    monkeypatch.setattr(
+        cli, "revealing_metrics", lambda t, f, new: revealing_metrics(t, f, new + 1)
+    )
+    failed = [row.id for row in run_reference_checks() if not row.passed]
+    assert failed == [
+        "equal-piles-2-factor",
+        "equal-piles-2-coefficient",
+        "official-factor",
+        "reference-factor",
+    ]
+
+
+def test_each_module_imports_on_its_own():
+    # one fresh interpreter per module, so that an import cycle (cli and
+    # reference import each other) fails whichever module is loaded first
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", f"import discreet_weighings.{module}"],
+            stderr=subprocess.PIPE, env=env,
+        )
+        for module in modules
+    ]
+    for module, proc in zip(modules, procs):
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, (module, err.decode())
+    assert {"cli", "reference"} <= set(modules)
+
+
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
 def test_reproduce_unmatched_filter(capsys, mode):
     code, out, err = run_cli(capsys, "reproduce", *mode, "--filter", "no-such-check")
@@ -378,14 +420,7 @@ def test_construct_large_instance_counts_without_listing(capsys):
 
 
 def test_closed_stdout_exits_quietly():
-    import os
-    import subprocess
-    import sys
-
-    import discreet_weighings
-
-    src = os.path.dirname(os.path.dirname(discreet_weighings.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.Popen(
         [sys.executable, "-m", "discreet_weighings.cli",
          "construct", "official", "--t", "80", "--f", "3", "--d", "2"],

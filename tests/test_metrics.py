@@ -132,6 +132,9 @@ def test_pile_and_case_structure_validation():
             Pile(frozenset({0, 1}), fakes)
     with pytest.raises(ValueError):
         CaseStructure(())
+    for cases in (((),), ((), ())):  # no case puts a coin at risk
+        with pytest.raises(ValueError, match="at least one fake"):
+            CaseStructure(cases)
     with pytest.raises(ValueError):  # overlapping piles within one case
         CaseStructure(((Pile(frozenset({0, 1})), Pile(frozenset({1, 2}))),))
     with pytest.raises(ValueError):  # cases disagree on the fake total

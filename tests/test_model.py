@@ -108,6 +108,14 @@ def test_transcript_length_must_match_plan():
         Transcript(plan, (Outcome.BALANCED, Outcome.BALANCED))
 
 
+@pytest.mark.parametrize("outcome", ["balanced", 1, None])
+def test_transcript_outcomes_must_be_outcomes(outcome):
+    # neither strings nor signs are coerced; they would fail later in the judge
+    plan = WeighingPlan(4, (Weighing({0}, {1}),))
+    with pytest.raises(ValidationError, match="^outcomes must be Outcome members"):
+        Transcript(plan, (outcome,))
+
+
 def test_itinerary_basics():
     plan = WeighingPlan(4, (Weighing({0}, {1}), Weighing({0}, {2})))
     assert itinerary_of(plan, 0) == "LL"
@@ -237,6 +245,18 @@ def test_validate_plan_reports():
     assert validate_plan(WeighingPlan(1, (mixed,))) == [
         f"weighing 0: {p}" for p in expected + ["coins [True, 3] outside 0..0"]
     ]
+
+    # a coin count that is not an int is the plan's only problem, and every
+    # entry point that validates the plan refuses it
+    pair = (Weighing({0}, {1}),)
+    for t, shown in (("4", '"4"'), (4.0, "4.0"), (True, "true"), (None, "null")):
+        plan = WeighingPlan(t, pair)
+        message = f"coin count must be an integer, got {shown}"
+        assert validate_plan(plan) == [message]
+        for call in (lambda: simulate_transcript(plan, [0]), lambda: partition_by_itinerary(plan)):
+            with pytest.raises(ValidationError) as caught:
+                call()
+            assert str(caught.value) == message
 
 
 def test_relabeling_coins_preserves_outcomes():

@@ -657,9 +657,15 @@ def test_complement_duality_of_the_search():
     # set of the negated transcript, and privacy is kept, so a profile has
     # a discreet proof for (t, f, d) exactly when it has one for
     # (t, t - f, t - d)
+    # reproduce's impossible-one-real instances are the duals of its
+    # impossible-one-fake instances with t >= 3
+    one_fake = {(t, 1, d) for t in range(3, 7) for d in range(t + 1) if d != 1}
+    one_real = {(t, t - 1, d) for t in range(3, 7) for d in range(t + 1) if d != t - 1}
+    assert one_real == {(t, t - f, t - d) for t, f, d in one_fake}
     instances = [
         (t, f, d, w) for w in (1, 2) for t in range(2, 8) for f in range(1, t) for d in range(t + 1) if d != f
     ] + [(4, 2, 1, 3), (5, 3, 1, 3), (6, 2, 1, 3), (6, 3, 1, 3), (7, 3, 2, 3), (7, 4, 1, 3)]
+    instances += [(t, f, d, 3) for t, f, d in sorted(one_real)]
     found = 0
     for t, f, d, w in instances:
         profiles = set(all_discreet_profiles(t, f, d, w))
@@ -667,4 +673,4 @@ def test_complement_duality_of_the_search():
         exhausted = search_discreet(t, f, d, w) is None
         assert exhausted == (search_discreet(t, t - f, t - d, w) is None) == (not profiles), (t, f, d, w)
         found += not exhausted
-    assert found >= 30  # 38 of the 230
+    assert found >= 30  # 38 of the 248
