@@ -196,8 +196,9 @@ def simulate_transcript(plan: WeighingPlan, fakes: Iterable) -> Transcript:
 
 def itinerary_of(plan: WeighingPlan, coin: int) -> str:
     """The coin's path through the plan: one of L/R/O per weighing."""
-    if not 0 <= _checked_int(coin, "coin") < plan.t:
-        raise ValidationError(f"coin {coin} outside 0..{plan.t - 1}")
+    t = _checked_int(plan.t, "coin count")
+    if not 0 <= _checked_int(coin, "coin") < t:
+        raise ValidationError(f"coin {coin} outside 0..{t - 1}")
     symbols = []
     for w in plan.weighings:
         if coin in w.left:

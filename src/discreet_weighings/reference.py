@@ -163,7 +163,7 @@ def run_reference_checks(name_filter: str | None = None) -> list:
     add("equal-piles-2of4-coefficient", "metrics", "80-4-3 two piles: revealing coefficient ~0.615",
         0.615, lambda: e2["metrics"]["R"]["approx"])
 
-    # impossibility sweeps (bounded: plans of at most 3 weighings)
+    # impossibility sweeps, each bounded by the weighings its row states
     add("impossible-3-5-7", "search", "no discreet plan within 3 weighings for (3,2,1), (5,2,1), (7,2,1)",
         "exhausted", lambda: _search_result((t, 2, 1, 3) for t in (3, 5, 7)))
     add("impossible-one-fake", "search", "no discreet plan within 3 weighings for one fake, t <= 6",
@@ -178,6 +178,8 @@ def run_reference_checks(name_filter: str | None = None) -> list:
         ))
     add("impossible-2-0", "search", "no discreet plan within 3 weighings proving 2 fakes against 0, t <= 8",
         "exhausted", lambda: _search_result((t, 2, 0, 3) for t in range(3, 9)))
+    add("impossible-2-0-w4", "search", "no discreet plan within 4 weighings proving 2 fakes against 0, t <= 9",
+        "exhausted", lambda: _search_result((t, 2, 0, 4) for t in range(3, 10)))
     add("witness-9-coins", "search", "discreet plan exists for (9,2,1) within 2 weighings",
         "witness found", lambda: _search_result([(9, 2, 1, 2)]))
 

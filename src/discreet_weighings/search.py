@@ -33,6 +33,17 @@ code, which is where the walk meets it, so the merge is one sort by those
 labels.  The judge's counting step and split rule are all the search takes
 from the judge.
 
+A walk also remembers the states it has shown to hold no witness below
+them, as nogood recording does.  A node's state is its depth, its class
+sizes and its sets of size-f and size-d vectors, which are all that decide
+whether a witness lies below it.  A node whose state failed before is
+skipped with its subtree.  A state is recorded when its node's subtree
+yielded nothing and the walk has yielded no witness yet.  Until then every
+skip, by pin, orbit or state, passes over a subtree that holds no witness,
+by induction over the walk, so a subtree that yielded nothing holds none.
+After the first witness an orbit skip may pass over witnesses met earlier,
+so no state is recorded; the first witness and the listings are unchanged.
+
 Every result is relative to the weighing bound it was run with: exhausting
 the search certifies that no plan with at most `max_weighings` weighings
 works, nothing more.
@@ -289,6 +300,22 @@ def _orbit(classes, codes):
     return (least, key), moves
 
 
+def _state(classes, codes, vectors_f, vectors_d):
+    """A search node's state: its depth, its class sizes and its sets of
+    size-f and size-d sparse vectors.  Whether a witness lies strictly below
+    a node depends on nothing else: the splits below it are chosen by its
+    sizes, its children's vectors are refinements of its own, and the pin
+    and witness tests read only sizes and vectors.  Itineraries matter only
+    to the orbit skip, which never changes whether a subtree holds one.
+
+    The depth sets how many weighings are left; without it, nodes in one
+    state at (6, 3, 1, 3) disagree.  The size-d vectors decide which
+    descendants are witnesses.  A state without them showed no disagreement
+    for t <= 7 at 2 and 3 weighings, but the argument above needs them, so
+    they stay."""
+    return len(codes), tuple(n for _, n in classes), frozenset(vectors_f), frozenset(vectors_d)
+
+
 def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     """Depth-first over (profile, outcome sequence) nodes, yielding a
     discreet-valid node of every orbit under reordering the weighings and
@@ -324,12 +351,32 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     them.
 
     One ways table (`judge._refine`) serves every refinement of the walk,
-    so each class's ways are renumbered once per walk, not once per split."""
+    so each class's ways are renumbered once per walk, not once per split.
+
+    The walk also remembers failed states, as nogood recording does
+    (Dechter 1990; Schiex and Verfaillie 1994): an internal node whose state
+    (`_state`) is in `failed` is skipped, subtree and all, when it is
+    entered.  That is after its parent keyed it, since the state needs the
+    node's size-d vectors, which are refined only for nodes the key skip
+    keeps.  A state is recorded when its node's subtree has been walked and
+    the walk has yielded no witness yet.  That is sound for the first
+    witness and for the listings alike.  Before the first witness, every
+    skip inside a walked subtree, by pin, image, key or state, passed over
+    a subtree that holds no witness, by induction over the walk.  So a
+    subtree that yielded nothing truly holds none, and neither does any
+    node in the same state.  After the first witness no state is recorded,
+    since a key skip may then pass over an orbit with witnesses."""
     seen: set = set()
+    failed: set = set()  # states whose subtrees hold no witness
     table: dict = {}
+    found = False  # whether the walk has yielded a witness
 
     def recurse(classes, codes, vectors_f, vectors_d, moves):
+        nonlocal found
         if len(codes) >= max_weighings:
+            return
+        state = _state(classes, codes, vectors_f, vectors_d)
+        if state in failed:
             return
         covered: set = set()  # the images of the splits kept so far
         for split in _splits([n for _, n in classes]):
@@ -364,8 +411,11 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
                     refined_d = _refine(vectors_d, split, table)
                 child_d = refined_d[code]
                 if not child_d:
+                    found = True
                     yield child, child_codes, child_f
                 yield from recurse(child, child_codes, child_f, child_d, child_moves)
+        if not found:
+            failed.add(state)
 
     yield from recurse((("", t),), (), [((0, f),)], [((0, d),)] if d else [()], ())
 

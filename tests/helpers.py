@@ -6,6 +6,7 @@ paths are checked against.  `dense_count_vectors` is not one: it shows the
 library's fold in the form `brute_count_vectors` gives.
 """
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -381,12 +382,6 @@ def exhaustive_witnesses(t, f, d, max_weighings):
     every node with a discreet valid proof."""
     from discreet_weighings.search import _apply_split, _splits
 
-    def discreet(sizes, vectors_f):
-        return all(
-            any(vec[j] for vec in vectors_f) and any(vec[j] < n for vec in vectors_f)
-            for j, n in enumerate(sizes)
-        )
-
     def walk(classes, codes):
         if len(codes) >= max_weighings:
             return
@@ -406,6 +401,63 @@ def exhaustive_witnesses(t, f, d, max_weighings):
                 yield from walk(child, child_codes)
 
     yield from walk((("", t),), ())
+
+
+def discreet(sizes, vectors_f):
+    """Whether no class is pinned by the dense size-f vectors: each class
+    holds a fake in some vector and a real coin in some vector."""
+    return all(
+        any(vec[j] for vec in vectors_f) and any(vec[j] < n for vec in vectors_f)
+        for j, n in enumerate(sizes)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _spreads(c, l, r, o):
+    """Every way to put c fakes into parts of l, r and o coins, as (the fakes
+    of the nonempty parts in L, O, R order, left fakes less right fakes)."""
+    return [
+        (tuple(x for x, n in ((a, l), (c - a - b, o), (b, r)) if n), a - b)
+        for a in range(min(l, c) + 1)
+        for b in range(min(r, c - a) + 1)
+        if c - a - b <= o
+    ]
+
+
+def unpruned_nodes(t, max_weighings):
+    """Every node of the unpruned walk, for every fake count at once, in the
+    walk's order, as (classes, codes, parent index, vectors): `vectors[s]`
+    lists the dense size-s class count vectors that show `codes`, each a
+    parent's vector spread over its classes' parts in every way and kept
+    when its pans show the last code.  A node that no fake set shows is
+    left out.  So is the subtree of a node pinned for every f in 1..t-1
+    (`discreet` false), since a pinned class stays pinned below it."""
+    from discreet_weighings.search import _apply_split, _splits
+
+    nodes = []
+
+    def walk(classes, codes, vectors, parent):
+        index = len(nodes)
+        nodes.append((classes, codes, parent, vectors))
+        sizes = [n for _, n in classes]
+        if len(codes) == max_weighings or not any(discreet(sizes, vectors.get(f, ())) for f in range(1, t)):
+            return
+        for split in _splits(sizes):
+            shows = {0: {}, 1: {}, -1: {}}
+            for size, vecs in vectors.items():
+                for vec in vecs:
+                    children = [((), 0)]
+                    for c, lro in zip(vec, split):
+                        children = [(head + counts, diff + delta) for head, diff in children for counts, delta in _spreads(c, *lro)]
+                    for child, diff in children:
+                        shows[(diff > 0) - (diff < 0)].setdefault(size, []).append(child)
+            child_classes = _apply_split(classes, split)
+            for code in (0, 1, -1):
+                if shows[code]:
+                    walk(child_classes, codes + (code,), shows[code], index)
+
+    walk((("", t),), (), {s: [(s,)] for s in range(t + 1)}, None)
+    return nodes
 
 
 def brute_witness_bundle(t, f, d, classes, codes):

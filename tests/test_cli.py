@@ -278,6 +278,16 @@ def test_reproduce_json_and_filter(capsys):
     assert rows and all(row["group"] == "metrics" for row in rows)
 
 
+def test_reproduce_states_the_bound_of_each_two_against_none_row(capsys):
+    code, out, _ = run_cli(capsys, "reproduce", "--json", "--filter", "impossible-2-0")
+    assert code == 0
+    rows = json.loads(out)
+    assert [(row["id"], row["description"][:35], row["pass"]) for row in rows] == [
+        ("impossible-2-0", "no discreet plan within 3 weighings", True),
+        ("impossible-2-0-w4", "no discreet plan within 4 weighings", True),
+    ]
+
+
 def test_reproduce_human_filter(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--filter", "triple")
     assert code == 0

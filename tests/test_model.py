@@ -129,6 +129,14 @@ def test_itinerary_basics():
             itinerary_of(plan, coin)
 
 
+@pytest.mark.parametrize("t", ["4", 4.0, True, None])
+def test_itinerary_of_refuses_a_coin_count_that_is_not_an_int(t):
+    # "4" once failed with a bare TypeError, and True was taken as t = 1
+    plan = WeighingPlan(t, (Weighing({0}, {1}),))
+    with pytest.raises(ValidationError, match="^coin count must be an integer"):
+        itinerary_of(plan, 0)
+
+
 def test_itinerary_of_triple_case_nine_coins():
     # layout: A1={0,1} A2={2} B1={3} B2={4,5} C1={6,7} C2={8}
     bundle = build_triple_case(ProblemInstance(9, 2, 1))

@@ -25,6 +25,7 @@ from discreet_weighings.search import (
     _mirror,
     _orbit,
     _splits,
+    _state,
     _walk_form,
     all_discreet_profiles,
     check_odd_t_itineraries,
@@ -35,12 +36,14 @@ from helpers import (
     brute_discreet_instances,
     brute_optimal_pairs,
     brute_witness_bundle,
+    discreet,
     exhaustive_search_discreet,
     exhaustive_witnesses,
     labeled_plans,
     least_splits,
     random_plan,
     sparse,
+    unpruned_nodes,
 )
 
 SEARCHES = {"pruned": search_discreet, "exhaustive": exhaustive_search_discreet}
@@ -414,8 +417,9 @@ ORBIT_SWEEP = [
 
 
 def test_orbit_skipping_search_finds_the_first_witness_of_the_full_walk():
-    for t, f, d, w in ORBIT_SWEEP:
-        if t >= 9:
+    # (4, 2, 0, 4) exhausts; (6, 3, 1, 4) first finds a witness with 4 weighings
+    for t, f, d, w in ORBIT_SWEEP + [(4, 2, 0, 4), (6, 3, 1, 4)]:
+        if t >= 9 or w == 4:
             # the brute-force walk, which stops at its first witness
             expected = exhaustive_search_discreet(t, f, d, w)
         else:
@@ -425,6 +429,66 @@ def test_orbit_skipping_search_finds_the_first_witness_of_the_full_walk():
         assert (found is None) == (expected is None), (t, f, d, w)
         if found is not None:
             assert found.to_json() == expected.to_json(), (t, f, d, w)
+
+
+def test_unpruned_nodes_carry_the_enumerators_vectors():
+    for t in range(2, 6):
+        for classes, codes, _parent, vectors in unpruned_nodes(t, 3):
+            symbols = [itin for itin, _ in classes]
+            sizes = [n for _, n in classes]
+            for s in range(t + 1):
+                assert sorted(vectors.get(s, ())) == brute_count_vectors(symbols, sizes, codes, s)
+
+
+def test_a_state_decides_whether_a_witness_lies_below_its_node():
+    # the memo of failed states is sound because nodes in one state
+    # (`_state`) agree on whether a witness lies strictly below them; the
+    # depth is needed for that: without it, nodes at (6, 3, 1, 3) disagree
+    depthless_conflicts = 0
+    for t in range(2, 8):
+        nodes = unpruned_nodes(t, 3)
+        # the (f, d) for which each node is a witness
+        witness_for = [
+            {
+                (f, d)
+                for f in vectors
+                if 0 < f < t and discreet([n for _, n in classes], vectors[f])
+                for d in range(t + 1)
+                if d not in vectors
+            }
+            for classes, _codes, _parent, vectors in nodes
+        ]
+        for w in (2, 3):
+            # the (f, d) for which a witness lies strictly below each node;
+            # children come after their parent in walk order
+            below = [set() for _ in nodes]
+            for i in range(len(nodes) - 1, 0, -1):
+                _classes, codes, parent, _vectors = nodes[i]
+                if len(codes) <= w:
+                    below[parent] |= below[i] | witness_for[i]
+            states: dict = {}
+            depthless: dict = {}
+            for (classes, codes, _, vectors), pairs in zip(nodes, below):
+                if len(codes) >= w:
+                    continue
+                sparse_vectors = {s: frozenset(map(sparse, vecs)) for s, vecs in vectors.items()}
+                for f in range(1, t):
+                    for d in range(t + 1):
+                        if d != f:
+                            state = _state(classes, codes, sparse_vectors.get(f, ()), sparse_vectors.get(d, ()))
+                            flag = (f, d) in pairs
+                            assert states.setdefault((f, d, state), flag) == flag, (t, f, d, w, state)
+                            if (t, f, d, w) == (6, 3, 1, 3):
+                                depthless_conflicts += depthless.setdefault(state[1:], flag) != flag
+    assert depthless_conflicts > 0
+
+
+def test_four_weighing_two_fakes_against_none_exhaust():
+    # each with its dual, which swaps fakes and real coins: t - 2 fakes
+    # against t
+    for t in range(4, 10):
+        assert search_discreet(t, 2, 0, 4) is None, t
+        assert search_discreet(t, t - 2, t, 4) is None, t
 
 
 def test_pinned_class_is_its_definition_on_random_vector_families():
