@@ -412,7 +412,6 @@ def discreet(sizes, vectors_f):
     )
 
 
-@functools.lru_cache(maxsize=None)
 def _spreads(c, l, r, o):
     """Every way to put c fakes into parts of l, r and o coins, as (the fakes
     of the nonempty parts in L, O, R order, left fakes less right fakes)."""
@@ -435,6 +434,7 @@ def unpruned_nodes(t, max_weighings):
     from discreet_weighings.search import _apply_split, _splits
 
     nodes = []
+    spreads = functools.lru_cache(maxsize=None)(_spreads)  # freed with the walk
 
     def walk(classes, codes, vectors, parent):
         index = len(nodes)
@@ -448,7 +448,7 @@ def unpruned_nodes(t, max_weighings):
                 for vec in vecs:
                     children = [((), 0)]
                     for c, lro in zip(vec, split):
-                        children = [(head + counts, diff + delta) for head, diff in children for counts, delta in _spreads(c, *lro)]
+                        children = [(head + counts, diff + delta) for head, diff in children for counts, delta in spreads(c, *lro)]
                     for child, diff in children:
                         shows[(diff > 0) - (diff < 0)].setdefault(size, []).append(child)
             child_classes = _apply_split(classes, split)
