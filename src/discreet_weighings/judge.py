@@ -31,17 +31,16 @@ size-f and size-d vectors:
 `consistent_count_vectors` finds the vectors by one refinement folded over
 the weighings.  It starts from a single class holding every coin, with all
 the fakes in it.  Each weighing splits every class into its left, right
-and off-scale coins (`_split`, the one place that rule is written).  A
-transcript is routed once (`_routing`, a split per weighing), and every
-size's fold follows that routing.  `_refine` spreads a vector's fakes in a
-class over the parts in every way and keeps only the children whose pan
-difference shows the weighing's sign.  After the last weighing the
+and off-scale coins (`_split`).  A transcript is routed once (`_routing`,
+a split per weighing), and every size's fold follows that routing.
+`_refine` spreads a vector's fakes in a class over the parts in every way
+and keeps only the children whose pan difference shows the weighing's
+sign.  After the last weighing the
 classes are the itinerary classes, in itinerary order.  Vectors are
 sparse, listing only the classes that hold a fake, so their cost follows
 the fake count, not the number of classes.  The bounded search takes
-these two steps and nothing else from the judge: it refines its nodes'
-vectors with `_refine`, one weighing per level, and labels the steps of
-its walk with `_split`.
+`_refine` and nothing else from the judge: it refines its nodes' vectors
+with it, one weighing per level.
 
 Each `Transcript` object keeps what the judge has worked out of it (`_tally`):
 its classes, their routing and the signs shown, and one summary of the

@@ -14,7 +14,7 @@ from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .model import _checked_int
+from .model import ValidationError, _checked_int
 
 
 def approx3(value: Fraction) -> float:
@@ -171,8 +171,15 @@ def _coin_shares(structure: CaseStructure) -> tuple:
 def case_marginals(structure: CaseStructure, probabilities: Sequence) -> dict:
     """Per-coin probability of being fake when the lawyer picks case c with
     probability p_c and hides the fakes uniformly within each pile.  Coins
-    come in the order the cases and their piles first list them."""
-    probs = [Fraction(p) for p in probabilities]
+    come in the order the cases and their piles first list them.  Each
+    probability must be an int or a `Fraction`: a string, float or bool is
+    refused rather than coerced, since ``Fraction(0.1)`` is not 1/10 and
+    ``True`` is not a probability."""
+    probs = list(probabilities)
+    for p in probs:
+        if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
+            raise ValidationError(f"case probability {p!r} is not an int or a Fraction")
+    probs = list(map(Fraction, probs))
     if len(probs) != len(structure.cases):
         raise ValueError(
             f"{len(probs)} probabilities for {len(structure.cases)} cases"

@@ -20,18 +20,16 @@ no size-d vector.  A witness carries its size-f vectors, and its bundle's
 cases are read off them.
 
 Every walk meets each orbit of nodes under reordering the weighings and
-swapping the pans of any of them once: a node skips a split when a
-transform fixing it maps a split it already walked onto that split or its
-mirror, and an internal node is skipped when an earlier node maps onto it.
+swapping the pans of any of them once.  A path's steps are labeled by their
+splits and codes, and the walk meets nodes in label order, so an internal
+node is walked only when no image of it that the walk could meet has lesser
+labels (the canonical test).  A node also skips a split when a transform
+fixing it maps a split it already walked onto that split or its mirror.
 `search_discreet` returns the first witness, which is the unpruned walk's
 first.  The listings of every profile expand each orbit's witnesses into
-the labeled nodes the unpruned walk would meet and merge them back into its
-order, so they list the same profiles in the same order without walking
-each labeled node.  Each step of an expansion is labeled by its split of
-the classes before it (the judge's split rule, `judge._split`) and its
-code, which is where the walk meets it, so the merge is one sort by those
-labels.  The judge's counting step and split rule are all the search takes
-from the judge.
+the labeled nodes the unpruned walk would meet and sort them back into its
+order by their labels, without walking each labeled node.  The judge's
+counting step is all the search takes from the judge.
 
 A walk also remembers the states it has shown to hold no witness below
 them, as nogood recording does.  A node's state is its depth, its class
@@ -39,10 +37,11 @@ sizes and its sets of size-f and size-d vectors, which are all that decide
 whether a witness lies below it.  A node whose state failed before is
 skipped with its subtree.  A state is recorded when its node's subtree
 yielded nothing and the walk has yielded no witness yet.  Until then every
-skip, by pin, orbit or state, passes over a subtree that holds no witness,
-by induction over the walk, so a subtree that yielded nothing holds none.
-After the first witness an orbit skip may pass over witnesses met earlier,
-so no state is recorded; the first witness and the listings are unchanged.
+skip, by pin, canonical test or state, passes over a subtree that holds no
+witness, by induction over the walk, so a subtree that yielded nothing
+holds none.  After the first witness the canonical test may pass over
+witnesses met earlier, so no state is recorded; the first witness and the
+listings are unchanged.
 
 Every result is relative to the weighing bound it was run with: exhausting
 the search certifies that no plan with at most `max_weighings` weighings
@@ -53,9 +52,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add
 
-from .judge import _refine, _split
+from .judge import _refine
 from .metrics import CaseStructure, Pile
 from .model import (
     ITINERARY_SYMBOLS,
@@ -72,6 +70,7 @@ from .strategies import StrategyBundle, _contiguous_piles
 MAX_SEARCH_T = 12
 MAX_SEARCH_WEIGHINGS = 4
 _CODES = (0, 1, -1)  # the order the walk tries a weighing's outcomes in
+_PANS = {"L": 0, "O": 1, "R": 2}  # the order `_apply_split` lists a class's parts in
 
 
 @dataclass(frozen=True)
@@ -219,85 +218,81 @@ def _pinned_class(sizes, vectors) -> bool:
     return len(dict(itertools.chain.from_iterable(vectors))) < len(sizes)
 
 
-def _images(classes, codes, keep):
-    """Every image of a node under reordering its weighings and swapping the
-    pans of any of them, which negates that weighing's code, as (each
-    class's image itinerary, in class order; the labels of its steps).
+def _images(classes, codes, bound=None):
+    """Every walk-form image of a node, as (its class order, its labels).
 
-    Images are built one weighing at a time.  `keep(prefixes, column, code)`
-    labels the step where the next weighing routes the classes, whose image
-    itineraries so far are `prefixes`, by `column` (a symbol per class) and
-    shows `code`.  It returns None to refuse the step, and every image it
-    refuses is cut there."""
-    options = []
-    for p, code in enumerate(codes):
-        column = "".join(itin[p] for itin, _ in classes)
-        options.append(((column, code), (conjugate(column), -code)))
+    An image reorders the node's weighings and swaps the pans of any of
+    them, which negates that weighing's code.  It is in walk form when each
+    weighing's split of the classes before it is at most its mirror, as
+    `_splits` keeps them, and each such step is labeled (its split, the
+    rank of its code in `_CODES`).  The walk tries splits in `_splits` order
+    and codes in `_CODES` order, and yields each node before its children,
+    so it meets nodes in the order of their labels.  A node's own path has
+    the identity's labels.
 
-    def extend(prefixes, labels, left):
-        if not left:
-            yield prefixes, labels
-            return
-        for i, p in enumerate(left):
-            rest = left[:i] + left[i + 1 :]
-            for column, code in options[p]:
-                label = keep(prefixes, column, code)
-                if label is not None:
-                    yield from extend(tuple(map(add, prefixes, column)), labels + (label,), rest)
-
-    yield from extend(("",) * len(classes), (), tuple(range(len(codes))))
-
-
-def _walk_form(sizes):
-    """An `_images` filter that keeps the images the unpruned walk meets:
-    each weighing's split of the classes before it (`judge._split`) is at
-    most its mirror, as `_splits` keeps them.  That is, the first of those
-    classes whose pans differ has the lighter left pan.
-
-    A kept step is labeled (its split, the rank of its code in `_CODES`).
-    An image's labels are where the walk meets it: the walk tries the splits
-    in `_splits` order and the codes in `_CODES` order, and yields each node
-    before its children, so it meets nodes in the order of their labels."""
-
-    def keep(prefixes, column, code):
-        split = _split(prefixes, column, sizes)
-        return (split, _CODES.index(code)) if split <= _mirror(split) else None
-
-    return keep
-
-
-def _orbit(classes, codes):
-    """A node's key and moves, from one pass over its images.
-
-    The key is the least image of the node over every order of its weighings
-    and every swap of one weighing's pans, among the images whose codes are
-    the node's code signs in ascending order: each weighing with a nonzero
-    code is swapped to show +1, so only the balanced weighings keep a free
-    swap.  Two nodes get the same key exactly when such a transform maps one
-    onto the other.
-
-    Two transforms reach the key exactly when they differ by one that fixes
-    the node: with g0 the first to reach it, each other h gives g0^-1 h.  The
-    moves are the class permutations of those (`perm[j]` is the class that
-    class j maps to), without the identity."""
+    Each step refines groups of the node's classes into their parts in L,
+    O, R order, as `_apply_split` does, so the groups stay in the image's
+    itinerary order.  The class order lists the node's class that each
+    image class comes from.  With `bound` labels, only steps labeled as the
+    bound's are followed, and the first step with a lesser label is
+    yielded as the labels up to it, with no class order, and ends the pass:
+    any walk-form prefix completes to a full image, since each weighing
+    left can take whichever orientation is at most its mirror."""
     sizes = [n for _, n in classes]
-    least = tuple(sorted(abs(code) for code in codes))
-    key, reaching = None, []
+    pans = [[_PANS[itin[p]] for itin, _ in classes] for p in range(len(codes))]
+    ranks = [(_CODES.index(code), _CODES.index(-code)) for code in codes]
+    stack = [([range(len(classes))], (), tuple(range(len(codes))))]
+    while stack:
+        groups, labels, left = stack.pop()
+        if not left:
+            yield tuple(group[0] for group in groups), labels
+            continue
+        limit = bound[len(labels)] if bound else None
+        for p in left:
+            pan = pans[p]
+            parts = []
+            loads = []
+            for group in groups:
+                part = ([], [], [])  # L, O, R
+                load = [0, 0, 0]
+                for j in group:
+                    part[pan[j]].append(j)
+                    load[pan[j]] += sizes[j]
+                parts.append(part)
+                loads.append((load[0], load[2], load[1]))
+            split = tuple(loads)
+            mirror = _mirror(split)
+            rest = tuple(q for q in left if q != p)
+            for image, other, rank, order in (
+                (split, mirror, ranks[p][0], (0, 1, 2)),
+                (mirror, split, ranks[p][1], (2, 1, 0)),
+            ):
+                if image > other:
+                    continue
+                label = (image, rank)
+                if limit:
+                    if label < limit:
+                        yield None, labels + (label,)
+                        return
+                    if label != limit:
+                        continue
+                stack.append(([part[k] for part in parts for k in order if part[k]], labels + (label,), rest))
 
-    def showing_least(prefixes, _column, code):
-        return True if code == least[len(prefixes[0])] else None  # the labels go unused
 
-    for itins, _ in _images(classes, codes, showing_least):
-        image = tuple(sorted(zip(itins, sizes)))
-        if key is None or image < key:
-            key, reaching = image, [itins]
-        elif image == key:
-            reaching.append(itins)
-    # itineraries are distinct, so h's image of class j is g0's of one class
-    index = {itin: i for i, itin in enumerate(reaching[0])}
-    moves = {tuple(index[itin] for itin in itins) for itins in reaching[1:]}
+def _moves(classes, codes, labels):
+    """The canonical test of a node and its moves, from one pass over its
+    images.  None when some walk-form image has lesser labels than the
+    node's own path, `labels`: the walk met its orbit at that image first.
+    Otherwise the class orders of the images with the node's labels, which
+    are the node itself, without the identity: one per transform fixing the
+    node, listing for each class the class that the transform maps onto it."""
+    moves = set()
+    for order, image_labels in _images(classes, codes, labels):
+        if image_labels != labels:
+            return None
+        moves.add(order)
     moves.discard(tuple(range(len(classes))))
-    return (least, key), moves
+    return moves
 
 
 def _state(classes, codes, vectors_f, vectors_d):
@@ -306,7 +301,7 @@ def _state(classes, codes, vectors_f, vectors_d):
     a node depends on nothing else: the splits below it are chosen by its
     sizes, its children's vectors are refinements of its own, and the pin
     and witness tests read only sizes and vectors.  Itineraries matter only
-    to the orbit skip, which never changes whether a subtree holds one.
+    to the symmetry skips, which never change whether a subtree holds one.
 
     The depth sets how many weighings are left; without it, nodes in one
     state at (6, 3, 1, 3) disagree.  The size-d vectors decide which
@@ -330,25 +325,27 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     parent class, so a pinned class stays pinned below it.  A node left is
     a witness when it has no size-d vector.
 
-    Two more skips walk each orbit once, in the style of McKay's
-    isomorph-free generation.  The images of a split under the node's
-    stabiliser give the same children up to a transform that fixes the
-    node, and so do their mirrors.  Each split walked adds its images to a
-    set for the node (`covered`, mirrors left out), and a later split is
-    skipped when it or its mirror is in that set.  Splits come in
-    increasing order and the stabiliser is a group, so this walks exactly
-    the least split of each such family.  An internal node is skipped when
-    an earlier node maps onto it.  One pass over a node's images (`_orbit`),
-    made when its parent keys it, gives both its key and its stabiliser;
-    the root is never keyed and has a trivial stabiliser.  Neither skip
-    changes the first witness: two nodes of one orbit are never ancestor
-    and descendant, so the earlier one's subtree was walked in full before,
-    and being pinned or a witness does not depend on the order or the pans.
-    Later witnesses of an orbit already met may be skipped;
-    `_labeled_witnesses` restores them.  A witness's size-f vectors are
-    the bucket of its parent's refinement that showed its last code, with
-    its classes numbered in itinerary order, as `_expand_witness` takes
-    them.
+    Two more skips walk each orbit once, by McKay's orderly generation,
+    which tests canonicity locally and stores no orbits.  A path's steps are
+    labeled as `_images` labels the identity's, and an internal child is
+    walked only when no walk-form image has lesser labels (`_moves`).  A
+    transform giving a parent lesser labels, with the last weighing's pans
+    swapped if need be, gives its child lesser labels, so an orbit's least
+    member has least ancestors and the walk meets it first.  The images of
+    a split under the node's stabiliser give the same children up to a
+    transform fixing the node, and so do their mirrors.  Each split walked
+    adds its images to a set for the node (`covered`, mirrors left out),
+    and a later split is skipped when it or its mirror is in that set.
+    Splits come in increasing order and the stabiliser is a group, so this
+    walks the least split of each such family and keeps every least member.
+    The image pass that tests a child gives its stabiliser too; the root
+    and the leaves are never tested.  Neither skip changes the first
+    witness, which is the least member of its orbit: being pinned or a
+    witness does not depend on the order or the pans.  Later witnesses of
+    an orbit already met are skipped; `_labeled_witnesses` restores them.
+    A witness's size-f vectors are the bucket of its parent's refinement
+    that showed its last code, with its classes numbered in itinerary
+    order, as `_expand_witness` takes them.
 
     One ways table (`judge._refine`) serves every refinement of the walk,
     so each class's ways are renumbered once per walk, not once per split.
@@ -356,22 +353,21 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     The walk also remembers failed states, as nogood recording does
     (Dechter 1990; Schiex and Verfaillie 1994): an internal node whose state
     (`_state`) is in `failed` is skipped, subtree and all, when it is
-    entered.  That is after its parent keyed it, since the state needs the
-    node's size-d vectors, which are refined only for nodes the key skip
+    entered.  That is after its parent tested it, since the state needs the
+    node's size-d vectors, which are refined only for nodes the test
     keeps.  A state is recorded when its node's subtree has been walked and
     the walk has yielded no witness yet.  That is sound for the first
     witness and for the listings alike.  Before the first witness, every
-    skip inside a walked subtree, by pin, image, key or state, passed over
+    skip inside a walked subtree, by pin, image, test or state, passed over
     a subtree that holds no witness, by induction over the walk.  So a
     subtree that yielded nothing truly holds none, and neither does any
     node in the same state.  After the first witness no state is recorded,
-    since a key skip may then pass over an orbit with witnesses."""
-    seen: set = set()
+    since the test may then pass over an orbit with witnesses."""
     failed: set = set()  # states whose subtrees hold no witness
     table: dict = {}
     found = False  # whether the walk has yielded a witness
 
-    def recurse(classes, codes, vectors_f, vectors_d, moves):
+    def recurse(classes, codes, labels, vectors_f, vectors_d, moves):
         nonlocal found
         if len(codes) >= max_weighings:
             return
@@ -383,13 +379,11 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
             if moves:
                 if split in covered or _mirror(split) in covered:
                     continue
-                # each perm's inverse is in the group too, so indexing by
-                # perm gives the same images as routing class j's part to
-                # class perm[j]
-                covered.update(tuple(map(split.__getitem__, perm)) for perm in moves)
+                # a move lists for each class the class mapped onto it
+                covered.update(tuple(map(split.__getitem__, move)) for move in moves)
             refined_f = _refine(vectors_f, split, table)
             sizes = child = refined_d = None
-            for code in _CODES:
+            for rank, code in enumerate(_CODES):
                 child_f = refined_f[code]
                 if not child_f:
                     continue
@@ -401,39 +395,40 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
                 if child is None:
                     child = _apply_split(classes, split)
                 child_codes = codes + (code,)
-                child_moves = ()  # a leaf is neither keyed nor expanded
+                child_labels = labels + ((split, rank),)
+                child_moves = ()  # a leaf is neither tested nor expanded
                 if len(child_codes) < max_weighings:
-                    key, child_moves = _orbit(child, child_codes)
-                    if key in seen:
+                    child_moves = _moves(child, child_codes, child_labels)
+                    if child_moves is None:
                         continue
-                    seen.add(key)
                 if refined_d is None:
                     refined_d = _refine(vectors_d, split, table)
                 child_d = refined_d[code]
                 if not child_d:
                     found = True
                     yield child, child_codes, child_f
-                yield from recurse(child, child_codes, child_f, child_d, child_moves)
+                yield from recurse(child, child_codes, child_labels, child_f, child_d, child_moves)
         if not found:
             failed.add(state)
 
-    yield from recurse((("", t),), (), [((0, f),)], [((0, d),)] if d else [()], ())
+    yield from recurse((("", t),), (), (), [((0, f),)], [((0, d),)] if d else [()], ())
 
 
 def _labeled_witnesses(t: int, f: int, d: int, max_weighings: int):
     """Yield every labeled witness node the unpruned walk yields, in its
     order, as (classes, codes).  Each orbit's witnesses from
     `_iter_witnesses` are expanded over the transforms whose every weighing
-    is the form `_splits` keeps, and sorted by the labels `_walk_form`
-    gives their steps.  A witness that an earlier expansion already
-    produced is not expanded again."""
+    is the form `_splits` keeps, and sorted by the labels `_images` gives
+    their steps.  A witness that an earlier expansion already produced is
+    not expanded again."""
     expanded: dict = {}  # labeled node -> its labels
     for classes, codes, _vectors in _iter_witnesses(t, f, d, max_weighings):
         if (classes, codes) not in expanded:
-            sizes = [n for _, n in classes]
-            for itins, labels in _images(classes, codes, _walk_form(sizes)):
-                node = (tuple(sorted(zip(itins, sizes))), tuple(_CODES[rank] for _, rank in labels))
-                expanded[node] = labels
+            for _order, labels in _images(classes, codes):
+                image = (("", t),)
+                for split, _rank in labels:
+                    image = _apply_split(image, split)
+                expanded[image, tuple(_CODES[rank] for _, rank in labels)] = labels
     yield from sorted(expanded, key=expanded.__getitem__)
 
 

@@ -199,6 +199,14 @@ def test_case_marginals_validation():
         case_marginals(cases, [Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(ValueError):
         case_marginals(cases, [Fraction(1, 2)])
+    # strings, floats and bools were coerced by Fraction(): the first two
+    # pairs were accepted, [True, False] read as (1, 0), and [0.1, 0.9]
+    # refused as not summing to 1
+    two = CaseStructure(((Pile(frozenset({0})),), (Pile(frozenset({1})),)))
+    for probs, shown in ((["1/2", "1/2"], "'1/2'"), ([0.5, 0.5], "0.5"), ([True, False], "True"), ([0.1, 0.9], "0.1")):
+        with pytest.raises(ValidationError, match=f"case probability {shown} is not an int or a Fraction"):
+            case_marginals(two, probs)
+    assert case_marginals(two, [Fraction(1, 2), Fraction(1, 2)]) == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
 def test_minimax_triple_case():

@@ -22,11 +22,11 @@ from discreet_weighings.search import (
     _CODES,
     _apply_split,
     _labeled_witnesses,
+    _images,
     _mirror,
-    _orbit,
+    _moves,
     _splits,
     _state,
-    _walk_form,
     all_discreet_profiles,
     check_odd_t_itineraries,
 )
@@ -186,7 +186,7 @@ def test_refined_vectors_match_the_enumerator_on_random_splits():
 @pytest.mark.parametrize(
     "t,f,d,w",
     [(4, 2, 1, 3), (4, 2, 3, 3), (5, 3, 1, 3), (6, 2, 1, 2), (6, 3, 1, 2), (6, 3, 2, 2),
-     (6, 4, 3, 2), (8, 2, 1, 2), (6, 2, 0, 3), (5, 2, 5, 2), (6, 3, 4, 2)],
+     (6, 4, 3, 2), (8, 2, 1, 2), (6, 2, 0, 3), (5, 2, 5, 2), (6, 3, 4, 2), (4, 2, 1, 4)],
 )
 def test_witness_stream_equals_the_unpruned_walk(t, f, d, w):
     # pruning drops only subtrees without a witness and orbits already met,
@@ -235,30 +235,26 @@ def test_split_and_mirror_count_each_prefix_class_on_each_pan():
 
 
 def test_walk_form_keeps_the_images_with_the_lighter_left_pan_first():
-    # per weighing, the first class before it (in prefix order) whose pans
-    # hold different numbers of coins must have the lighter left pan.  A
-    # kept step is labeled by the per-class pan loads and the code's rank
+    # the images are those of the transforms, one each, whose every split
+    # (`judge._split` over the image itineraries before it) is at most its
+    # mirror: the first class whose pans differ has the lighter left pan.
+    # Each step is labeled by that split and its code's rank, and the
+    # class order lists each image class's source class in itinerary order
     rng = random.Random(14)
-    for _ in range(3000):
+    for _ in range(300):
         w = rng.randint(0, 3)
-        k = rng.randint(1, 6)
-        prefixes = ["".join(rng.choice("LRO") for _ in range(w)) for _ in range(k)]
-        column = [rng.choice("LRO") for _ in range(k)]
-        sizes = [rng.randint(1, 3) for _ in range(k)]
-        code = rng.choice(_CODES)
-        loads: dict = {}
-        for prefix, symbol, n in zip(prefixes, column, sizes):
-            pans = loads.setdefault(prefix, {"L": 0, "R": 0, "O": 0})
-            pans[symbol] += n
-        differing = [pans for _, pans in sorted(loads.items()) if pans["L"] != pans["R"]]
-        split = tuple((pans["L"], pans["R"], pans["O"]) for _, pans in sorted(loads.items()))
-        expected = None
-        if not differing or differing[0]["L"] < differing[0]["R"]:
-            expected = (split, _CODES.index(code))
-        assert _walk_form(sizes)(prefixes, column, code) == expected, (prefixes, column, sizes)
+        classes, codes = _random_node(rng, w, rng.randint(1, min(3**w, 6)))
+        expected = []
+        for order, swapped in _transforms(w):
+            image = _transformed(classes, codes, order, swapped)
+            labels = _walk_labels(*image)
+            if labels is not None:
+                sources = sorted((_image(itin, order, swapped), j) for j, (itin, _) in enumerate(classes))
+                expected.append((tuple(j for _, j in sources), labels))
+        assert sorted(_images(classes, codes)) == sorted(expected), (classes, codes)
 
 
-def test_search_takes_only_the_refinement_step_and_split_rule_from_the_judge():
+def test_search_takes_only_the_refinement_step_from_the_judge():
     # the walk refines its parents' size-f and size-d vectors and never
     # recounts them, and the witness bundle is built from the vectors the
     # walk carried to it: no fold from scratch, not even for the witness
@@ -267,7 +263,7 @@ def test_search_takes_only_the_refinement_step_and_split_rule_from_the_judge():
         for name, value in vars(search).items()
         if getattr(value, "__module__", None) == judge.__name__
     }
-    assert taken == {"_refine", "_split"}
+    assert taken == {"_refine"}
     for t, f, d, w in ((9, 2, 1, 2), (4, 2, 3, 3), (10, 3, 2, 3)):
         classes, codes, _vectors = next(search._iter_witnesses(t, f, d, w))
         expected = brute_witness_bundle(t, f, d, classes, codes)
@@ -299,48 +295,64 @@ def _random_node(rng, w, k):
     return classes, tuple(rng.choice((0, 1, -1)) for _ in range(w))
 
 
+def _walk_labels(classes, codes):
+    """A node's labels by the judge's split rule: per weighing, its split
+    of the classes before it (`judge._split`) and its code's rank in
+    `_CODES`.  None when the walk never meets the node: in some split, the
+    first class whose pans hold different numbers of coins has the heavier
+    left pan."""
+    itins = [itin for itin, _ in classes]
+    sizes = [n for _, n in classes]
+    labels = []
+    for i, code in enumerate(codes):
+        split = _split([itin[:i] for itin in itins], [itin[i] for itin in itins], sizes)
+        differing = [(l, r) for l, r, _ in split if l != r]
+        if differing and differing[0][0] > differing[0][1]:
+            return None
+        labels.append((split, _CODES.index(code)))
+    return tuple(labels)
+
+
+def _least_member(classes, codes):
+    """The member of a node's orbit with the least labels, and its labels."""
+    members = {_transformed(classes, codes, *g) for g in _transforms(len(codes))}
+    labels, node = min((labels, node) for node in members if (labels := _walk_labels(*node)) is not None)
+    return node, labels
+
+
+def _passes(node):
+    """Whether the walk can meet a node and it passes the canonical test."""
+    labels = _walk_labels(*node)
+    return labels is not None and _moves(*node, labels) is not None
+
+
 def test_canonical_key_is_invariant_under_reordering_and_pan_swaps():
-    rng = random.Random(10)
-    for _ in range(200):
-        w = rng.randint(1, 3)
-        classes, codes = _random_node(rng, w, rng.randint(1, min(3**w, 6)))
-        key, _moves = _orbit(classes, codes)
-        for order, swapped in _transforms(w):
-            assert _orbit(*_transformed(classes, codes, order, swapped))[0] == key
+    # a node passes the canonical test when no walk-form image has lesser
+    # labels than its own (`_moves` is not None).  Whichever member of an
+    # orbit under reordering the weighings and swapping pans the walk meets,
+    # exactly one member passes among those the walk can meet: the one with
+    # least labels, by brute force.  Random nodes at 3 weighings
+    rng = random.Random(11)
+    for _ in range(100):
+        node = _random_node(rng, 3, rng.randint(1, 4))
+        orbit = {_transformed(*node, *g) for g in _transforms(3)}
+        assert set(filter(_passes, orbit)) == {_least_member(*node)[0]}, node
 
 
 def test_canonical_keys_are_equal_exactly_on_orbits():
-    # every node of at most 3 classes of sizes 1..2 over at most 2 weighings:
-    # the set is closed under the transforms, so each key's nodes must be
-    # exactly the orbit of any one of them
-    nodes = []
+    # every node of at most 3 classes of sizes 1..2 over at most 2
+    # weighings: the set is closed under the transforms, so the nodes that
+    # pass the canonical test must be exactly one per orbit, each orbit's
+    # member with least labels
+    nodes = set()
     for w in (1, 2):
         itineraries = ["".join(s) for s in itertools.product("LRO", repeat=w)]
         for k in (1, 2, 3):
             for chosen in itertools.combinations(itineraries, k):
                 for counts in itertools.product((1, 2), repeat=k):
                     for codes in itertools.product((0, 1, -1), repeat=w):
-                        nodes.append((tuple(sorted(zip(chosen, counts))), codes))
-    by_key: dict = {}
-    for node in nodes:
-        by_key.setdefault(_orbit(*node)[0], set()).add(node)
-    for group in by_key.values():
-        classes, codes = next(iter(group))
-        orbit = {_transformed(classes, codes, *g) for g in _transforms(len(codes))}
-        assert group == orbit
-
-    # larger random pairs at 3 weighings: equal keys exactly when some
-    # transform maps one node onto the other
-    rng = random.Random(11)
-    for _ in range(300):
-        k = rng.randint(1, 4)
-        a = _random_node(rng, 3, k)
-        if rng.random() < 0.5:
-            b = _transformed(*a, *rng.choice(list(_transforms(3))))
-        else:
-            b = _random_node(rng, 3, k)
-        mapped = any(_transformed(*a, *g) == b for g in _transforms(3))
-        assert (_orbit(*a)[0] == _orbit(*b)[0]) == mapped
+                        nodes.add((tuple(sorted(zip(chosen, counts))), codes))
+    assert set(filter(_passes, nodes)) == {_least_member(*node)[0] for node in nodes}
 
 
 def _symmetric_node(rng, w):
@@ -360,32 +372,36 @@ def _symmetric_node(rng, w):
 
 
 def test_stabiliser_is_the_class_permutations_of_the_fixing_transforms():
+    # the moves of an orbit's member with least labels are the class
+    # permutations of the transforms that fix it
     rng = random.Random(12)
     nontrivial = 0
     for trial in range(300):
         w = rng.randint(1, 3)
         if trial % 2:
-            classes, codes = _symmetric_node(rng, w)
+            node = _symmetric_node(rng, w)
         else:
-            classes, codes = _random_node(rng, w, rng.randint(1, min(3**w, 6)))
+            node = _random_node(rng, w, rng.randint(1, min(3**w, 6)))
+        (classes, codes), labels = _least_member(*node)
         index = {itin: j for j, (itin, _) in enumerate(classes)}
         expected = set()
         for order, swapped in _transforms(w):
             if _transformed(classes, codes, order, swapped) == (classes, codes):
                 expected.add(tuple(index[_image(itin, order, swapped)] for itin, _ in classes))
-        # the moves are the stabiliser without the identity
+        # the moves are the stabiliser without the identity.  `_moves` lists
+        # each fixing transform's inverse, which is the same set in a group
         identity = tuple(range(len(classes)))
-        assert set(_orbit(classes, codes)[1]) == expected - {identity}, (classes, codes)
+        assert _moves(classes, codes, labels) == expected - {identity}, (classes, codes)
         nontrivial += len(expected) > 1
     assert nontrivial >= 50  # 90 of the 300 nodes have a nontrivial stabiliser
 
 
-def test_each_keyed_node_walks_its_images_once(monkeypatch):
-    # a node's key and moves come from one pass over its images, made when
-    # its parent keys it; the root is never keyed and walks none.  The full
-    # walk at (10, 3, 2, 3) takes seconds, so it is followed to its first
-    # witness and the two cheaper walks in full.
-    calls = {"_images": 0, "_orbit": 0}
+def test_each_internal_node_makes_one_image_pass(monkeypatch):
+    # the canonical test of an internal node and its moves come from one
+    # pass over its images, made when its parent walks it; the root and the
+    # leaves make none.  The full walk at (10, 3, 2, 3) takes seconds, so it
+    # is followed to its first witness and the two cheaper walks in full.
+    calls = {"_images": 0, "_moves": 0}
     for name in calls:
         def counted(*args, _real=getattr(search, name), _name=name):
             calls[_name] += 1
@@ -396,8 +412,8 @@ def test_each_keyed_node_walks_its_images_once(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         for _ in itertools.islice(search._iter_witnesses(t, f, d, w), witnesses):
             pass
-        assert calls["_orbit"] > 0, (t, f, d, w)
-        assert calls["_images"] == calls["_orbit"], (t, f, d, w)
+        assert calls["_moves"] > 0, (t, f, d, w)
+        assert calls["_images"] == calls["_moves"], (t, f, d, w)
 
 
 def test_profile_listing_equals_the_unpruned_walk():
@@ -555,7 +571,7 @@ def test_each_node_refines_the_splits_the_image_rule_keeps(monkeypatch):
             nodes = [node for node in nodes if all(node is not open_node for open_node in path)]
         for classes, codes, _vectors, refined, _buckets in nodes:
             splits = _splits([n for _, n in classes])
-            expected = least_splits(splits, _orbit(classes, codes)[1] if codes else ())
+            expected = least_splits(splits, _moves(classes, codes, _walk_labels(classes, codes)) if codes else ())
             assert refined == expected, (t, f, d, w, classes, codes)
             skipping += len(expected) < len(splits)
     assert skipping > 0
