@@ -246,7 +246,10 @@ def _add_instance_arguments(parser, with_a=False):
         )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is registered, with its help and
+    handler, but only `command` gets its arguments: argparse never reads a
+    subparser other than the one it dispatches to."""
     parser = argparse.ArgumentParser(
         prog="discreet-weighings",
         description="Construct, verify, and measure privacy-preserving coin weighings.",
@@ -254,45 +257,57 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named strategy and judge it")
-    p.add_argument("strategy", choices=STRATEGY_NAMES)
-    _add_instance_arguments(p, with_a=True)
-    p.add_argument("--human", action="store_true", help="render a readable report")
+    if command == "construct":
+        p.add_argument("strategy", choices=STRATEGY_NAMES)
+        _add_instance_arguments(p, with_a=True)
+        p.add_argument("--human", action="store_true", help="render a readable report")
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("verify", help="judge a user-supplied plan and placement")
-    p.add_argument("file", help="JSON file with t, weighings, placement (- for stdin)")
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--human", action="store_true")
+    if command == "verify":
+        p.add_argument("file", help="JSON file with t, weighings, placement (- for stdin)")
+        p.add_argument("--f", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--human", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("metrics", help="revealing factor and coefficient")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--new", type=int, default=None, help="surviving possibilities")
-    p.add_argument("--a", type=int, default=None, help="equal-piles count instead of --new")
+    if command == "metrics":
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--f", type=int, required=True)
+        p.add_argument("--new", type=int, default=None, help="surviving possibilities")
+        p.add_argument("--a", type=int, default=None, help="equal-piles count instead of --new")
     p.set_defaults(handler=_cmd_metrics)
 
     p = sub.add_parser("guess", help="single-coin guessing analysis for a strategy")
-    p.add_argument("strategy", choices=STRATEGY_NAMES)
-    _add_instance_arguments(p, with_a=True)
+    if command == "guess":
+        p.add_argument("strategy", choices=STRATEGY_NAMES)
+        _add_instance_arguments(p, with_a=True)
     p.set_defaults(handler=_cmd_guess)
 
     p = sub.add_parser("search", help="bounded search for a discreet strategy")
-    _add_instance_arguments(p)
-    p.add_argument("--max-weighings", type=int, required=True)
+    if command == "search":
+        _add_instance_arguments(p)
+        p.add_argument("--max-weighings", type=int, required=True)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("reproduce", help="recompute all golden reference numbers")
-    p.add_argument("--json", action="store_true", help="machine-readable rows")
-    p.add_argument("--filter", default=None, help="only run matching checks")
+    if command == "reproduce":
+        p.add_argument("--json", action="store_true", help="machine-readable rows")
+        p.add_argument("--filter", default=None, help="only run matching checks")
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser takes no option with a value, and an unknown
+    # option is set aside on its own, so argparse dispatches to the first
+    # argument that is not an option, if that names a subcommand.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = _build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

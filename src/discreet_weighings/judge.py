@@ -60,9 +60,9 @@ from math import comb
 from .model import (
     ProblemInstance,
     Transcript,
-    ValidationError,
     _checked_coins,
     _checked_int,
+    _refuse_stray_placement,
     partition_by_itinerary,
 )
 
@@ -317,10 +317,7 @@ def verify_proof(
             f"placement has {len(placement)} coins but the instance has f={instance.f}"
         )
     count_f = count_consistent(instance.t, instance.f, transcript)
-    _checked_coins(placement, "placement coin")
-    stray = [c for c in placement if not 0 <= c < instance.t]
-    if stray:
-        raise ValidationError(f"placement coins {sorted(stray)} out of range")
+    _refuse_stray_placement(_checked_coins(placement, "placement coin"), instance.t)
     count_d = count_consistent(instance.t, instance.d, transcript)
     placement_consistent = all(
         w.outcome(placement) is o

@@ -188,9 +188,7 @@ def simulate_transcript(plan: WeighingPlan, fakes: Iterable) -> Transcript:
     if problems:
         raise ValidationError("; ".join(problems))
     fakes = _checked_coins(fakes, "fake coin")
-    stray = [c for c in fakes if not 0 <= c < plan.t]
-    if stray:
-        raise ValidationError(f"fake coins {sorted(stray)} outside 0..{plan.t - 1}")
+    _refuse_stray_placement(fakes, plan.t)
     return Transcript(plan, tuple(w.outcome(fakes) for w in plan.weighings))
 
 
@@ -285,6 +283,35 @@ def _checked_coins(coins: Iterable, what: str) -> frozenset:
     return coins
 
 
+def _refuse_stray_placement(coins: frozenset, t: int) -> None:
+    """Refuse placed fakes outside 0..t-1.  The simulation and the judge
+    both check the placement, so `verify` names it the same way whether
+    or not its outcomes are given."""
+    stray = sorted(c for c in coins if not 0 <= c < t)
+    if stray:
+        raise ValidationError(f"placement coins {stray} outside 0..{t - 1}")
+
+
+def _json_object(data, what: str) -> Mapping:
+    if not isinstance(data, Mapping):
+        raise ValidationError(f"{what} must be a JSON object")
+    return data
+
+
+def _json_list(values, what: str) -> list:
+    if not isinstance(values, list):
+        raise ValidationError(f"{what} must be a list")
+    return values
+
+
+def _outcome_from_json(value, what: str) -> Outcome:
+    for outcome in Outcome:
+        if value == outcome.value:
+            return outcome
+    names = ", ".join(json.dumps(o.value) for o in Outcome)
+    raise ValidationError(f"{what} must be one of {names}, got {json.dumps(value, default=repr)}")
+
+
 def coins_from_json(values, what: str) -> frozenset:
     """A list of coin indices from JSON, each checked by `_checked_int`.
     A repeated index is refused, since the set would silently drop it."""
@@ -300,14 +327,14 @@ def coins_from_json(values, what: str) -> frozenset:
 
 def plan_from_json(data: Mapping) -> WeighingPlan:
     try:
-        t = _checked_int(data["t"], "t")
-        weighings = tuple(
-            Weighing(
+        t = _checked_int(_json_object(data, "the document")["t"], "t")
+        weighings = []
+        for i, w in enumerate(_json_list(data["weighings"], "weighings")):
+            w = _json_object(w, f"weighing {i}")
+            weighings.append(Weighing(
                 coins_from_json(w["left"], f"weighing {i} left pan"),
                 coins_from_json(w["right"], f"weighing {i} right pan"),
-            )
-            for i, w in enumerate(data["weighings"])
-        )
+            ))
     except (KeyError, TypeError, ValidationError) as exc:
         raise ValidationError(f"malformed plan JSON: {exc}") from exc
     return WeighingPlan(t, weighings)
@@ -327,8 +354,9 @@ def transcript_for_plan(plan: WeighingPlan, data: Mapping) -> Transcript:
     """The transcript of `plan`, already read from `data` by
     `plan_from_json`, with the outcomes listed in `data`."""
     try:
-        outcomes = tuple(Outcome(o) for o in data["outcomes"])
-    except (KeyError, TypeError, ValueError) as exc:
+        listed = _json_list(_json_object(data, "the document")["outcomes"], "outcomes")
+        outcomes = tuple(_outcome_from_json(o, f"outcome {i}") for i, o in enumerate(listed))
+    except (KeyError, TypeError, ValidationError) as exc:
         raise ValidationError(f"malformed transcript JSON: {exc}") from exc
     try:
         return Transcript(plan, outcomes)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -174,8 +175,41 @@ def test_verify_reports_an_invalid_plan_before_stray_placement_coins(tmp_path, c
     assert run_cli(capsys, "verify", str(path), "--f", "2", "--d", "1") == (
         2,
         "",
-        "error: placement coins [7] out of range\n",
+        "error: placement coins [7] outside 0..3\n",
     )
+
+
+def test_verify_names_stray_placement_coins_with_or_without_outcomes(capsys, monkeypatch):
+    # without outcomes the placement is simulated, with them it is judged;
+    # both refuse coin 5 of 4 in the same words
+    data = {"t": 4, "weighings": [{"left": [0], "right": [1]}], "placement": [0, 5]}
+    expected = (2, "", "error: placement coins [5] outside 0..3\n")
+    assert verify_json(capsys, monkeypatch, data) == expected
+    assert verify_json(capsys, monkeypatch, {**data, "outcomes": ["left_lighter"]}) == expected
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "malformed plan JSON: the document must be a JSON object"),
+        ({"t": 4, "weighings": "ab"}, "malformed plan JSON: weighings must be a list"),
+        ({"t": 4, "weighings": ["ab"]}, "malformed plan JSON: weighing 0 must be a JSON object"),
+        (
+            {"t": 4, "weighings": [{"left": [0], "right": [1]}], "placement": [0, 2],
+             "outcomes": "b"},
+            "malformed transcript JSON: outcomes must be a list",
+        ),
+        (
+            {"t": 4, "weighings": [{"left": [0], "right": [1]}], "placement": [0, 2],
+             "outcomes": ["b"]},
+            'malformed transcript JSON: outcome 0 must be one of "balanced", '
+            '"left_lighter", "right_lighter", got "b"',
+        ),
+    ],
+    ids=["document", "weighings", "weighing", "outcomes", "outcome"],
+)
+def test_verify_names_the_field_of_a_wrong_json_shape(capsys, monkeypatch, data, message):
+    assert verify_json(capsys, monkeypatch, data) == (2, "", f"error: {message}\n")
 
 
 def test_construct_triple_case_with_ten_fakes(capsys):
@@ -351,6 +385,73 @@ def test_usage_error_exit_code(capsys):
     )
     assert code == 2 and not out
     assert "unrecognized arguments: --mode exhaustive" in err
+
+
+class _EveryCommand(str):
+    """Equal to every subcommand name, so `_build_parser` gives each one its
+    arguments: the reference that a parser built for one command must match."""
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = str.__hash__
+
+
+COMMANDS = ["construct", "verify", "metrics", "guess", "search", "reproduce"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["frobnicate"],
+        ["--"],
+        *([command, "-h"] for command in COMMANDS),
+        ["search", "--t", "4", "--f", "2", "--max-weighings", "1"],
+        ["search", "--t", "x", "--f", "2", "--d", "1", "--max-weighings", "1"],
+        ["reproduce", "--threads", "1"],
+        # an unknown option before the command: argparse still dispatches
+        # to reproduce, which must read --json before the error is shown
+        ["--threads", "reproduce", "--json"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_parsing_matches_a_parser_with_every_argument(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    reference = cli._build_parser(_EveryCommand())
+    with pytest.raises(SystemExit) as stop:
+        reference.parse_args(argv)
+    expected = capsys.readouterr()
+    code = 0 if stop.value.code in (0, None) else 2
+    assert run_cli(capsys, *argv) == (code, expected.out, expected.err)
+
+
+def test_build_parser_adds_only_the_named_subcommands_arguments(monkeypatch):
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(container, *names, **options):
+        added.append(names)
+        return add_argument(container, *names, **options)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    parser = cli._build_parser("search")
+    # -h on the top-level parser and on each of the six subparsers
+    helps = [("-h", "--help")] * 7
+    assert sorted(added) == sorted(helps + [("--t",), ("--f",), ("--d",), ("--max-weighings",)])
+    args = parser.parse_args(["search", "--t", "4", "--f", "2", "--d", "1", "--max-weighings", "1"])
+    assert args.handler is cli._cmd_search
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    argv = ["metrics", "--t", "80", "--f", "3", "--new", "100"]
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["discreet-weighings", *argv])
+    assert main() == expected[0] == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == expected[1:]
 
 
 def verify_json(capsys, monkeypatch, data, f="2", d="1"):

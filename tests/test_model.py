@@ -22,7 +22,7 @@ from discreet_weighings import (
     transcript_to_json,
     validate_plan,
 )
-from discreet_weighings.model import coins_from_json
+from discreet_weighings.model import coins_from_json, transcript_for_plan
 from helpers import itinerary_groups, many_class_plan, random_fakes, random_plan
 
 HALVES = Weighing(frozenset(range(40)), frozenset(range(40, 80)))
@@ -320,3 +320,7 @@ def test_malformed_json_rejected():
         plan_from_json({"t": 4, "weighings": [{"left": [0]}]})
     with pytest.raises(ValidationError):
         transcript_from_json({"t": 4, "weighings": [], "outcomes": ["tilted"]})
+    # the CLI reads the plan first, so only a library caller reaches this
+    plan = WeighingPlan(4, (Weighing({0}, {1}),))
+    with pytest.raises(ValidationError, match="^malformed transcript JSON: the document must"):
+        transcript_for_plan(plan, [])
