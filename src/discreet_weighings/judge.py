@@ -31,11 +31,11 @@ size-f and size-d vectors:
 `consistent_count_vectors` finds the vectors by one refinement folded over
 the weighings.  It starts from a single class holding every coin, with all
 the fakes in it.  Each weighing splits every class into its left, right
-and off-scale coins (`_split`).  A transcript is routed once (`_routing`,
-a split per weighing), and every size's fold follows that routing.
-`_refine` spreads a vector's fakes in a class over the parts in every way
-and keeps only the children whose pan difference shows the weighing's
-sign.  After the last weighing the
+and off-scale coins (`model._route`, which the search's images use too).
+A transcript is routed once (`_routing`, a split per weighing), and every
+size's fold follows that routing.  `_refine` spreads a vector's fakes in
+a class over the parts in every way and keeps only the children whose
+pan difference shows the weighing's sign.  After the last weighing the
 classes are the itinerary classes, in itinerary order.  Vectors are
 sparse, listing only the classes that hold a fake, so their cost follows
 the fake count, not the number of classes.  The bounded search takes
@@ -63,6 +63,7 @@ from .model import (
     _checked_coins,
     _checked_int,
     _refuse_stray_placement,
+    _route,
     partition_by_itinerary,
 )
 
@@ -100,29 +101,18 @@ class PrivacyReport:
         }
 
 
-def _split(prefixes, column, sizes) -> tuple:
-    """How one weighing routes the classes before it: the (left, right, off)
-    coins of each distinct prefix, in prefix order, when the j-th group of
-    `sizes[j]` coins has itinerary `prefixes[j]` so far and goes to pan
-    `column[j]` ("L", "R" or "O")."""
-    pan = {"L": 0, "R": 1, "O": 2}
-    routed: dict = {}
-    for prefix, symbol, n in zip(prefixes, column, sizes):
-        pans = routed.get(prefix)
-        if pans is None:
-            pans = routed[prefix] = [0, 0, 0]
-        pans[pan[symbol]] += n
-    return tuple(tuple(routed[prefix]) for prefix in sorted(routed))
-
-
 def _routing(symbols, sizes) -> tuple:
-    """Each weighing's `_split` of the classes before it, when class j has
-    `sizes[j]` coins and itinerary `symbols[j]` (at least one class).  The
-    classes before weighing i are the distinct prefixes of length i."""
-    return tuple(
-        _split([itin[:i] for itin in symbols], [itin[i] for itin in symbols], sizes)
-        for i in range(len(symbols[0]))
-    )
+    """Each weighing's split of the classes before it, when class j has
+    `sizes[j]` coins and itinerary `symbols[j]` (at least one class): a
+    fold of `_route` from one group of every class, whose nonempty parts,
+    in L, O, R order, are the groups of the next weighing."""
+    groups = [range(len(symbols))]
+    routing = []
+    for i in range(len(symbols[0])):
+        parts, split = _route(groups, [itin[i] for itin in symbols], sizes)
+        routing.append(split)
+        groups = [part for group in parts for part in group if part]
+    return tuple(routing)
 
 
 @functools.lru_cache(maxsize=None)

@@ -249,6 +249,26 @@ def partition_by_itinerary(plan: WeighingPlan) -> dict:
     return classes
 
 
+_PAN = {"L": 0, "O": 1, "R": 2}  # a class's part in `_route`, in itinerary order
+
+
+def _route(groups, pans, sizes) -> tuple:
+    """How one weighing routes groups of class indices, when class j holds
+    `sizes[j]` coins and goes to pan `pans[j]` ("L", "R" or "O"): each
+    group's L, O and R class lists and its (left, right, off) coins.  Groups
+    in itinerary order, refined in L, O, R order, stay in itinerary order."""
+    parts, split = [], []
+    for group in groups:
+        part, load = ([], [], []), [0, 0, 0]
+        for j in group:
+            pan = _PAN[pans[j]]
+            part[pan].append(j)
+            load[pan] += sizes[j]
+        parts.append(part)
+        split.append((load[0], load[2], load[1]))
+    return parts, tuple(split)
+
+
 # --- JSON encoding (field names are the wire format used by the CLI) ---
 
 

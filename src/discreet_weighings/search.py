@@ -62,6 +62,7 @@ from .model import (
     Weighing,
     WeighingPlan,
     _checked_int,
+    _route,
     conjugate,
     partition_by_itinerary,
 )
@@ -70,7 +71,6 @@ from .strategies import StrategyBundle, _contiguous_piles
 MAX_SEARCH_T = 12
 MAX_SEARCH_WEIGHINGS = 4
 _CODES = (0, 1, -1)  # the order the walk tries a weighing's outcomes in
-_PANS = {"L": 0, "O": 1, "R": 2}  # the order `_apply_split` lists a class's parts in
 
 
 @dataclass(frozen=True)
@@ -230,16 +230,16 @@ def _images(classes, codes, bound=None):
     so it meets nodes in the order of their labels.  A node's own path has
     the identity's labels.
 
-    Each step refines groups of the node's classes into their parts in L,
-    O, R order, as `_apply_split` does, so the groups stay in the image's
-    itinerary order.  The class order lists the node's class that each
+    Each step routes groups of the node's classes into their parts in L,
+    O, R order (`model._route`), as `_apply_split` does, so the groups stay
+    in the image's itinerary order.  The class order lists the node's class that each
     image class comes from.  With `bound` labels, only steps labeled as the
     bound's are followed, and the first step with a lesser label is
     yielded as the labels up to it, with no class order, and ends the pass:
     any walk-form prefix completes to a full image, since each weighing
     left can take whichever orientation is at most its mirror."""
     sizes = [n for _, n in classes]
-    pans = [[_PANS[itin[p]] for itin, _ in classes] for p in range(len(codes))]
+    columns = [[itin[p] for itin, _ in classes] for p in range(len(codes))]
     ranks = [(_CODES.index(code), _CODES.index(-code)) for code in codes]
     stack = [([range(len(classes))], (), tuple(range(len(codes))))]
     while stack:
@@ -249,18 +249,7 @@ def _images(classes, codes, bound=None):
             continue
         limit = bound[len(labels)] if bound else None
         for p in left:
-            pan = pans[p]
-            parts = []
-            loads = []
-            for group in groups:
-                part = ([], [], [])  # L, O, R
-                load = [0, 0, 0]
-                for j in group:
-                    part[pan[j]].append(j)
-                    load[pan[j]] += sizes[j]
-                parts.append(part)
-                loads.append((load[0], load[2], load[1]))
-            split = tuple(loads)
+            parts, split = _route(groups, columns[p], sizes)
             mirror = _mirror(split)
             rest = tuple(q for q in left if q != p)
             for image, other, rank, order in (

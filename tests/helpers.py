@@ -270,6 +270,29 @@ def random_plan(rng: random.Random, t: int, num_weighings: int) -> WeighingPlan:
     return WeighingPlan(t, tuple(weighings))
 
 
+def prefix_split(prefixes, column, sizes) -> tuple:
+    """The routing oracle, by itinerary-prefix strings: how one weighing
+    routes the classes before it, as the (left, right, off) coins of each
+    distinct prefix, in prefix order, when the j-th group of `sizes[j]`
+    coins has itinerary `prefixes[j]` so far and goes to pan `column[j]`
+    ("L", "R" or "O")."""
+    pan = {"L": 0, "R": 1, "O": 2}
+    routed: dict = {}
+    for prefix, symbol, n in zip(prefixes, column, sizes):
+        routed.setdefault(prefix, [0, 0, 0])[pan[symbol]] += n
+    return tuple(tuple(routed[prefix]) for prefix in sorted(routed))
+
+
+def prefix_routing(symbols, sizes) -> tuple:
+    """Each weighing's `prefix_split` of the classes before it, when class
+    j has `sizes[j]` coins and itinerary `symbols[j]`: the oracle for
+    `judge._routing`."""
+    return tuple(
+        prefix_split([itin[:i] for itin in symbols], [itin[i] for itin in symbols], sizes)
+        for i in range(len(symbols[0]))
+    )
+
+
 def itinerary_groups(plan):
     """The plan's coins grouped by itinerary, coin by coin with
     `itinerary_of`, sorted by itinerary."""

@@ -256,7 +256,7 @@ def test_guess_subcommand(capsys):
 def test_one_request_judges_its_transcript_once(capsys, monkeypatch, command, strategy):
     # the verdict, privacy report and guess share one partition and one
     # routing of the plan
-    calls = {"partition_by_itinerary": 0, "_split": 0}
+    calls = {"partition_by_itinerary": 0, "_route": 0}
 
     def counted(name):
         original = getattr(judge, name)
@@ -272,7 +272,7 @@ def test_one_request_judges_its_transcript_once(capsys, monkeypatch, command, st
     code, _, _ = run_cli(capsys, command, strategy, "--t", "80", "--f", "3", "--d", "2")
     assert code == 0
     weighings = len(BUILDERS[strategy](ProblemInstance(80, 3, 2)).plan.weighings)
-    assert calls == {"partition_by_itinerary": 1, "_split": weighings}
+    assert calls == {"partition_by_itinerary": 1, "_route": weighings}
 
 
 def test_search_subcommand(capsys):

@@ -8,6 +8,7 @@ from math import comb, prod
 import pytest
 
 from discreet_weighings import (
+    BUILDERS,
     InvalidProofError,
     Outcome,
     ProblemInstance,
@@ -15,6 +16,7 @@ from discreet_weighings import (
     ValidationError,
     Weighing,
     WeighingPlan,
+    build_equal_piles,
     build_leftover_reveal,
     build_official,
     build_reference_pile,
@@ -34,6 +36,7 @@ from helpers import (
     brute_pair_count,
     dense_count_vectors,
     many_class_plan,
+    prefix_routing,
     random_fakes,
     random_plan,
 )
@@ -98,6 +101,26 @@ def test_count_vectors_match_the_enumerator_on_random_classes():
             for s in range(t + 2):
                 expected = brute_count_vectors(symbols, sizes, codes, s)
                 assert dense_count_vectors(symbols, sizes, codes, s) == expected
+
+
+def test_routing_equals_the_prefix_string_oracle():
+    # the fold of `model._route` against the prefix-string rule, on random
+    # plans, every builtin that builds at 80-3-2 (equal-piles needs a | f,
+    # so it comes at 80-2-1 and 80-4-3) and the triple-case plans at
+    # 121-4-3, 161-5-4 and 200-6-5, with the classes in itinerary order
+    # and shuffled
+    rng = random.Random(26)
+    plans = [random_plan(rng, t, rng.randint(1, 6)) for t in (rng.randint(2, 40) for _ in range(200))]
+    plans += [build(ProblemInstance(80, 3, 2)).plan for name, build in BUILDERS.items() if name != "equal-piles"]
+    plans += [build_equal_piles(ProblemInstance(80, f, f - 1), f).plan for f in (2, 4)]
+    plans += [build_triple_case(ProblemInstance(t, f, f - 1)).plan for t, f in ((121, 4), (161, 5), (200, 6))]
+    for plan in plans:
+        classes = list(model.partition_by_itinerary(plan).items())
+        for _ in range(2):
+            symbols = [itin for itin, _ in classes]
+            sizes = [len(coins) for _, coins in classes]
+            assert judge._routing(symbols, sizes) == prefix_routing(symbols, sizes), plan
+            rng.shuffle(classes)
 
 
 @pytest.mark.parametrize("t,f", [(251, 7), (301, 8), (401, 10)])
@@ -189,7 +212,7 @@ def test_judging_one_transcript_validates_its_plan_once(monkeypatch):
 def test_a_transcript_is_routed_once(monkeypatch):
     # every judge call on one transcript object reads the classes, routing
     # and tallies the first one worked out; an equal new object starts over
-    splits, partitions = [], []
+    routes, partitions = [], []
 
     def counted(calls, original):
         def call(*args):
@@ -198,7 +221,7 @@ def test_a_transcript_is_routed_once(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(judge, "_split", counted(splits, judge._split))
+    monkeypatch.setattr(judge, "_route", counted(routes, judge._route))
     monkeypatch.setattr(
         judge, "partition_by_itinerary", counted(partitions, judge.partition_by_itinerary)
     )
@@ -206,16 +229,16 @@ def test_a_transcript_is_routed_once(monkeypatch):
     bundle = build_official(instance)
     transcript = bundle.transcript()
     assert verify_proof(instance, transcript, bundle.placement).valid
-    assert len(splits) == len(transcript.plan.weighings) == 3
+    assert len(routes) == len(transcript.plan.weighings) == 3
     assert len(partitions) == 1
-    splits.clear()
+    routes.clear()
     partitions.clear()
     assert classify_privacy(instance, transcript).discreet
     assert verify_proof(instance, transcript, bundle.placement).valid
     assert count_consistent(80, 3, transcript) == 8000
     assert uniform_best_guess(80, 3, transcript) == (0, Fraction(1, 20))
     assert count_consistent(80, 1, transcript) == len(brute_consistent(80, 1, transcript))
-    assert splits == [] and partitions == []
+    assert routes == [] and partitions == []
     # the checks still run: True and 3.0 would find the tallies of 1 and 3
     for t, s, error in ((80, True, ValidationError), (80, 3.0, ValidationError), (81, 3, ValueError)):
         with pytest.raises(error):
@@ -228,10 +251,10 @@ def test_a_transcript_is_routed_once(monkeypatch):
     ):
         assert fresh == transcript and hash(fresh) == hash(transcript)
         assert repr(fresh) == repr(transcript)
-        splits.clear()
+        routes.clear()
         partitions.clear()
         assert verify_proof(instance, fresh, bundle.placement).valid
-        assert len(splits) == 3 and len(partitions) == 1
+        assert len(routes) == 3 and len(partitions) == 1
 
 
 def test_plan_problems_come_before_stray_placement_coins():

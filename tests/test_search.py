@@ -15,7 +15,7 @@ from discreet_weighings import (
     verify_proof,
 )
 from discreet_weighings import judge, search
-from discreet_weighings.judge import _refine, _split
+from discreet_weighings.judge import _refine
 from discreet_weighings.model import conjugate, itinerary_of
 from discreet_weighings.search import (
     ItineraryProfile,
@@ -41,6 +41,7 @@ from helpers import (
     exhaustive_witnesses,
     labeled_plans,
     least_splits,
+    prefix_split,
     random_plan,
     sparse,
     unpruned_nodes,
@@ -224,7 +225,7 @@ def test_split_and_mirror_count_each_prefix_class_on_each_pan():
         itins = [itin for itin, _ in profile.counts]
         sizes = [n for _, n in profile.counts]
         for i, weighing in enumerate(plan.weighings):
-            split = _split([itin[:i] for itin in itins], [itin[i] for itin in itins], sizes)
+            split = prefix_split([itin[:i] for itin in itins], [itin[i] for itin in itins], sizes)
             for (left, right), routed in (((weighing.left, weighing.right), split),
                                           ((weighing.right, weighing.left), _mirror(split))):
                 counted: dict = {}
@@ -236,8 +237,9 @@ def test_split_and_mirror_count_each_prefix_class_on_each_pan():
 
 def test_walk_form_keeps_the_images_with_the_lighter_left_pan_first():
     # the images are those of the transforms, one each, whose every split
-    # (`judge._split` over the image itineraries before it) is at most its
-    # mirror: the first class whose pans differ has the lighter left pan.
+    # (`helpers.prefix_split` over the image itineraries before it) is at
+    # most its mirror: the first class whose pans differ has the lighter
+    # left pan.
     # Each step is labeled by that split and its code's rank, and the
     # class order lists each image class's source class in itinerary order
     rng = random.Random(14)
@@ -297,7 +299,7 @@ def _random_node(rng, w, k):
 
 def _walk_labels(classes, codes):
     """A node's labels by the judge's split rule: per weighing, its split
-    of the classes before it (`judge._split`) and its code's rank in
+    of the classes before it (`helpers.prefix_split`) and its code's rank in
     `_CODES`.  None when the walk never meets the node: in some split, the
     first class whose pans hold different numbers of coins has the heavier
     left pan."""
@@ -305,7 +307,7 @@ def _walk_labels(classes, codes):
     sizes = [n for _, n in classes]
     labels = []
     for i, code in enumerate(codes):
-        split = _split([itin[:i] for itin in itins], [itin[i] for itin in itins], sizes)
+        split = prefix_split([itin[:i] for itin in itins], [itin[i] for itin in itins], sizes)
         differing = [(l, r) for l, r, _ in split if l != r]
         if differing and differing[0][0] > differing[0][1]:
             return None
