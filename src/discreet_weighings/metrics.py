@@ -14,7 +14,7 @@ from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .model import ValidationError, _checked_int
+from .model import ValidationError, _checked_coins, _checked_int
 
 
 def approx3(value: Fraction) -> float:
@@ -101,9 +101,11 @@ class Pile:
     fakes: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coins", frozenset(self.coins))
+        object.__setattr__(self, "coins", _checked_coins(self.coins, "pile coin"))
         if not self.coins:
             raise ValueError("a pile must contain at least one coin")
+        if min(self.coins) < 0:
+            raise ValidationError(f"pile coins {sorted(c for c in self.coins if c < 0)} are negative")
         if not 1 <= _checked_int(self.fakes, "fakes") <= len(self.coins):
             raise ValueError(
                 f"pile of {len(self.coins)} coins cannot hold {self.fakes} fakes"
@@ -199,7 +201,9 @@ def minimax_distribution(structure: CaseStructure):
 
     Returns (probabilities, value), both exact; value equals the maximum of
     `case_marginals` at the returned distribution, which is checked once
-    per distinct share row, in integers.
+    per distinct share row, in integers.  A dual vector certifies that no
+    distribution does better: a mixed guess of the judge over the share
+    rows that is right with probability at least value in every case.
 
     >>> from discreet_weighings import ProblemInstance, build_official
     >>> minimax_distribution(build_official(ProblemInstance(80, 3, 2)).cases)
@@ -214,18 +218,27 @@ def minimax_distribution(structure: CaseStructure):
     common = lcm(*(row[-1] for row in rows))
     rows = sorted(rows, key=lambda row: [x * (common // row[-1]) for x in row])
     k = len(structure.cases)
-    q, den = _packing_vertex(rows, k)
+    q, den, y = _packing_vertex(rows, k)
     # the vertex q / den meets every row, row.q <= den * scale, and one row
     # exactly; then den / sum(q) is the largest coin marginal at p
     if min(q) < 0 or min(den * row[k] - sum(map(mul, row, q)) for row in rows) != 0:
         raise RuntimeError(f"minimax vertex {q} / {den} is not tight on the share rows")
     total = sum(q)
+    # y / den is feasible for the dual, min y.scale s.t. sum_i y_i row_i >= 1
+    # per case, at the primal's value sum(q) / den: by weak duality no q does
+    # better.  Guessing a coin of row i with probability y_i scale_i / sum(q)
+    # is right with probability at least den / sum(q) in every case
+    covered = [sum(y_i * row[c] for y_i, row in zip(y, rows)) for c in range(k + 1)]
+    if min(y) < 0 or min(covered[:k]) < den or covered[k] != total:
+        raise RuntimeError(f"minimax dual {y} / {den} does not certify the vertex")
     return tuple(Fraction(x, total) for x in q), Fraction(den, total)
 
 
 def _packing_vertex(rows: list, k: int) -> tuple:
-    """The vertex (q, den), q_j = q[j] / den, of max sum(q) s.t. row.q <= scale
-    and q >= 0 over the integer share `rows` (k shares, then the scale).
+    """The vertex (q, den, y), q_j = q[j] / den, of max sum(q) s.t. row.q <=
+    scale and q >= 0 over the integer share `rows` (k shares, then the
+    scale), with the dual y_i / den of row i: the final reduced cost of its
+    slack when that slack is nonbasic, and 0 otherwise.
 
     The origin is feasible and every case puts some coin at risk, so one
     phase solves it; Bland's rule (lowest entering variable, lowest leaving
@@ -271,4 +284,8 @@ def _packing_vertex(rows: list, k: int) -> tuple:
     for r, j in enumerate(basis):
         if j < k:
             q[j] = tableau[r][-1]
-    return q, den
+    y = [0] * len(rows)
+    for position, j in enumerate(nonbasic):
+        if j >= k:
+            y[j - k] = cost[position]
+    return q, den, y

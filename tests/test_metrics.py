@@ -130,6 +130,13 @@ def test_pile_and_case_structure_validation():
     for fakes in (True, 1.0, Fraction(1), "1"):  # the integer minimax needs int fakes
         with pytest.raises(ValidationError):
             Pile(frozenset({0, 1}), fakes)
+    # a coin is an index: True, 1.0 and "x" would be keys of the marginals
+    # and print in the JSON, and a negative index names no coin
+    for coins in ({True, 2, "x"}, {0.5, 3, 4}, {1.0, 2}, {False}, {-1, 2}):
+        with pytest.raises(ValidationError):
+            Pile(coins)
+    with pytest.raises(ValidationError):
+        CaseStructure(((Pile({0, 1}),), (Pile({1.0, 2}),)))
     with pytest.raises(ValueError):
         CaseStructure(())
     for cases in (((),), ((), ())):  # no case puts a coin at risk
@@ -364,12 +371,21 @@ def test_minimax_floor_is_reached_by_equal_piles():
 def test_minimax_self_check_survives_optimisation(monkeypatch):
     # the result check must raise, not assert: `python -O` drops asserts.
     # It tests the vertex against every share row, so a vertex that misses
-    # every row, or that breaks one, is refused
+    # every row, or that breaks one, is refused.  It tests the dual too: the
+    # rows are (0, 1 | 1) and (1, 0 | 2) and y = (1, 1), so y = (3, 0)
+    # covers case 0 with no weight and y = (2, 1) costs more than sum(q)
     import discreet_weighings.metrics as metrics
 
     structure = CaseStructure(((Pile(frozenset({0, 1})),), (Pile(frozenset({2})),)))
     original = metrics._packing_vertex
-    for corrupt in (lambda q, den: (q, 2 * den), lambda q, den: ([2 * x for x in q], den)):
+    assert original([(0, 1, 1), (1, 0, 2)], 2) == ([2, 1], 1, [1, 1])
+    for corrupt in (
+        lambda q, den, y: (q, 2 * den, y),
+        lambda q, den, y: ([2 * x for x in q], den, y),
+        lambda q, den, y: (q, den, [3, 0]),
+        lambda q, den, y: (q, den, [2, 1]),
+        lambda q, den, y: (q, den, [-x for x in y]),
+    ):
         monkeypatch.setattr(metrics, "_packing_vertex", lambda rows, k: corrupt(*original(rows, k)))
         with pytest.raises(RuntimeError):
             metrics.minimax_distribution(structure)
