@@ -3,7 +3,9 @@
 Each record is a CLI stdout or the JSON of a search result, hashed with
 SHA-256 and kept as its first 16 hex digits in `golden.json`, keyed by the
 record, so a failure names the records that moved.  The digests were taken
-from the code before the judge and the search shared one routing step.
+from the code before the judge and the search shared one routing step, and
+those of the three larger three-weighing searches from the code before the
+search's last weighing refined its size-d vectors first.
 
 To rewrite the fixture after a deliberate output change:
 
@@ -49,6 +51,11 @@ def _instances(max_t):
                     yield t, f, d
 
 
+def _search(t, f, d, w):
+    bundle = search_discreet(t, f, d, w)
+    return f"search {t}-{f}-{d}-{w}", json.dumps(bundle and bundle.to_json(), sort_keys=True)
+
+
 def records():
     """(key, text) for every golden record, in a fixed order."""
     yield "reproduce --json", _stdout("reproduce", "--json")
@@ -56,8 +63,10 @@ def records():
         yield " ".join(argv), _stdout(*argv)
     for w, max_t in ((1, 9), (2, 9), (3, 7)):
         for t, f, d in _instances(max_t):
-            bundle = search_discreet(t, f, d, w)
-            yield f"search {t}-{f}-{d}-{w}", json.dumps(bundle and bundle.to_json(), sort_keys=True)
+            yield _search(t, f, d, w)
+    # the larger three-weighing searches, where most splits have leaf children
+    for t, f, d in ((8, 2, 0), (10, 3, 2), (11, 4, 3)):
+        yield _search(t, f, d, 3)
     for w in (1, 2):
         for t, f, d in _instances(9):
             profiles = all_discreet_profiles(t, f, d, w)
