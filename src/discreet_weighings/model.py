@@ -179,7 +179,12 @@ def simulate_outcome(weighing: Weighing, fakes: Iterable) -> Outcome:
     problems = weighing.violations()
     if problems:
         raise ValidationError("; ".join(problems))
-    return weighing.outcome(_checked_coins(fakes, "fake coin"))
+    fakes = _checked_coins(fakes, "fake coin")
+    # a lone weighing has no t to range-check against, but no index is negative
+    negative = sorted(c for c in fakes if c < 0)
+    if negative:
+        raise ValidationError(f"fake coins {negative} are negative")
+    return weighing.outcome(fakes)
 
 
 def simulate_transcript(plan: WeighingPlan, fakes: Iterable) -> Transcript:

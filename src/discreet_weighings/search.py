@@ -19,6 +19,15 @@ outcomes.  A node that survives the size-f filter is a witness when it has
 no size-d vector.  A witness carries its size-f vectors, and its bundle's
 cases are read off them.
 
+At the last weighing the order is reversed.  A leaf is a witness only when
+no size-d set shows its code, so where a split's children are leaves the
+walk first reads which signs the node's size-d vectors can show over it,
+from the span of pan differences each class allows, without building a
+child vector (`_signs`).  A split on which size-d sets show all three
+signs is passed over with no size-f refinement, and otherwise only the
+codes left unshown are pin-tested.  Internal nodes keep the first order,
+since their children need both sizes of vectors for their states.
+
 Every walk meets each orbit of nodes under reordering the weighings and
 swapping the pans of any of them once.  A path's steps are labeled by their
 splits and codes, and the walk meets nodes in label order, so an internal
@@ -218,6 +227,51 @@ def _pinned_class(sizes, vectors) -> bool:
     return len(dict(itertools.chain.from_iterable(vectors))) < len(sizes)
 
 
+def _span(l, r, o, c):
+    """The pan differences (fakes left minus fakes right) a class routed
+    (l, r, o) can show with c fakes, as (least, greatest, step): every
+    value from the least to the greatest in that step.  For each number of
+    fakes on the pans, the differences run in steps of 2 between ends that
+    move by 1 from one number to the next, so together they leave no gap,
+    unless the off part must hold a fixed number."""
+    hi = min(l, c)
+    hi -= max(0, c - hi - o)
+    lo = min(r, c)
+    lo = max(0, c - lo - o) - lo
+    return lo, hi, 2 if min(o, c) == max(0, c - l - r) else 1
+
+
+def _signs(vectors, split, spans: dict) -> set:
+    """The signs that some child of `vectors` over `split` shows, which are
+    the codes whose buckets `judge._refine` would fill, without building a
+    child.  A vector's children show every sum of one difference per class
+    holding a fake; the sum of spans is a span, in steps of 2 only when
+    every class's is.  `spans` keeps each (routing, fakes) span for the
+    walk, as the ways table keeps each class's ways."""
+    shown = set()
+    for vec in vectors:
+        lo = hi = 0
+        step = 2
+        for j, c in vec:
+            key = split[j], c
+            span = spans.get(key)
+            if span is None:
+                span = spans[key] = _span(*split[j], c)
+            lo += span[0]
+            hi += span[1]
+            if span[2] == 1:
+                step = 1
+        if hi > 0:
+            shown.add(1)
+        if lo < 0:
+            shown.add(-1)
+        if lo <= 0 <= hi and (step == 1 or lo % 2 == 0):
+            shown.add(0)
+        if len(shown) == 3:
+            break
+    return shown
+
+
 def _images(classes, codes, bound=None):
     """Every walk-form image of a node, as (its class order, its labels).
 
@@ -339,6 +393,16 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     One ways table (`judge._refine`) serves every refinement of the walk,
     so each class's ways are renumbered once per walk, not once per split.
 
+    Where a split's children are leaves, its size-d vectors come first: a
+    leaf is a witness only when no size-d set shows its code, and `_signs`
+    tells which codes they show without building a child.  When they show
+    all three, the split is passed over and its size-f vectors are not
+    refined; otherwise only the codes left unshown are pin-tested, and a
+    leaf left is a witness.  Leaves are neither tested nor entered, so this
+    changes no witness and no order.  An internal node refines its size-f
+    vectors first and its size-d vectors only for a child it keeps, since
+    that child's state needs them.
+
     The walk also remembers failed states, as nogood recording does
     (Dechter 1990; Schiex and Verfaillie 1994): an internal node whose state
     (`_state`) is in `failed` is skipped, subtree and all, when it is
@@ -354,15 +418,15 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     since the test may then pass over an orbit with witnesses."""
     failed: set = set()  # states whose subtrees hold no witness
     table: dict = {}
+    spans: dict = {}
     found = False  # whether the walk has yielded a witness
 
     def recurse(classes, codes, labels, vectors_f, vectors_d, moves):
         nonlocal found
-        if len(codes) >= max_weighings:
-            return
         state = _state(classes, codes, vectors_f, vectors_d)
         if state in failed:
             return
+        last = len(codes) + 1 == max_weighings  # the children are leaves
         covered: set = set()  # the images of the splits kept so far
         for split in _splits([n for _, n in classes]):
             if moves:
@@ -370,11 +434,17 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
                     continue
                 # a move lists for each class the class mapped onto it
                 covered.update(tuple(map(split.__getitem__, move)) for move in moves)
+            shown = ()  # at the last weighing, the codes size-d sets show
+            if last:
+                # a leaf is a witness only when no size-d set shows its code
+                shown = _signs(vectors_d, split, spans)
+                if len(shown) == 3:
+                    continue
             refined_f = _refine(vectors_f, split, table)
             sizes = child = refined_d = None
             for rank, code in enumerate(_CODES):
                 child_f = refined_f[code]
-                if not child_f:
+                if not child_f or code in shown:
                     continue
                 if sizes is None:
                     # child classes in _apply_split order: per class L, O, R
@@ -384,12 +454,14 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
                 if child is None:
                     child = _apply_split(classes, split)
                 child_codes = codes + (code,)
+                if last:  # a leaf is neither tested nor expanded
+                    found = True
+                    yield child, child_codes, child_f
+                    continue
                 child_labels = labels + ((split, rank),)
-                child_moves = ()  # a leaf is neither tested nor expanded
-                if len(child_codes) < max_weighings:
-                    child_moves = _moves(child, child_codes, child_labels)
-                    if child_moves is None:
-                        continue
+                child_moves = _moves(child, child_codes, child_labels)
+                if child_moves is None:
+                    continue
                 if refined_d is None:
                     refined_d = _refine(vectors_d, split, table)
                 child_d = refined_d[code]

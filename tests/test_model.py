@@ -76,6 +76,16 @@ def test_simulate_outcome_rejects_bad_weighings():
         simulate_outcome(Weighing(set(), set()), set())  # empty pans
 
 
+def test_simulate_outcome_refuses_negative_fakes():
+    # a lone weighing has no t to range-check against, but a negative
+    # index names no coin, as for a pile's coins
+    with pytest.raises(ValidationError, match=r"fake coins \[-5\] are negative"):
+        simulate_outcome(Weighing({0}, {1}), {-5})
+    with pytest.raises(ValidationError, match=r"fake coins \[-2, -1\] are negative"):
+        simulate_outcome(HALVES, {-1, 3, -2})
+    assert simulate_outcome(Weighing({0}, {1}), {0, 7}) is Outcome.LEFT_LIGHTER
+
+
 def test_simulate_transcript_examples():
     plan = WeighingPlan(80, (HALVES,))
     transcript = simulate_transcript(plan, {3, 47})

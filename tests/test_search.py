@@ -25,6 +25,8 @@ from discreet_weighings.search import (
     _images,
     _mirror,
     _moves,
+    _signs,
+    _span,
     _splits,
     _state,
     all_discreet_profiles,
@@ -531,52 +533,129 @@ def test_pinned_class_is_its_definition_on_random_vector_families():
     assert {(True, True, False), (False, True, False), (False, False, True), (False, False, False)} <= seen
 
 
+def _walk_steps(monkeypatch, t, f, d, w, cut=None):
+    """The nodes a walk enters, in order, each as [classes, codes, its
+    steps, its state], and the nodes still open when it stops after `cut`
+    witnesses.  A node is seen entering when its state is taken, with its
+    vectors.  A step is a `_refine` or `_signs` call the node makes, as
+    (the step's name, the size of the vectors it takes, the split, its
+    result)."""
+    real = {name: getattr(search, name) for name in ("_state", "_refine", "_signs")}
+    stack = []  # the node entered last at each depth, with its vectors
+    nodes = []
+
+    def entering(classes, codes, vectors_f, vectors_d):
+        state = real["_state"](classes, codes, vectors_f, vectors_d)
+        del stack[len(codes):]
+        stack.append(([classes, codes, [], state], vectors_f, vectors_d))
+        nodes.append(stack[-1][0])
+        return state
+
+    def step(name):
+        def call(vectors, split, table):
+            result = real[name](vectors, split, table)
+            # the open node whose own vectors these are, by identity
+            node, vectors_f, vectors_d = next(
+                entry for entry in reversed(stack) if vectors is entry[1] or vectors is entry[2]
+            )
+            node[2].append((name, f if vectors is vectors_f else d, split, result))
+            return result
+
+        return call
+
+    monkeypatch.setattr(search, "_state", entering)
+    for name in ("_refine", "_signs"):
+        monkeypatch.setattr(search, name, step(name))
+    depth = 0
+    for _classes, codes, _vectors in itertools.islice(search._iter_witnesses(t, f, d, w), cut):
+        depth = len(codes)  # the witness's parent and its ancestors are open
+    monkeypatch.undo()
+    return nodes, [node for node, *_ in stack[:depth]] if cut else []
+
+
 def test_each_node_refines_the_splits_the_image_rule_keeps(monkeypatch):
     # a node skips a split when a move maps an earlier kept split onto it
     # or onto its mirror; that must keep exactly the splits no move maps
-    # onto a lesser one (`helpers.least_splits`).  The walk's size-f
-    # refinements are recorded: they carry f fakes, and a node's vectors
-    # are the bucket its parent's last refinement put them in.  The full
-    # walk at (10, 3, 2, 3) takes seconds, so it is followed to its first
-    # witness, and two cheaper three-weighing walks are followed in full.
-    real = search._refine
+    # onto a lesser one (`helpers.least_splits`).  A node's first step on
+    # each split it keeps refines its size-f vectors, or, when its children
+    # are leaves, tests the signs its size-d vectors show.  A node the
+    # state memo cuts takes no step.  The full walk at (10, 3, 2, 3) takes
+    # seconds, so it is followed to its first witness, and two cheaper
+    # three-weighing walks are followed in full.
     skipping = 0
     for t, f, d, w in ORBIT_SWEEP + [(9, 2, 1, 3), (8, 2, 0, 3)]:
-        path = []  # [classes, codes, vectors, refined splits, last buckets] per node
-        nodes = []
-
-        def recording(vectors, split, table):
-            buckets = real(vectors, split, table)
-            if vectors and sum(c for _, c in vectors[0]) == f:
-                while path and path[-1][2] is not vectors:
-                    parent = path[-1]
-                    code = next((c for c, bucket in parent[4].items() if bucket is vectors), None)
-                    if code is None:
-                        path.pop()  # the parent's subtree is done
-                    else:
-                        child = _apply_split(parent[0], parent[3][-1])
-                        path.append([child, parent[1] + (code,), vectors, [], None])
-                        nodes.append(path[-1])
-                if not path:
-                    path.append([(("", t),), (), vectors, [], None])
-                    nodes.append(path[-1])
-                path[-1][3].append(split)
-                path[-1][4] = buckets
-            return buckets
-
-        monkeypatch.setattr(search, "_refine", recording)
-        cut = 1 if t == 10 else None
-        for _ in itertools.islice(search._iter_witnesses(t, f, d, w), cut):
-            pass
+        nodes, still_open = _walk_steps(monkeypatch, t, f, d, w, 1 if t == 10 else None)
         assert nodes and not nodes[0][1], (t, f, d, w)
-        if cut:  # the nodes on the path when the walk stopped are not done
-            nodes = [node for node in nodes if all(node is not open_node for open_node in path)]
-        for classes, codes, _vectors, refined, _buckets in nodes:
+        walked = set()  # the states of the nodes walked so far
+        for classes, codes, steps, state in nodes:
+            if not steps:  # cut by the memo: a node in its state was walked
+                assert state in walked, (t, f, d, w, classes, codes)
+                continue
+            walked.add(state)
+            if any(node[2] is steps for node in still_open):
+                continue
+            kept = []
+            for name, size, split, _result in steps:
+                if not kept or kept[-1] != split:
+                    assert (name, size) == (("_signs", d) if len(codes) == w - 1 else ("_refine", f))
+                    kept.append(split)
             splits = _splits([n for _, n in classes])
             expected = least_splits(splits, _moves(classes, codes, _walk_labels(classes, codes)) if codes else ())
-            assert refined == expected, (t, f, d, w, classes, codes)
+            assert kept == expected, (t, f, d, w, classes, codes)
             skipping += len(expected) < len(splits)
     assert skipping > 0
+
+
+def test_the_last_weighing_tests_size_d_signs_before_refining_size_f(monkeypatch):
+    # a leaf is a witness only when no size-d set shows its code, so a node
+    # whose children are leaves first tests which signs its size-d vectors
+    # show on a split, never refines them, and refines its size-f vectors
+    # only when some sign is left unshown; other nodes refine as before
+    unshown = all_shown = 0
+    for t, f, d, w, cut in ((10, 3, 2, 3, 1), (9, 2, 1, 3, None), (8, 2, 0, 3, None), (9, 2, 1, 2, None)):
+        nodes, _ = _walk_steps(monkeypatch, t, f, d, w, cut)
+        for _classes, codes, steps, _node_state in nodes:
+            if len(codes) < w - 1:
+                assert all(name == "_refine" for name, *_ in steps), (t, f, d, w, codes)
+                continue
+            for before, (name, size, split, result) in zip([None] + steps, steps):
+                if name == "_signs":
+                    assert size == d, (t, f, d, w, codes)
+                    all_shown += len(result) == 3
+                else:
+                    assert size == f and before[:3] == ("_signs", d, split), (t, f, d, w, codes)
+                    assert len(before[3]) < 3, (t, f, d, w, codes, split)
+                    unshown += 1
+    assert unshown and all_shown
+    # the first witness is the one the walk found when it refined both sizes
+    classes, codes, _vectors = next(search._iter_witnesses(10, 3, 2, 3))
+    assert classes == (("LOO", 1), ("OLR", 2), ("OOL", 3), ("ORO", 1), ("ORR", 2), ("RLL", 1))
+    assert codes == (0, 0, 0)
+
+
+def test_signs_are_the_codes_the_refinement_shows():
+    # a class routed (l, r, o) with c fakes shows every pan difference
+    # between its span's ends, in steps of 2 when its off part is forced
+    for l, r, o in itertools.product(range(5), repeat=3):
+        for c in range(l + r + o + 1):
+            diffs = {x - y for x in range(l + 1) for y in range(r + 1) if 0 <= c - x - y <= o}
+            lo, hi, step = _span(l, r, o, c)
+            assert diffs == set(range(lo, hi + 1, step)), (l, r, o, c)
+    # so the signs a family of vectors shows over a split are the codes
+    # whose buckets the refinement fills
+    rng = random.Random(27)
+    table: dict = {}
+    spans: dict = {}
+    for _ in range(150):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        fakes = rng.randint(0, sum(sizes))
+        dense = [v for v in itertools.product(*(range(n + 1) for n in sizes)) if sum(v) == fakes]
+        vectors = [sparse(v) for v in sorted(rng.sample(dense, rng.randint(1, min(len(dense), 5))))]
+        for split in rng.sample(_splits(sizes), min(len(_splits(sizes)), 6)):
+            for routed in (split, _mirror(split)):
+                refined = _refine(vectors, routed, table)
+                assert _signs(vectors, routed, spans) == {code for code in _CODES if refined[code]}
+    assert _signs([], ((1, 1, 0),), spans) == set()
 
 
 @pytest.mark.parametrize(
