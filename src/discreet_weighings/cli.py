@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 141 when the reader closes standard output early (as `| head` does).
 
 `_evaluate` turns every proof into its report, and `reproduce` reads its
-rows off the reports that `construct` prints.
+rows off the reports that `construct` prints.  Each call builds its parser
+afresh and registers only the subcommand its first argument names, or all
+six when that names none (`_build_parser`).
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def _cmd_verify(args) -> int:
     if args.file == "-":
         data = json.load(sys.stdin)
     else:
-        with open(args.file) as handle:
+        with open(args.file, encoding="utf-8") as handle:  # JSON is UTF-8
             data = json.load(handle)
     plan = plan_from_json(data)
     try:
@@ -246,68 +248,81 @@ def _add_instance_arguments(parser, with_a=False):
         )
 
 
+def _construct_arguments(parser):
+    parser.add_argument("strategy", choices=STRATEGY_NAMES)
+    _add_instance_arguments(parser, with_a=True)
+    parser.add_argument("--human", action="store_true", help="render a readable report")
+
+
+def _verify_arguments(parser):
+    parser.add_argument("file", help="JSON file with t, weighings, placement (- for stdin)")
+    parser.add_argument("--f", type=int, required=True)
+    parser.add_argument("--d", type=int, required=True)
+    parser.add_argument("--human", action="store_true")
+
+
+def _metrics_arguments(parser):
+    parser.add_argument("--t", type=int, required=True)
+    parser.add_argument("--f", type=int, required=True)
+    parser.add_argument("--new", type=int, default=None, help="surviving possibilities")
+    parser.add_argument("--a", type=int, default=None, help="equal-piles count instead of --new")
+
+
+def _guess_arguments(parser):
+    parser.add_argument("strategy", choices=STRATEGY_NAMES)
+    _add_instance_arguments(parser, with_a=True)
+
+
+def _search_arguments(parser):
+    _add_instance_arguments(parser)
+    parser.add_argument("--max-weighings", type=int, required=True)
+
+
+def _reproduce_arguments(parser):
+    parser.add_argument("--json", action="store_true", help="machine-readable rows")
+    parser.add_argument("--filter", default=None, help="only run matching checks")
+
+
+# (name, help, handler, argument adder) of each subcommand, in usage order
+_SUBCOMMANDS = (
+    ("construct", "build a named strategy and judge it", _cmd_construct, _construct_arguments),
+    ("verify", "judge a user-supplied plan and placement", _cmd_verify, _verify_arguments),
+    ("metrics", "revealing factor and coefficient", _cmd_metrics, _metrics_arguments),
+    ("guess", "single-coin guessing analysis for a strategy", _cmd_guess, _guess_arguments),
+    ("search", "bounded search for a discreet strategy", _cmd_search, _search_arguments),
+    ("reproduce", "recompute all golden reference numbers", _cmd_reproduce, _reproduce_arguments),
+)
+
+
 def _build_parser(command) -> argparse.ArgumentParser:
-    """The CLI's parser.  Every subcommand is registered, with its help and
-    handler, but only `command` gets its arguments: argparse never reads a
-    subparser other than the one it dispatches to."""
+    """The CLI's parser for an argv whose first argument is `command`.
+
+    argparse dispatches to the subcommand that argv's first argument names
+    and reads no other subparser, so only that one is registered.  Any other
+    first argument (none, an option, `--`, a typo) gets all six subcommands,
+    each with its arguments."""
     parser = argparse.ArgumentParser(
         prog="discreet-weighings",
         description="Construct, verify, and measure privacy-preserving coin weighings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build a named strategy and judge it")
-    if command == "construct":
-        p.add_argument("strategy", choices=STRATEGY_NAMES)
-        _add_instance_arguments(p, with_a=True)
-        p.add_argument("--human", action="store_true", help="render a readable report")
-    p.set_defaults(handler=_cmd_construct)
-
-    p = sub.add_parser("verify", help="judge a user-supplied plan and placement")
-    if command == "verify":
-        p.add_argument("file", help="JSON file with t, weighings, placement (- for stdin)")
-        p.add_argument("--f", type=int, required=True)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--human", action="store_true")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("metrics", help="revealing factor and coefficient")
-    if command == "metrics":
-        p.add_argument("--t", type=int, required=True)
-        p.add_argument("--f", type=int, required=True)
-        p.add_argument("--new", type=int, default=None, help="surviving possibilities")
-        p.add_argument("--a", type=int, default=None, help="equal-piles count instead of --new")
-    p.set_defaults(handler=_cmd_metrics)
-
-    p = sub.add_parser("guess", help="single-coin guessing analysis for a strategy")
-    if command == "guess":
-        p.add_argument("strategy", choices=STRATEGY_NAMES)
-        _add_instance_arguments(p, with_a=True)
-    p.set_defaults(handler=_cmd_guess)
-
-    p = sub.add_parser("search", help="bounded search for a discreet strategy")
-    if command == "search":
-        _add_instance_arguments(p)
-        p.add_argument("--max-weighings", type=int, required=True)
-    p.set_defaults(handler=_cmd_search)
-
-    p = sub.add_parser("reproduce", help="recompute all golden reference numbers")
-    if command == "reproduce":
-        p.add_argument("--json", action="store_true", help="machine-readable rows")
-        p.add_argument("--filter", default=None, help="only run matching checks")
-    p.set_defaults(handler=_cmd_reproduce)
-
+    named = [entry for entry in _SUBCOMMANDS if entry[0] == command]
+    # The metavar keeps the usage line of a named subcommand's errors as it
+    # is with all six; with all six it would also rename `command` in the
+    # errors for a missing or unknown one.  prog= spares add_subparsers from
+    # formatting the usage to find the subparsers' prog prefix.
+    metavar = "{" + ",".join(entry[0] for entry in _SUBCOMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog, metavar=metavar)
+    for name, help_text, handler, add_arguments in named or _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # The top-level parser takes no option with a value, and an unknown
-    # option is set aside on its own, so argparse dispatches to the first
-    # argument that is not an option, if that names a subcommand.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    parser = _build_parser(command)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

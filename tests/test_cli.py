@@ -387,17 +387,23 @@ def test_usage_error_exit_code(capsys):
     assert "unrecognized arguments: --mode exhaustive" in err
 
 
-class _EveryCommand(str):
-    """Equal to every subcommand name, so `_build_parser` gives each one its
-    arguments: the reference that a parser built for one command must match."""
-
-    def __eq__(self, other):
-        return True
-
-    __hash__ = str.__hash__
+def _every_command_parser():
+    """The parser with every subcommand and all their arguments, built the
+    plain way: what a parser built for one argv must match on that argv."""
+    parser = argparse.ArgumentParser(
+        prog="discreet-weighings",
+        description="Construct, verify, and measure privacy-preserving coin weighings.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler, add_arguments in cli._SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(handler=handler)
+    return parser
 
 
 COMMANDS = ["construct", "verify", "metrics", "guess", "search", "reproduce"]
+SEARCH = ["search", "--t", "4", "--f", "2", "--d", "1", "--max-weighings", "1"]
 
 
 @pytest.mark.parametrize(
@@ -406,11 +412,18 @@ COMMANDS = ["construct", "verify", "metrics", "guess", "search", "reproduce"]
         [],
         ["-h"],
         ["--help"],
+        ["--he"],
+        ["-hsearch"],
+        ["-h", "search"],
+        ["--help", "verify"],
         ["frobnicate"],
         ["--"],
         *([command, "-h"] for command in COMMANDS),
         ["search", "--t", "4", "--f", "2", "--max-weighings", "1"],
         ["search", "--t", "x", "--f", "2", "--d", "1", "--max-weighings", "1"],
+        [*SEARCH, "stray"],
+        ["--x", *SEARCH],
+        ["--", *SEARCH],
         ["reproduce", "--threads", "1"],
         # an unknown option before the command: argparse still dispatches
         # to reproduce, which must read --json before the error is shown
@@ -420,29 +433,29 @@ COMMANDS = ["construct", "verify", "metrics", "guess", "search", "reproduce"]
 )
 def test_parsing_matches_a_parser_with_every_argument(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    reference = cli._build_parser(_EveryCommand())
     with pytest.raises(SystemExit) as stop:
-        reference.parse_args(argv)
+        _every_command_parser().parse_args(argv)
     expected = capsys.readouterr()
     code = 0 if stop.value.code in (0, None) else 2
     assert run_cli(capsys, *argv) == (code, expected.out, expected.err)
 
 
 def test_build_parser_adds_only_the_named_subcommands_arguments(monkeypatch):
-    added = []
-    add_argument = argparse._ActionsContainer.add_argument
+    built = []
+    init = argparse.ArgumentParser.__init__
 
-    def counted(container, *names, **options):
-        added.append(names)
-        return add_argument(container, *names, **options)
+    def counted(parser, *args, **kwargs):
+        built.append(parser)
+        init(parser, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
-    parser = cli._build_parser("search")
-    # -h on the top-level parser and on each of the six subparsers
-    helps = [("-h", "--help")] * 7
-    assert sorted(added) == sorted(helps + [("--t",), ("--f",), ("--d",), ("--max-weighings",)])
-    args = parser.parse_args(["search", "--t", "4", "--f", "2", "--d", "1", "--max-weighings", "1"])
-    assert args.handler is cli._cmd_search
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for first in [*COMMANDS, None, "-h", "frobnicate", "--"]:
+        built.clear()
+        parser = cli._build_parser(first)
+        # the top-level parser, and the named subcommand's or all six
+        assert len(built) == (2 if first in COMMANDS else 7), first
+        if first in ("search", None):
+            assert parser.parse_args(SEARCH).handler is cli._cmd_search
 
 
 def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
@@ -542,3 +555,17 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_verify_reads_its_file_as_utf8_whatever_the_locale(tmp_path):
+    # JSON is UTF-8, so the file is opened with that encoding, not the
+    # locale's: no EncodingWarning, which -W error would turn into exit 1
+    plan = strategy_file(tmp_path, build_official(ProblemInstance(80, 3, 2)))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "discreet_weighings.cli", "verify", plan, "--f", "3", "--d", "2"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["verdict"]["valid"] is True
