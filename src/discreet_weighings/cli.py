@@ -249,8 +249,7 @@ def _add_instance_arguments(parser, with_a=False):
 
 
 def _construct_arguments(parser):
-    parser.add_argument("strategy", choices=STRATEGY_NAMES)
-    _add_instance_arguments(parser, with_a=True)
+    _guess_arguments(parser)
     parser.add_argument("--human", action="store_true", help="render a readable report")
 
 
