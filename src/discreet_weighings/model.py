@@ -114,7 +114,7 @@ class Transcript:
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         object.__setattr__(self, "_judged", {})
         if len(self.outcomes) != len(self.plan.weighings):
-            raise ValueError(
+            raise ValidationError(
                 f"{len(self.outcomes)} outcomes for "
                 f"{len(self.plan.weighings)} weighings"
             )
@@ -383,7 +383,4 @@ def transcript_for_plan(plan: WeighingPlan, data: Mapping) -> Transcript:
         outcomes = tuple(_outcome_from_json(o, f"outcome {i}") for i, o in enumerate(listed))
     except (KeyError, TypeError, ValidationError) as exc:
         raise ValidationError(f"malformed transcript JSON: {exc}") from exc
-    try:
-        return Transcript(plan, outcomes)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return Transcript(plan, outcomes)

@@ -247,7 +247,7 @@ def _signs(vectors, split, spans: dict) -> set:
     child.  A vector's children show every sum of one difference per class
     holding a fake; the sum of spans is a span, in steps of 2 only when
     every class's is.  `spans` keeps each (routing, fakes) span for the
-    walk, as the ways table keeps each class's ways."""
+    walk; the caller owns it and frees it with the walk."""
     shown = set()
     for vec in vectors:
         lo = hi = 0
@@ -390,8 +390,9 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     that showed its last code, with its classes numbered in itinerary
     order, as `_expand_witness` takes them.
 
-    One ways table (`judge._refine`) serves every refinement of the walk,
-    so each class's ways are renumbered once per walk, not once per split.
+    Every refinement takes a class's ways, numbered as child classes, from
+    the judge's one cache of them (`judge._parts`), so the walk keeps no
+    table of ways; it keeps only its `spans` for `_signs`.
 
     Where a split's children are leaves, its size-d vectors come first: a
     leaf is a witness only when no size-d set shows its code, and `_signs`
@@ -417,7 +418,6 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     node in the same state.  After the first witness no state is recorded,
     since the test may then pass over an orbit with witnesses."""
     failed: set = set()  # states whose subtrees hold no witness
-    table: dict = {}
     spans: dict = {}
     found = False  # whether the walk has yielded a witness
 
@@ -440,7 +440,7 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
                 shown = _signs(vectors_d, split, spans)
                 if len(shown) == 3:
                     continue
-            refined_f = _refine(vectors_f, split, table)
+            refined_f = _refine(vectors_f, split)
             sizes = child = refined_d = None
             for rank, code in enumerate(_CODES):
                 child_f = refined_f[code]
@@ -463,7 +463,7 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
                 if child_moves is None:
                     continue
                 if refined_d is None:
-                    refined_d = _refine(vectors_d, split, table)
+                    refined_d = _refine(vectors_d, split)
                 child_d = refined_d[code]
                 if not child_d:
                     found = True
@@ -624,12 +624,11 @@ def _satisfies_odd_conditions(profile: ItineraryProfile) -> bool:
 def check_odd_t_itineraries(t: int, max_weighings: int) -> OddTItineraryReport:
     """Verify the odd-t structural conditions over all bounded discreet
     witnesses for two fakes with one to disprove; vacuously true when the
-    bounded search finds none."""
+    bounded search finds none.  The bounds are every search's:
+    `MAX_SEARCH_T` coins and 1..`MAX_SEARCH_WEIGHINGS` weighings."""
     _checked_instance(t, 2, 1, max_weighings)
     if t % 2 == 0:
         raise ValueError(f"this check applies to odd coin counts, got t={t}")
-    if max_weighings > 3:
-        raise ValueError(f"bounded to 1..3 weighings, got {max_weighings}")
     profiles = all_discreet_profiles(t, 2, 1, max_weighings)
     failures = tuple(p for p in profiles if not _satisfies_odd_conditions(p))
     return OddTItineraryReport(

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -76,6 +77,11 @@ def test_construct_requires_a_for_equal_piles(capsys):
     )
     assert code == 2
     assert "--a" in err
+    # and no other strategy takes it
+    code, out, err = run_cli(
+        capsys, "construct", "official", "--t", "80", "--f", "3", "--d", "2", "--a", "2"
+    )
+    assert (code, out, err) == (2, "", "error: --a only applies to equal-piles, not official\n")
 
 
 def test_construct_output_is_deterministic(capsys):
@@ -100,6 +106,13 @@ def test_construct_human_rendering(capsys):
     )
     assert code == 0
     assert "discreet" in out and "10.27" in out
+    # an indiscreet proof names how many coins it shows real and fake
+    code, out, _ = run_cli(
+        capsys,
+        "construct", "leftover-reveal", "--t", "80", "--f", "3", "--d", "2", "--human",
+    )
+    assert code == 0
+    assert "privacy    indiscreet: 3 coins shown real, 0 shown fake\n" in out
 
 
 def test_verify_official_fixture(tmp_path, capsys):
@@ -205,8 +218,22 @@ def test_verify_names_stray_placement_coins_with_or_without_outcomes(capsys, mon
             'malformed transcript JSON: outcome 0 must be one of "balanced", '
             '"left_lighter", "right_lighter", got "b"',
         ),
+        (
+            {"t": 4, "weighings": [{"left": [0], "right": [1]}], "placement": [0, 2],
+             "outcomes": ["balanced", "balanced"]},
+            "2 outcomes for 1 weighings",
+        ),
+        (
+            {"t": 4, "weighings": [{"left": [0], "right": [1]}], "placement": "3"},
+            "placement must be a list of coin indices",
+        ),
+        (
+            {"t": 4, "weighings": [{"left": [0], "right": [1]}]},
+            "malformed placement in JSON: 'placement'",
+        ),
     ],
-    ids=["document", "weighings", "weighing", "outcomes", "outcome"],
+    ids=["document", "weighings", "weighing", "outcomes", "outcome", "outcome-count",
+         "placement", "no-placement"],
 )
 def test_verify_names_the_field_of_a_wrong_json_shape(capsys, monkeypatch, data, message):
     assert verify_json(capsys, monkeypatch, data) == (2, "", f"error: {message}\n")
@@ -326,6 +353,18 @@ def test_reproduce_human_filter(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--filter", "triple")
     assert code == 0
     assert "all" in out and "passed" in out
+
+
+def test_reproduce_reports_a_failed_row_and_exits_1(capsys, monkeypatch):
+    from discreet_weighings import reference
+
+    rows = reference.run_reference_checks()
+    failing = [dataclasses.replace(rows[0], passed=False), *rows[1:]]
+    monkeypatch.setattr(reference, "run_reference_checks", lambda name_filter=None: failing)
+    code, out, _ = run_cli(capsys, "reproduce")
+    assert code == 1
+    assert f"\n1 of {len(rows)} checks FAILED\n" in out
+    assert out.splitlines()[0].endswith("  FAIL")
 
 
 def test_reproduce_reads_the_reports_construct_prints(monkeypatch):

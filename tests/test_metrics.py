@@ -60,6 +60,8 @@ def test_revealing_metrics_rejects_bad_counts():
         revealing_metrics(80, 3, 0)
     with pytest.raises(ValueError):
         revealing_metrics(80, 3, comb(80, 3) + 1)
+    with pytest.raises(ValueError, match="^no size-10 fake sets exist for t=5$"):
+        revealing_metrics(5, 10, 1)
 
 
 @pytest.mark.parametrize(
@@ -112,6 +114,8 @@ def test_equal_piles_factor_limit_values():
     assert equal_piles_factor_limit(4, 2) == float(Fraction(8, 3))
     with pytest.raises(ValueError):
         equal_piles_factor_limit(4, 3)
+    with pytest.raises(ValueError, match="^need a > 1, got a=1$"):
+        equal_piles_factor_limit(4, 1)
 
 
 def test_factor_at_scale_approaches_its_limit_from_below():

@@ -114,8 +114,12 @@ def test_simulate_transcript_range_checks():
 
 def test_transcript_length_must_match_plan():
     plan = WeighingPlan(4, (Weighing({0}, {1}),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="^2 outcomes for 1 weighings$"):
         Transcript(plan, (Outcome.BALANCED, Outcome.BALANCED))
+    # read from JSON, the transcript refuses it in the same words
+    data = {"t": 4, "weighings": [{"left": [0], "right": [1]}], "outcomes": ["balanced"] * 2}
+    with pytest.raises(ValidationError, match="^2 outcomes for 1 weighings$"):
+        transcript_from_json(data)
 
 
 @pytest.mark.parametrize("outcome", ["balanced", 1, None])

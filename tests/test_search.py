@@ -58,7 +58,7 @@ def test_bounds_are_enforced():
     with pytest.raises(ValueError):
         search_discreet(8, 2, 1, 5)
     with pytest.raises(ValueError):
-        check_odd_t_itineraries(9, 4)
+        check_odd_t_itineraries(9, 5)
     with pytest.raises(ValueError):
         check_odd_t_itineraries(13, 3)
     with pytest.raises(ValueError):
@@ -160,11 +160,11 @@ def _dense(vec, k):
 
 def test_refined_vectors_match_the_enumerator_on_random_splits():
     # a parent's size-f vectors, refined over every split (and its mirror),
-    # must be the child's vectors for each sign of the new weighing.  One
-    # ways table serves every split, mirror and parent, as one serves a
-    # whole search walk, so a table key that fixes too little shows here.
+    # must be the child's vectors for each sign of the new weighing.  The
+    # judge's one cache of ways serves every split, mirror and parent, as
+    # it serves a whole search walk, so a cache key that fixes too little
+    # shows here.
     rng = random.Random(9)
-    table: dict = {}
     for _ in range(60):
         w = rng.randint(0, 2)
         k = rng.randint(1, min(3**w, 4))
@@ -177,7 +177,7 @@ def test_refined_vectors_match_the_enumerator_on_random_splits():
         for split in _splits(sizes):
             for routed in (split, tuple((r, l, o) for l, r, o in split)):
                 child = _apply_split(classes, routed)
-                buckets = _refine(parent, routed, table)
+                buckets = _refine(parent, routed)
                 for sign in (0, 1, -1):
                     expected = brute_count_vectors(
                         [itin for itin, _ in child], [n for _, n in child], codes + (sign,), f
@@ -552,8 +552,8 @@ def _walk_steps(monkeypatch, t, f, d, w, cut=None):
         return state
 
     def step(name):
-        def call(vectors, split, table):
-            result = real[name](vectors, split, table)
+        def call(vectors, split, *spans):
+            result = real[name](vectors, split, *spans)
             # the open node whose own vectors these are, by identity
             node, vectors_f, vectors_d = next(
                 entry for entry in reversed(stack) if vectors is entry[1] or vectors is entry[2]
@@ -644,7 +644,6 @@ def test_signs_are_the_codes_the_refinement_shows():
     # so the signs a family of vectors shows over a split are the codes
     # whose buckets the refinement fills
     rng = random.Random(27)
-    table: dict = {}
     spans: dict = {}
     for _ in range(150):
         sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
@@ -653,7 +652,7 @@ def test_signs_are_the_codes_the_refinement_shows():
         vectors = [sparse(v) for v in sorted(rng.sample(dense, rng.randint(1, min(len(dense), 5))))]
         for split in rng.sample(_splits(sizes), min(len(_splits(sizes)), 6)):
             for routed in (split, _mirror(split)):
-                refined = _refine(vectors, routed, table)
+                refined = _refine(vectors, routed)
                 assert _signs(vectors, routed, spans) == {code for code in _CODES if refined[code]}
     assert _signs([], ((1, 1, 0),), spans) == set()
 
@@ -710,6 +709,10 @@ def test_profile_validation():
     # the pans hold 2 v 2, but the plan would leave a coin on neither pan
     with pytest.raises(ValueError, match="'L' is listed more than once"):
         ItineraryProfile((("L", 1), ("L", 1), ("R", 2)))
+    with pytest.raises(ValueError, match="^a profile needs at least one itinerary class$"):
+        ItineraryProfile(())
+    with pytest.raises(ValueError, match="^class 'O' has count 0$"):
+        ItineraryProfile((("L", 1), ("R", 1), ("O", 0)))
     profile = ItineraryProfile((("L", 2), ("R", 2), ("O", 1)))
     assert profile.t == 5 and profile.num_weighings == 1
 
@@ -751,8 +754,9 @@ def test_odd_t_itinerary_conditions():
     vacuous = check_odd_t_itineraries(5, 3)
     assert vacuous.vacuous and vacuous.all_satisfy and vacuous.witnesses_checked == 0
 
-    # demo 05 prints the two-weighing counts
-    for t, max_w, checked in ((9, 2, 2), (9, 3, 10), (11, 2, 8), (11, 3, 146)):
+    # demo 05 prints the two-weighing counts; the check takes every
+    # search's weighing bound, 4
+    for t, max_w, checked in ((9, 2, 2), (9, 3, 10), (11, 2, 8), (11, 3, 146), (9, 4, 36)):
         report = check_odd_t_itineraries(t, max_w)
         assert not report.vacuous and report.all_satisfy
         assert report.witnesses_checked == checked, (t, max_w)
