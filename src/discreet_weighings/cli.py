@@ -149,11 +149,14 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.file == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.file, encoding="utf-8") as handle:  # JSON is UTF-8
-            data = json.load(handle)
+    try:
+        if args.file == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.file, encoding="utf-8") as handle:  # JSON is UTF-8
+                data = json.load(handle)
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise ValidationError("malformed JSON: nested too deeply to read") from exc
     plan = plan_from_json(data)
     try:
         values = data["placement"]

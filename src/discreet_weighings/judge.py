@@ -41,8 +41,9 @@ only memo: neither a fold nor a search walk keeps a table of its own.
 After the last weighing the classes are the itinerary classes, in
 itinerary order.  Vectors are sparse, listing only the classes that hold
 a fake, so their cost follows the fake count, not the number of classes.
-The bounded search takes `_refine` and nothing else from the judge: it
-refines its nodes' vectors with it, one weighing per level.
+The bounded search takes `_refine` and `_parts` from the judge: it
+refines its nodes' vectors with `_refine`, one weighing per level, and
+reads the span of pan differences a class can show off its `_parts`.
 
 Each `Transcript` object keeps what the judge has worked out of it (`_tally`):
 its classes, their routing and the signs shown, and one summary of the
@@ -125,7 +126,8 @@ def _parts(b: int, l: int, r: int, o: int, c: int) -> tuple:
     numbered from its first child class `b`.
 
     This cache is the only memo of a class's ways: every judge fold and
-    every search walk in the process shares it.  Callers clamp l, r and o
+    every search walk in the process shares it, and the search's spans
+    (`search._span`) are read off it.  Callers clamp l, r and o
     to c, which keeps whether each part is empty, so `b` is the only
     argument that grows with the plan.  The entries are bounded by the
     largest fake count and the largest class count asked about, not by the

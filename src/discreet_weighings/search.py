@@ -37,8 +37,9 @@ fixing it maps a split it already walked onto that split or its mirror.
 `search_discreet` returns the first witness, which is the unpruned walk's
 first.  The listings of every profile expand each orbit's witnesses into
 the labeled nodes the unpruned walk would meet and sort them back into its
-order by their labels, without walking each labeled node.  The judge's
-counting step is all the search takes from the judge.
+order by their labels, without walking each labeled node.  From the
+judge the search takes its counting step and the ways of a class it
+reads (`judge._parts`), whose differences give each class's span.
 
 A walk also remembers the states it has shown to hold no witness below
 them, as nogood recording does.  A node's state is its depth, its class
@@ -59,10 +60,11 @@ works, nothing more.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .judge import _refine
+from .judge import _parts, _refine
 from .metrics import CaseStructure, Pile
 from .model import (
     ITINERARY_SYMBOLS,
@@ -227,36 +229,34 @@ def _pinned_class(sizes, vectors) -> bool:
     return len(dict(itertools.chain.from_iterable(vectors))) < len(sizes)
 
 
+@functools.lru_cache(maxsize=None)
 def _span(l, r, o, c):
     """The pan differences (fakes left minus fakes right) a class routed
     (l, r, o) can show with c fakes, as (least, greatest, step): every
-    value from the least to the greatest in that step.  For each number of
+    value from the least to the greatest in that step.  It summarises the
+    differences of the judge's ways (`judge._parts`).  For each number of
     fakes on the pans, the differences run in steps of 2 between ends that
-    move by 1 from one number to the next, so together they leave no gap,
-    unless the off part must hold a fixed number."""
-    hi = min(l, c)
-    hi -= max(0, c - hi - o)
-    lo = min(r, c)
-    lo = max(0, c - lo - o) - lo
-    return lo, hi, 2 if min(o, c) == max(0, c - l - r) else 1
+    move by 1 from one number to the next, so together they leave no gap.
+    There is one such number only when the off part must hold a fixed
+    number of fakes, and then every difference has its parity and the step
+    is 2.  The entries are bounded by `MAX_SEARCH_T`, not by the number of
+    calls."""
+    diffs = {diff for _, diff in _parts(0, min(l, c), min(r, c), min(o, c), c)}
+    return min(diffs), max(diffs), 2 if len({diff % 2 for diff in diffs}) == 1 else 1
 
 
-def _signs(vectors, split, spans: dict) -> set:
+def _signs(vectors, split) -> set:
     """The signs that some child of `vectors` over `split` shows, which are
     the codes whose buckets `judge._refine` would fill, without building a
     child.  A vector's children show every sum of one difference per class
-    holding a fake; the sum of spans is a span, in steps of 2 only when
-    every class's is.  `spans` keeps each (routing, fakes) span for the
-    walk; the caller owns it and frees it with the walk."""
+    holding a fake; the sum of spans (`_span`) is a span, in steps of 2
+    only when every class's is."""
     shown = set()
     for vec in vectors:
         lo = hi = 0
         step = 2
         for j, c in vec:
-            key = split[j], c
-            span = spans.get(key)
-            if span is None:
-                span = spans[key] = _span(*split[j], c)
+            span = _span(*split[j], c)
             lo += span[0]
             hi += span[1]
             if span[2] == 1:
@@ -391,8 +391,9 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     order, as `_expand_witness` takes them.
 
     Every refinement takes a class's ways, numbered as child classes, from
-    the judge's one cache of them (`judge._parts`), so the walk keeps no
-    table of ways; it keeps only its `spans` for `_signs`.
+    the judge's one cache of them (`judge._parts`), and `_signs` reads each
+    class's span off those ways through `_span`'s cache, so the walk keeps
+    no table: its only memo is `failed`.
 
     Where a split's children are leaves, its size-d vectors come first: a
     leaf is a witness only when no size-d set shows its code, and `_signs`
@@ -418,7 +419,6 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
     node in the same state.  After the first witness no state is recorded,
     since the test may then pass over an orbit with witnesses."""
     failed: set = set()  # states whose subtrees hold no witness
-    spans: dict = {}
     found = False  # whether the walk has yielded a witness
 
     def recurse(classes, codes, labels, vectors_f, vectors_d, moves):
@@ -437,7 +437,7 @@ def _iter_witnesses(t: int, f: int, d: int, max_weighings: int):
             shown = ()  # at the last weighing, the codes size-d sets show
             if last:
                 # a leaf is a witness only when no size-d set shows its code
-                shown = _signs(vectors_d, split, spans)
+                shown = _signs(vectors_d, split)
                 if len(shown) == 3:
                     continue
             refined_f = _refine(vectors_f, split)

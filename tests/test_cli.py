@@ -10,7 +10,18 @@ from pathlib import Path
 import pytest
 
 import discreet_weighings
-from discreet_weighings import BUILDERS, ProblemInstance, build_leftover_reveal, build_official
+from discreet_weighings import (
+    BUILDERS,
+    CaseStructure,
+    Outcome,
+    Pile,
+    ProblemInstance,
+    StrategyBundle,
+    Weighing,
+    WeighingPlan,
+    build_leftover_reveal,
+    build_official,
+)
 from discreet_weighings import cli, judge
 from discreet_weighings.cli import main
 from discreet_weighings.model import plan_to_json
@@ -568,6 +579,51 @@ def test_verify_plan_with_more_classes_than_the_recursion_limit(capsys, monkeypa
     report = json.loads(out)
     assert report["verdict"] == {"valid": True, "consistent_f": 4, "consistent_d": 0}
     assert report["privacy"]["discreet"] is False
+
+
+# json's decoder recurses once per nesting level, so 100,000 levels pass any
+# interpreter's limit: one text is not JSON, the other a valid plan with one
+# deeply nested extra key
+DEEP_NOT_JSON = "[" * 100000
+DEEP_EXTRA_KEY = (
+    '{"t": 8, "weighings": [{"left": [0, 1], "right": [2, 3]}], "placement": [0, 2], "extra": '
+    + "[" * 100000 + "]" * 100000 + "}"
+)
+
+
+@pytest.mark.parametrize("text", [DEEP_NOT_JSON, DEEP_EXTRA_KEY], ids=["not-json", "extra-key"])
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_verify_refuses_json_nested_too_deeply(tmp_path, capsys, monkeypatch, source, text):
+    import io
+
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        path = "-"
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path), "--f", "2", "--d", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: malformed JSON: nested too deeply to read\n"
+
+
+def test_guess_on_an_invalid_proof_exits_1(capsys, monkeypatch):
+    # every builtin strategy proves its count, so a broken one stands in:
+    # one coin against another leaves a single fake off the scale possible
+    def broken(instance):
+        return StrategyBundle(
+            name="broken",
+            instance=instance,
+            plan=WeighingPlan(instance.t, (Weighing(frozenset({0}), frozenset({1})),)),
+            cases=CaseStructure(((Pile(frozenset({0})), Pile(frozenset({1}))),)),
+            expected_outcomes=(Outcome.BALANCED,),
+            expected_discreet=False,
+            revealed_expected=frozenset(),
+        )
+
+    monkeypatch.setitem(cli.BUILDERS, "official", broken)
+    code, out, err = run_cli(capsys, "guess", "official", "--t", "8", "--f", "2", "--d", "1")
+    assert (code, out, err) == (1, "", "error: broken did not produce a valid proof\n")
 
 
 def test_construct_large_instance_counts_without_listing(capsys):

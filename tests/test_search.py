@@ -19,6 +19,7 @@ from discreet_weighings.judge import _refine
 from discreet_weighings.model import conjugate, itinerary_of
 from discreet_weighings.search import (
     ItineraryProfile,
+    MAX_SEARCH_T,
     _CODES,
     _apply_split,
     _labeled_witnesses,
@@ -261,13 +262,14 @@ def test_walk_form_keeps_the_images_with_the_lighter_left_pan_first():
 def test_search_takes_only_the_refinement_step_from_the_judge():
     # the walk refines its parents' size-f and size-d vectors and never
     # recounts them, and the witness bundle is built from the vectors the
-    # walk carried to it: no fold from scratch, not even for the witness
+    # walk carried to it: no fold from scratch, not even for the witness.
+    # Besides the refinement it reads only a class's ways, for its spans
     taken = {
         name
         for name, value in vars(search).items()
         if getattr(value, "__module__", None) == judge.__name__
     }
-    assert taken == {"_refine"}
+    assert taken == {"_refine", "_parts"}
     for t, f, d, w in ((9, 2, 1, 2), (4, 2, 3, 3), (10, 3, 2, 3)):
         classes, codes, _vectors = next(search._iter_witnesses(t, f, d, w))
         expected = brute_witness_bundle(t, f, d, classes, codes)
@@ -552,8 +554,8 @@ def _walk_steps(monkeypatch, t, f, d, w, cut=None):
         return state
 
     def step(name):
-        def call(vectors, split, *spans):
-            result = real[name](vectors, split, *spans)
+        def call(vectors, split):
+            result = real[name](vectors, split)
             # the open node whose own vectors these are, by identity
             node, vectors_f, vectors_d = next(
                 entry for entry in reversed(stack) if vectors is entry[1] or vectors is entry[2]
@@ -635,8 +637,11 @@ def test_the_last_weighing_tests_size_d_signs_before_refining_size_f(monkeypatch
 
 def test_signs_are_the_codes_the_refinement_shows():
     # a class routed (l, r, o) with c fakes shows every pan difference
-    # between its span's ends, in steps of 2 when its off part is forced
-    for l, r, o in itertools.product(range(5), repeat=3):
+    # between its span's ends, in steps of 2 when its off part is forced:
+    # no gap, over every class the search can route
+    for l, r, o in itertools.product(range(MAX_SEARCH_T + 1), repeat=3):
+        if l + r + o > MAX_SEARCH_T:
+            continue
         for c in range(l + r + o + 1):
             diffs = {x - y for x in range(l + 1) for y in range(r + 1) if 0 <= c - x - y <= o}
             lo, hi, step = _span(l, r, o, c)
@@ -644,7 +649,6 @@ def test_signs_are_the_codes_the_refinement_shows():
     # so the signs a family of vectors shows over a split are the codes
     # whose buckets the refinement fills
     rng = random.Random(27)
-    spans: dict = {}
     for _ in range(150):
         sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
         fakes = rng.randint(0, sum(sizes))
@@ -653,8 +657,8 @@ def test_signs_are_the_codes_the_refinement_shows():
         for split in rng.sample(_splits(sizes), min(len(_splits(sizes)), 6)):
             for routed in (split, _mirror(split)):
                 refined = _refine(vectors, routed)
-                assert _signs(vectors, routed, spans) == {code for code in _CODES if refined[code]}
-    assert _signs([], ((1, 1, 0),), spans) == set()
+                assert _signs(vectors, routed) == {code for code in _CODES if refined[code]}
+    assert _signs([], ((1, 1, 0),)) == set()
 
 
 @pytest.mark.parametrize(
@@ -760,6 +764,30 @@ def test_odd_t_itinerary_conditions():
         report = check_odd_t_itineraries(t, max_w)
         assert not report.vacuous and report.all_satisfy
         assert report.witnesses_checked == checked, (t, max_w)
+
+
+FOUR_CLASSES = ItineraryProfile((("LO", 1), ("RO", 1), ("OL", 1), ("OR", 1)))
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        FOUR_CLASSES,
+        # three conjugate pairs of odd combined size, which would pass, and
+        # OO, which is its own conjugate
+        ItineraryProfile((("LO", 1), ("RO", 2), ("LR", 2), ("RL", 1), ("OL", 2), ("OR", 1), ("OO", 1))),
+    ],
+    ids=["fewer-than-six-classes", "self-conjugate-class"],
+)
+def test_odd_t_conditions_refuse_a_profile_outside_them(profile):
+    assert search._satisfies_odd_conditions(profile) is False
+
+
+def test_odd_t_check_reports_each_profile_that_fails(monkeypatch):
+    monkeypatch.setattr(search, "all_discreet_profiles", lambda t, f, d, max_weighings: [FOUR_CLASSES])
+    report = check_odd_t_itineraries(9, 2)
+    assert report.failures == (FOUR_CLASSES,)
+    assert not report.vacuous and not report.all_satisfy and report.witnesses_checked == 1
 
 
 def test_optimal_pairs_even_t():
