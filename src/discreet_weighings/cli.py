@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 141 when the reader closes standard output early (as `| head` does).
 
 `_evaluate` turns every proof into its report, and `reproduce` reads its
-rows off the reports that `construct` prints.  Each call builds its parser
-afresh and registers only the subcommand its first argument names, or all
-six when that names none (`_build_parser`).
+rows off the reports that `construct` prints.  Each call builds its parsers
+afresh: a call whose first argument names a subcommand builds that
+subcommand's parser alone, and the parser with all six (`_parser`) is built
+only for help and usage errors (`_parse`).
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ def _frac(data) -> Fraction:
     return Fraction(data["num"], data["den"])
 
 
+def _approx(data) -> str:
+    """` ~ approx`, or nothing for a value beyond a float's range."""
+    return "" if data["approx"] is None else f" ~ {data['approx']}"
+
+
 def _render_report(report) -> str:
     inst = report["instance"]
     lines = [
@@ -118,8 +124,8 @@ def _render_report(report) -> str:
             )
         metrics = report["metrics"]
         lines.append(
-            f"revealing  X = {metrics['old']}/{metrics['new']} ~ {metrics['X']['approx']}, "
-            f"R = {_frac(metrics['R'])} ~ {metrics['R']['approx']}"
+            f"revealing  X = {metrics['old']}/{metrics['new']}{_approx(metrics['X'])}, "
+            f"R = {_frac(metrics['R'])}{_approx(metrics['R'])}"
         )
         uniform = report["guess"]["uniform"]
         lines.append(
@@ -181,12 +187,16 @@ def _cmd_metrics(args) -> int:
         print(json.dumps(metrics.to_json(), indent=2))
         return 0
     factor = equal_piles_factor(args.t, args.f, args.a)
+    try:
+        limit = equal_piles_factor_limit(args.f, args.a)
+    except OverflowError:  # beyond a float's range, as `rational_to_json` has it
+        limit = None
     out = {
         "t": args.t,
         "f": args.f,
         "a": args.a,
         "factor": rational_to_json(factor),
-        "limit": equal_piles_factor_limit(args.f, args.a),
+        "limit": limit,
     }
     print(json.dumps(out, indent=2))
     return 0
@@ -296,37 +306,47 @@ _SUBCOMMANDS = (
 )
 
 
-def _build_parser(command) -> argparse.ArgumentParser:
-    """The CLI's parser for an argv whose first argument is `command`.
-
-    argparse dispatches to the subcommand that argv's first argument names
-    and reads no other subparser, so only that one is registered.  Any other
-    first argument (none, an option, `--`, a typo) gets all six subcommands,
-    each with its arguments."""
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, with all six subcommands and their arguments."""
     parser = argparse.ArgumentParser(
         prog="discreet-weighings",
         description="Construct, verify, and measure privacy-preserving coin weighings.",
     )
-    named = [entry for entry in _SUBCOMMANDS if entry[0] == command]
-    # The metavar keeps the usage line of a named subcommand's errors as it
-    # is with all six; with all six it would also rename `command` in the
-    # errors for a missing or unknown one.  prog= spares add_subparsers from
-    # formatting the usage to find the subparsers' prog prefix.
-    metavar = "{" + ",".join(entry[0] for entry in _SUBCOMMANDS) + "}" if named else None
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog, metavar=metavar)
-    for name, help_text, handler, add_arguments in named or _SUBCOMMANDS:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler, add_arguments in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(handler=handler)
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """`_parser().parse_args(argv)`, building one parser where that suffices.
+
+    `_parser` hands the subcommand that argv's first argument names everything
+    after the name, and reports only what that subcommand's parser leaves
+    over.  So such an argv is parsed by the subcommand's own parser, filled as
+    `add_parser` fills it, and `_parser` is built only to report a leftover
+    argument.  Any other argv (none, an option first, `--`, a typo) goes to
+    `_parser`.  The namespace then lacks `command`, which no handler reads."""
+    named = [entry for entry in _SUBCOMMANDS if argv and entry[0] == argv[0]]
+    if not named:
+        return _parser().parse_args(argv)
+    name, _help, handler, add_arguments = named[0]
+    parser = argparse.ArgumentParser(prog=f"discreet-weighings {name}")
+    add_arguments(parser)
+    parser.set_defaults(handler=handler)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        _parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -23,10 +23,19 @@ def approx3(value: Fraction) -> float:
 
 
 def rational_to_json(value: Fraction, display: bool = True) -> dict:
+    """`num` and `den`, and with `display` the `approx3` rendering as
+    `approx`: None (JSON null) for a value beyond a float's range.
+
+    >>> rational_to_json(Fraction(10) ** 400)["approx"] is None
+    True
+    """
     value = Fraction(value)
     data = {"num": value.numerator, "den": value.denominator}
     if display:
-        data["approx"] = approx3(value)
+        try:
+            data["approx"] = approx3(value)
+        except OverflowError:
+            data["approx"] = None
     return data
 
 

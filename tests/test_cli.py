@@ -279,6 +279,36 @@ def test_metrics_subcommand(capsys):
     assert code == 2
 
 
+def test_metrics_beyond_a_floats_range_print_a_null_approx(capsys):
+    from math import comb
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    code, out, err = run_cli(capsys, "metrics", "--t", "1100", "--f", "550", "--new", "1")
+    assert (code, err) == (0, "")
+    data = json.loads(out, parse_constant=refuse)
+    assert data["X"] == {"num": comb(1100, 550), "den": 1, "approx": None}
+    assert data["R"]["approx"] == 1.0
+    # the equal-piles factor C(4000, 2000) / 6^1000 and its limit as t grows
+    code, out, err = run_cli(capsys, "metrics", "--t", "4000", "--f", "2000", "--a", "1000")
+    assert (code, err) == (0, "")
+    data = json.loads(out, parse_constant=refuse)
+    assert data["factor"]["approx"] is None and data["limit"] is None
+    assert data["factor"]["num"] * 6**1000 == comb(4000, 2000) * data["factor"]["den"]
+
+
+def test_human_rendering_leaves_out_an_approx_beyond_a_floats_range(capsys):
+    _, out, _ = run_cli(capsys, "construct", "official", "--t", "80", "--f", "3", "--d", "2")
+    report = json.loads(out)
+    report["metrics"]["X"]["approx"] = None
+    r = report["metrics"]["R"]
+    assert (
+        f"\nrevealing  X = 82160/8000, R = {r['num']}/{r['den']} ~ {r['approx']}\n"
+        in cli._render_report(report)
+    )
+
+
 def test_guess_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "guess", "triple-case", "--t", "80", "--f", "3", "--d", "2"
@@ -454,6 +484,34 @@ def _every_command_parser():
 
 COMMANDS = ["construct", "verify", "metrics", "guess", "search", "reproduce"]
 SEARCH = ["search", "--t", "4", "--f", "2", "--d", "1", "--max-weighings", "1"]
+# a valid argv of each subcommand, in the order of COMMANDS, with
+# abbreviated options and an option=value
+VALID = [
+    ["construct", "official", "--t", "80", "--f", "3", "--d", "2", "--hu"],
+    ["verify", "-", "--f=3", "--d", "2", "--human"],
+    ["metrics", "--t", "80", "--f", "3", "--ne", "100"],
+    ["guess", "equal-piles", "--d", "1", "--t=8", "--f", "2", "--a", "2"],
+    ["search", "--t=8", "--f", "2", "--d", "1", "--max", "1"],
+    ["reproduce", "--json", "--fil", "triple"],
+]
+
+
+def _stub_handlers(monkeypatch):
+    """Replace every subcommand's handler by one that records the arguments
+    it receives, less `command` and `handler`; returns the record."""
+    received = []
+
+    def record(args):
+        received.append(_parsed(args))
+        return 0
+
+    stubbed = tuple(entry[:2] + (record,) + entry[3:] for entry in cli._SUBCOMMANDS)
+    monkeypatch.setattr(cli, "_SUBCOMMANDS", stubbed)
+    return received
+
+
+def _parsed(args):
+    return {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
 
 
 @pytest.mark.parametrize(
@@ -469,28 +527,57 @@ SEARCH = ["search", "--t", "4", "--f", "2", "--d", "1", "--max-weighings", "1"]
         ["frobnicate"],
         ["--"],
         *([command, "-h"] for command in COMMANDS),
+        *([command] for command in COMMANDS),
+        *([command, "--"] for command in COMMANDS),
         ["search", "--t", "4", "--f", "2", "--max-weighings", "1"],
         ["search", "--t", "x", "--f", "2", "--d", "1", "--max-weighings", "1"],
         [*SEARCH, "stray"],
+        [*SEARCH, "stray", "--bogus"],
+        [*SEARCH, "--"],
+        [*SEARCH, "--", "x"],
+        ["search", "--", *SEARCH[1:]],
         ["--x", *SEARCH],
         ["--", *SEARCH],
+        ["search", "search"],
+        ["SEARCH"],
         ["reproduce", "--threads", "1"],
+        ["reproduce", "-h", "--bogus"],
+        ["reproduce", "--bogus", "-h"],
         # an unknown option before the command: argparse still dispatches
         # to reproduce, which must read --json before the error is shown
         ["--threads", "reproduce", "--json"],
+        ["verify", "a", "b", "--f", "1", "--d", "0"],
+        ["metrics", "--t", "80", "--f", "3", "--ne", "100", "extra"],
     ],
     ids=lambda argv: " ".join(argv) or "no-arguments",
 )
 def test_parsing_matches_a_parser_with_every_argument(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as stop:
-        _every_command_parser().parse_args(argv)
-    expected = capsys.readouterr()
-    code = 0 if stop.value.code in (0, None) else 2
-    assert run_cli(capsys, *argv) == (code, expected.out, expected.err)
+    received = _stub_handlers(monkeypatch)
+    try:
+        expected = _every_command_parser().parse_args(argv)
+    except SystemExit as stop:
+        code = 0 if stop.code in (0, None) else 2
+        printed = capsys.readouterr()
+        assert run_cli(capsys, *argv) == (code, printed.out, printed.err)
+        assert not received
+    else:  # valid on this Python, such as `reproduce --`
+        assert run_cli(capsys, *argv) == (0, "", "")
+        assert received == [_parsed(expected)]
 
 
-def test_build_parser_adds_only_the_named_subcommands_arguments(monkeypatch):
+@pytest.mark.parametrize("argv", VALID, ids=" ".join)
+def test_a_named_subcommand_gets_the_arguments_a_parser_with_every_argument_reads(
+    argv, capsys, monkeypatch
+):
+    expected = _parsed(_every_command_parser().parse_args(argv))
+    received = _stub_handlers(monkeypatch)
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert received == [expected]
+
+
+def test_main_builds_one_parser_unless_the_six_subcommands_are_needed(capsys, monkeypatch):
+    _stub_handlers(monkeypatch)
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -499,13 +586,16 @@ def test_build_parser_adds_only_the_named_subcommands_arguments(monkeypatch):
         init(parser, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    for first in [*COMMANDS, None, "-h", "frobnicate", "--"]:
+    # the named subcommand's parser alone; the top-level parser and six
+    # subparsers for help and usage errors; and both for a leftover argument
+    cases = [(argv, 1) for argv in VALID]
+    cases += [(argv, 7) for argv in ([], ["-h"], ["frobnicate"], ["--"], ["--x", *SEARCH])]
+    cases += [([*SEARCH, "stray"], 8)]
+    for argv, count in cases:
         built.clear()
-        parser = cli._build_parser(first)
-        # the top-level parser, and the named subcommand's or all six
-        assert len(built) == (2 if first in COMMANDS else 7), first
-        if first in ("search", None):
-            assert parser.parse_args(SEARCH).handler is cli._cmd_search
+        main(argv)
+        capsys.readouterr()
+        assert len(built) == count, argv
 
 
 def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
