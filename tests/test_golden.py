@@ -2,7 +2,9 @@
 
 Each record is a CLI stdout or the JSON of a search result, hashed with
 SHA-256 and kept as its first 16 hex digits in `golden.json`, keyed by the
-record, so a failure names the records that moved.  The digests were taken
+record, so a failure names the records that moved.  The CLI records whose
+key starts with `cli ` hash the exit code, stdout and stderr together, so a
+request that fails is pinned too.  The digests were taken
 from the code before the judge and the search shared one routing step, and
 those of the three larger three-weighing searches from the code before the
 search's last weighing refined its size-d vectors first.
@@ -16,10 +18,18 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
-from discreet_weighings import all_discreet_profiles, check_odd_t_itineraries, search_discreet
+from discreet_weighings import (
+    ProblemInstance,
+    all_discreet_profiles,
+    build_official,
+    check_odd_t_itineraries,
+    search_discreet,
+)
 from discreet_weighings.cli import main
+from discreet_weighings.model import plan_to_json
 
 FIXTURE = Path(__file__).with_name("golden.json")
 
@@ -41,6 +51,60 @@ def _stdout(*argv) -> str:
     with contextlib.redirect_stdout(out):
         assert main(list(argv)) == 0, argv
     return out.getvalue()
+
+
+def _run(*argv, stdin="") -> str:
+    """The exit code, stdout and stderr of one CLI call, as one JSON text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        stack.enter_context(_stdin(stdin))
+        code = main(list(argv))
+    return json.dumps([code, out.getvalue(), err.getvalue()])
+
+
+@contextlib.contextmanager
+def _stdin(text):
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        yield
+    finally:
+        sys.stdin = saved
+
+
+def _official_plan_files():
+    """(name, JSON text) of the official 80-3-2 plan file: as built, with its
+    outcomes, and with one outcome flipped so that the proof fails."""
+    bundle = build_official(ProblemInstance(80, 3, 2))
+    data = plan_to_json(bundle.plan)
+    data["placement"] = sorted(bundle.placement)
+    yield "plain", json.dumps(data)
+    outcomes = [o.value for o in bundle.transcript().outcomes]
+    yield "outcomes", json.dumps({**data, "outcomes": outcomes})
+    outcomes[outcomes.index("balanced")] = "left_lighter"
+    yield "tampered", json.dumps({**data, "outcomes": outcomes})
+
+
+def cli_records():
+    """(key, text) of the CLI requests pinned with their exit code and stderr."""
+    for name, text in _official_plan_files():
+        argv = ("verify", "-", "--f", "3", "--d", "2")
+        yield f"cli verify official-80-3-2 {name}", _run(*argv, stdin=text)
+        if name == "plain":
+            yield f"cli verify official-80-3-2 {name} --human", _run(*argv, "--human", stdin=text)
+    for argv in (
+        ("construct", "official", "--t", "80", "--f", "3", "--d", "2", "--human"),
+        ("metrics", "--t", "80", "--f", "3", "--new", "8000"),
+        ("metrics", "--t", "80", "--f", "4", "--a", "2"),
+        ("search", "--t", "5", "--f", "2", "--d", "1", "--max-weighings", "3"),
+        ("search", "--t", "9", "--f", "2", "--d", "1", "--max-weighings", "2"),
+        ("reproduce",),
+        ("reproduce", "--filter", "search"),
+        ("reproduce", "--filter", "no-such-check"),
+    ):
+        yield "cli " + " ".join(argv), _run(*argv)
 
 
 def _instances(max_t):
@@ -73,6 +137,7 @@ def records():
             yield f"profiles {t}-{f}-{d}-{w}", json.dumps([p.counts for p in profiles])
     for t in (3, 5, 7, 9):
         yield f"odd-t {t}-3", repr(check_odd_t_itineraries(t, 3))
+    yield from cli_records()
 
 
 def digests() -> dict:
