@@ -2,8 +2,16 @@
 
 Subcommands: construct, verify, metrics, guess, search, reproduce.  JSON is
 the machine format; pass --human where available for a readable rendering.
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
-141 when the reader closes standard output early (as `| head` does).
+Exit codes: 0 success, 1 verification failure, 2 usage or validation error
+(or a request that runs out of memory), 141 when the reader closes standard
+output early (as `| head` does).
+
+Each subcommand handler maps parsed arguments to `(output, exit code)` and
+writes nothing.  `main` writes stdout once: a `str` output (the `reproduce`
+table) as it is, a report under `--human` through `_render_report`, and any
+other output as indented JSON.  Integers are printed exactly whatever their
+size: `main` lifts the interpreter's int-to-str digit limit only while it
+renders that output, never while a handler reads its input.
 
 `_evaluate` turns every proof into its report, and `reproduce` reads its
 rows off the reports that `construct` prints.  Each call builds its parsers
@@ -141,20 +149,11 @@ def _render_report(report) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, report) -> None:
-    if getattr(args, "human", False):
-        print(_render_report(report))
-    else:
-        print(json.dumps(report, indent=2))
+def _cmd_construct(args):
+    return _bundle_report(_bundle_from_args(args))
 
 
-def _cmd_construct(args) -> int:
-    report, code = _bundle_report(_bundle_from_args(args))
-    _emit(args, report)
-    return code
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     try:
         if args.file == "-":
             data = json.load(sys.stdin)
@@ -174,18 +173,14 @@ def _cmd_verify(args) -> int:
         transcript = transcript_for_plan(plan, data)
     else:
         transcript = simulate_transcript(plan, placement)
-    report, code = _evaluate(instance, transcript, placement, "user-plan")
-    _emit(args, report)
-    return code
+    return _evaluate(instance, transcript, placement, "user-plan")
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args):
     if (args.new is None) == (args.a is None):
         raise ValidationError("metrics needs exactly one of --new or --a")
     if args.new is not None:
-        metrics = revealing_metrics(args.t, args.f, args.new)
-        print(json.dumps(metrics.to_json(), indent=2))
-        return 0
+        return revealing_metrics(args.t, args.f, args.new).to_json(), 0
     factor = equal_piles_factor(args.t, args.f, args.a)
     try:
         limit = equal_piles_factor_limit(args.f, args.a)
@@ -198,57 +193,48 @@ def _cmd_metrics(args) -> int:
         "factor": rational_to_json(factor),
         "limit": limit,
     }
-    print(json.dumps(out, indent=2))
-    return 0
+    return out, 0
 
 
-def _cmd_guess(args) -> int:
+def _cmd_guess(args):
     report, code = _bundle_report(_bundle_from_args(args))
     if code:
         raise InvalidProofError(f"{report['strategy']} did not produce a valid proof")
-    out = {"strategy": report["strategy"], "instance": report["instance"], **report["guess"]}
-    print(json.dumps(out, indent=2))
-    return 0
+    return {"strategy": report["strategy"], "instance": report["instance"], **report["guess"]}, 0
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     witness = search_discreet(args.t, args.f, args.d, args.max_weighings)
-    if witness is None:
-        print(json.dumps({"exhausted": True, "bound": args.max_weighings}, indent=2))
-    else:
-        out = witness.to_json()
-        out["bound"] = args.max_weighings
-        print(json.dumps(out, indent=2))
-    return 0
+    out = {"exhausted": True} if witness is None else witness.to_json()
+    out["bound"] = args.max_weighings
+    return out, 0
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args):
     # imported here, since `reference` builds its rows from this module's reports
     from .reference import SEARCH_BOUND_NOTE, run_reference_checks
 
     rows = run_reference_checks(args.filter)
     if not rows:
-        print(f"error: no reference checks match filter {args.filter!r}", file=sys.stderr)
-        return 2
+        raise ValidationError(f"no reference checks match filter {args.filter!r}")
+    failed = [r for r in rows if not r.passed]
+    code = 1 if failed else 0
     if args.json:
-        print(json.dumps([row.to_json() for row in rows], indent=2))
+        return [row.to_json() for row in rows], code
+    width_id = max(len(r.id) for r in rows)
+    width_exp = max(len(r.expected) for r in rows)
+    lines = [
+        f"{row.id:<{width_id}}  {row.expected:<{width_exp}}  "
+        f"{row.computed:<{width_exp}}  {'ok' if row.passed else 'FAIL'}"
+        for row in rows
+    ]
+    lines.append("")
+    if failed:
+        lines.append(f"{len(failed)} of {len(rows)} checks FAILED")
     else:
-        width_id = max(len(r.id) for r in rows)
-        width_exp = max(len(r.expected) for r in rows)
-        for row in rows:
-            status = "ok" if row.passed else "FAIL"
-            print(
-                f"{row.id:<{width_id}}  {row.expected:<{width_exp}}  "
-                f"{row.computed:<{width_exp}}  {status}"
-            )
-        failed = [r for r in rows if not r.passed]
-        print()
-        if failed:
-            print(f"{len(failed)} of {len(rows)} checks FAILED")
-        else:
-            print(f"all {len(rows)} checks passed")
-        print(f"note: {SEARCH_BOUND_NOTE}")
-    return 0 if all(r.passed for r in rows) else 1
+        lines.append(f"all {len(rows)} checks passed")
+    lines.append(f"note: {SEARCH_BOUND_NOTE}")
+    return "\n".join(lines), code
 
 
 def _add_instance_arguments(parser, with_a=False):
@@ -350,7 +336,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
+        output, code = args.handler(args)
+        # exact integers of any size: lift the int-to-str digit limit while
+        # the output is rendered, not while a handler reads its input
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            if isinstance(output, str):
+                text = output
+            elif getattr(args, "human", False):
+                text = _render_report(output)
+            else:
+                text = json.dumps(output, indent=2)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        print(text)
+        return code
     except BrokenPipeError:
         # The reader closed the pipe early, as `| head` does.  Point stdout
         # at devnull so the interpreter's final flush does not fail again,
@@ -368,6 +371,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:  # ValidationError and ConstructionError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the request is too large for this machine", file=sys.stderr)
         return 2
 
 

@@ -496,6 +496,24 @@ VALID = [
 ]
 
 
+def _official_plan_text():
+    bundle = build_official(ProblemInstance(80, 3, 2))
+    return json.dumps({**plan_to_json(bundle.plan), "placement": sorted(bundle.placement)})
+
+
+@pytest.mark.parametrize("argv", VALID, ids=" ".join)
+def test_a_handler_returns_its_output_and_exit_code_and_writes_nothing(
+    argv, capsys, monkeypatch
+):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(_official_plan_text()))
+    args = cli._parse(argv)
+    output, code = args.handler(args)
+    assert code == 0 and isinstance(output, (dict, list, str))
+    assert capsys.readouterr() == ("", "")
+
+
 def _stub_handlers(monkeypatch):
     """Replace every subcommand's handler by one that records the arguments
     it receives, less `command` and `handler`; returns the record."""
@@ -503,7 +521,7 @@ def _stub_handlers(monkeypatch):
 
     def record(args):
         received.append(_parsed(args))
-        return 0
+        return "", 0
 
     stubbed = tuple(entry[:2] + (record,) + entry[3:] for entry in cli._SUBCOMMANDS)
     monkeypatch.setattr(cli, "_SUBCOMMANDS", stubbed)
@@ -562,7 +580,7 @@ def test_parsing_matches_a_parser_with_every_argument(argv, capsys, monkeypatch)
         assert run_cli(capsys, *argv) == (code, printed.out, printed.err)
         assert not received
     else:  # valid on this Python, such as `reproduce --`
-        assert run_cli(capsys, *argv) == (0, "", "")
+        assert run_cli(capsys, *argv) == (0, "\n", "")
         assert received == [_parsed(expected)]
 
 
@@ -572,7 +590,7 @@ def test_a_named_subcommand_gets_the_arguments_a_parser_with_every_argument_read
 ):
     expected = _parsed(_every_command_parser().parse_args(argv))
     received = _stub_handlers(monkeypatch)
-    assert run_cli(capsys, *argv) == (0, "", "")
+    assert run_cli(capsys, *argv) == (0, "\n", "")
     assert received == [expected]
 
 
@@ -754,3 +772,47 @@ def test_verify_reads_its_file_as_utf8_whatever_the_locale(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert json.loads(proc.stdout)["verdict"]["valid"] is True
+
+
+def test_exact_integers_of_any_size_are_printed(capsys):
+    from math import comb
+
+    # C(15000, 7500) has 4,514 digits, past the interpreter's default limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run_cli(capsys, "metrics", "--t", "15000", "--f", "7500", "--new", "1")
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        data = json.loads(out)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert data["X"]["num"] == comb(15000, 7500) and data["X"]["den"] == 1
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_verify_still_refuses_a_t_past_the_digit_limit(capsys, monkeypatch):
+    import io
+
+    # the limit is lifted only for the output, so the input's t of 4,400
+    # digits is refused as it is read and no set of t coins is ever built
+    plan = ', "weighings": [{"left": [0], "right": [1]}], "placement": [0, 1]}'
+    text = '{"t": ' + "1" * 4400 + plan
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "verify", "-", "--f", "2", "--d", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_running_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
+    def exhausted(instance):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.BUILDERS, "official", exhausted)
+    code, out, err = run_cli(capsys, "construct", "official", "--t", "80", "--f", "3", "--d", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
