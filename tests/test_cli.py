@@ -496,18 +496,15 @@ VALID = [
 ]
 
 
-def _official_plan_text():
-    bundle = build_official(ProblemInstance(80, 3, 2))
-    return json.dumps({**plan_to_json(bundle.plan), "placement": sorted(bundle.placement)})
-
-
 @pytest.mark.parametrize("argv", VALID, ids=" ".join)
 def test_a_handler_returns_its_output_and_exit_code_and_writes_nothing(
     argv, capsys, monkeypatch
 ):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(_official_plan_text()))
+    bundle = build_official(ProblemInstance(80, 3, 2))
+    plan = {**plan_to_json(bundle.plan), "placement": sorted(bundle.placement)}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(plan)))
     args = cli._parse(argv)
     output, code = args.handler(args)
     assert code == 0 and isinstance(output, (dict, list, str))
@@ -774,38 +771,46 @@ def test_verify_reads_its_file_as_utf8_whatever_the_locale(tmp_path):
     assert json.loads(proc.stdout)["verdict"]["valid"] is True
 
 
-def test_exact_integers_of_any_size_are_printed(capsys):
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int-to-str digit limit, set for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+def test_exact_integers_of_any_size_are_printed(capsys, default_digit_limit):
     from math import comb
 
-    # C(15000, 7500) has 4,514 digits, past the interpreter's default limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # C(15000, 7500) has 4,514 digits, past the limit, which `main` lifts
+    # for its output and then restores
     code, out, err = run_cli(capsys, "metrics", "--t", "15000", "--f", "7500", "--new", "1")
     assert (code, err) == (0, "")
-    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        data = json.loads(out)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == default_digit_limit
+    sys.set_int_max_str_digits(0)  # to read the output back
+    data = json.loads(out)
     assert data["X"]["num"] == comb(15000, 7500) and data["X"]["den"] == 1
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
-)
-def test_verify_still_refuses_a_t_past_the_digit_limit(capsys, monkeypatch):
+def test_verify_still_refuses_a_t_past_the_digit_limit(capsys, monkeypatch, default_digit_limit):
     import io
 
     # the limit is lifted only for the output, so the input's t of 4,400
-    # digits is refused as it is read and no set of t coins is ever built
+    # digits is refused as it is read; were it read, the judge would build a
+    # set of t coins, so the plan parser stands guard instead
+    def unreachable(data):
+        raise AssertionError("a t past the digit limit was read")
+
+    monkeypatch.setattr(cli, "plan_from_json", unreachable)
     plan = ', "weighings": [{"left": [0], "right": [1]}], "placement": [0, 1]}'
     text = '{"t": ' + "1" * 4400 + plan
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = run_cli(capsys, "verify", "-", "--f", "2", "--d", "1")
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
 
 
 def test_running_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):

@@ -2,12 +2,14 @@
 
 Each record is a CLI stdout or the JSON of a search result, hashed with
 SHA-256 and kept as its first 16 hex digits in `golden.json`, keyed by the
-record, so a failure names the records that moved.  The CLI records whose
-key starts with `cli ` hash the exit code, stdout and stderr together, so a
-request that fails is pinned too.  The digests were taken
-from the code before the judge and the search shared one routing step, and
+record, so a failure names the records that moved.  A record whose key
+starts with `cli ` hashes the exit code, stdout and stderr of its request
+together, so a request that fails is pinned too.  The digests were taken
+from the code before the judge and the search shared one routing step,
 those of the three larger three-weighing searches from the code before the
-search's last weighing refined its size-d vectors first.
+search's last weighing refined its size-d vectors first, and those of the
+`cli ` records from the code before the CLI's handlers left the writing of
+their output to `main`.
 
 To rewrite the fixture after a deliberate output change:
 
@@ -56,22 +58,13 @@ def _stdout(*argv) -> str:
 def _run(*argv, stdin="") -> str:
     """The exit code, stdout and stderr of one CLI call, as one JSON text."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(contextlib.redirect_stdout(out))
-        stack.enter_context(contextlib.redirect_stderr(err))
-        stack.enter_context(_stdin(stdin))
-        code = main(list(argv))
-    return json.dumps([code, out.getvalue(), err.getvalue()])
-
-
-@contextlib.contextmanager
-def _stdin(text):
-    saved = sys.stdin
-    sys.stdin = io.StringIO(text)
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
     try:
-        yield
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
     finally:
         sys.stdin = saved
+    return json.dumps([code, out.getvalue(), err.getvalue()])
 
 
 def _official_plan_files():
@@ -87,7 +80,7 @@ def _official_plan_files():
     yield "tampered", json.dumps({**data, "outcomes": outcomes})
 
 
-def cli_records():
+def _cli_records():
     """(key, text) of the CLI requests pinned with their exit code and stderr."""
     for name, text in _official_plan_files():
         argv = ("verify", "-", "--f", "3", "--d", "2")
@@ -137,7 +130,7 @@ def records():
             yield f"profiles {t}-{f}-{d}-{w}", json.dumps([p.counts for p in profiles])
     for t in (3, 5, 7, 9):
         yield f"odd-t {t}-3", repr(check_odd_t_itineraries(t, 3))
-    yield from cli_records()
+    yield from _cli_records()
 
 
 def digests() -> dict:
