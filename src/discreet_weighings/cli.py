@@ -153,13 +153,26 @@ def _cmd_construct(args):
     return _bundle_report(_bundle_from_args(args))
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict, refusing a key given
+    twice: `json` would silently keep its last value."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"malformed JSON: key {json.dumps(key)} given more than once")
+            seen.add(key)
+    return data
+
+
 def _cmd_verify(args):
     try:
         if args.file == "-":
-            data = json.load(sys.stdin)
+            data = json.load(sys.stdin, object_pairs_hook=_unique_keys)
         else:
             with open(args.file, encoding="utf-8") as handle:  # JSON is UTF-8
-                data = json.load(handle)
+                data = json.load(handle, object_pairs_hook=_unique_keys)
     except RecursionError as exc:  # the decoder recurses once per nesting level
         raise ValidationError("malformed JSON: nested too deeply to read") from exc
     plan = plan_from_json(data)

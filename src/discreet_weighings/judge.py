@@ -250,9 +250,9 @@ def _tally(t: int, transcript: Transcript, size: int) -> _Tally:
     The object's memo (`Transcript._judged`) holds its request, made on the
     first call: the plan's (itinerary, coins) classes, sorted by itinerary,
     their `_routing` and the sign each weighing showed.  It also holds one
-    tally per size asked for.  The checks run on every call, in order: t,
-    the plan (its partition is the judge's only check of it), the size.
-    A step that raises stores nothing, so a bad plan is refused every time."""
+    tally per size asked for.  The plan was checked when it was built, so
+    the checks left run on every call, in order: t against the plan's t,
+    then the size.  A step that raises stores nothing."""
     if _checked_int(t, "t") != transcript.plan.t:
         raise ValueError(f"t={t} does not match the plan's t={transcript.plan.t}")
     judged = transcript._judged
@@ -299,15 +299,16 @@ def verify_proof(
     instance: ProblemInstance, transcript: Transcript, placement
 ) -> ProofVerdict:
     """Decide whether the transcript proves "exactly f fakes" to a judge whose
-    prior allows only the counts d and f.  Checked in order: the placement's
-    size, the plan (by the size-f count), the placement's coins, size d."""
+    prior allows only the counts d and f.  The plan was checked when it was
+    built; the whole placement is checked next (its size, then that its
+    coins are ints in 0..t-1), and only then are the sets counted."""
     placement = frozenset(placement)
     if len(placement) != instance.f:
         raise ValueError(
             f"placement has {len(placement)} coins but the instance has f={instance.f}"
         )
-    count_f = count_consistent(instance.t, instance.f, transcript)
     _refuse_stray_placement(_checked_coins(placement, "placement coin"), instance.t)
+    count_f = count_consistent(instance.t, instance.f, transcript)
     count_d = count_consistent(instance.t, instance.d, transcript)
     placement_consistent = all(
         w.outcome(placement) is o

@@ -57,10 +57,19 @@ class RevealingMetrics:
         }
 
 
+def _refuse_negative(**counts) -> None:
+    """Refuse a negative coin or fake count by its name; `comb` and
+    `factorial` would refuse it in their own words (n, k, factorial())."""
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"need {name} >= 0, got {name}={value}")
+
+
 def revealing_metrics(t: int, f: int, new_possibilities: int) -> RevealingMetrics:
     """Factor X = old/new and coefficient R = 1 - 1/X, where old = C(t, f)."""
     for value, name in ((t, "t"), (f, "f"), (new_possibilities, "new possibilities")):
         _checked_int(value, name)
+    _refuse_negative(t=t, f=f)
     old = comb(t, f)
     if old == 0:
         raise ValueError(f"no size-{f} fake sets exist for t={t}")
@@ -78,6 +87,7 @@ def equal_piles_factor(t: int, f: int, a: int) -> Fraction:
     C(t, f) / C(t/a, f/a) ** a."""
     for value, name in ((t, "t"), (f, "f"), (a, "a")):
         _checked_int(value, name)
+    _refuse_negative(t=t, f=f)
     if a <= 1:
         raise ValueError(f"need a > 1, got a={a}")
     if t % a or f % a:
@@ -90,6 +100,7 @@ def equal_piles_factor_limit(f: int, a: int) -> float:
     f^f / f! * ((f/a)! / (f/a)^(f/a)) ** a."""
     for value, name in ((f, "f"), (a, "a")):
         _checked_int(value, name)
+    _refuse_negative(f=f)
     if a <= 1:
         raise ValueError(f"need a > 1, got a={a}")
     if f % a:

@@ -5,7 +5,11 @@ coin has the same, strictly larger, weight.  A weighing puts two disjoint,
 equally sized sets of coins on the pans, so its outcome is a pure function of
 how many fakes sit in each pan: the pan with more fakes is lighter.
 
-All values here are immutable; every operation is a pure function.
+All values here are immutable; every operation is a pure function.  A
+`WeighingPlan`, like a `ProblemInstance` and a `Transcript`, checks itself
+when it is built, so a plan that exists is valid and nothing that reads one
+checks it again.  A lone `Weighing` is checked where it is weighed
+(`simulate_outcome`).
 """
 
 from __future__ import annotations
@@ -91,13 +95,17 @@ class Weighing:
 
 @dataclass(frozen=True)
 class WeighingPlan:
-    """An ordered sequence of weighings over coins 0..t-1."""
+    """An ordered sequence of weighings over coins 0..t-1, refused with
+    every problem :func:`validate_plan` finds when it is built."""
 
     t: int
     weighings: tuple
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weighings", tuple(self.weighings))
+        problems = validate_plan(self)
+        if problems:
+            raise ValidationError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -159,7 +167,8 @@ def _weighing_problems(weighing: Weighing, t) -> list[str]:
 def validate_plan(plan: WeighingPlan) -> list[str]:
     """Return all structural violations of the plan; empty means valid.  A
     coin count that is not an int is the only problem reported, since the
-    weighings cannot be range-checked against it."""
+    weighings cannot be range-checked against it.  `WeighingPlan` runs this
+    when it is built, so a built plan has no problems."""
     try:
         _checked_int(plan.t, "coin count")
     except ValidationError as exc:
@@ -189,9 +198,6 @@ def simulate_outcome(weighing: Weighing, fakes: Iterable) -> Outcome:
 
 def simulate_transcript(plan: WeighingPlan, fakes: Iterable) -> Transcript:
     """Run every weighing of the plan against a fixed fake set."""
-    problems = validate_plan(plan)
-    if problems:
-        raise ValidationError("; ".join(problems))
     fakes = _checked_coins(fakes, "fake coin")
     _refuse_stray_placement(fakes, plan.t)
     return Transcript(plan, tuple(w.outcome(fakes) for w in plan.weighings))
@@ -199,9 +205,8 @@ def simulate_transcript(plan: WeighingPlan, fakes: Iterable) -> Transcript:
 
 def itinerary_of(plan: WeighingPlan, coin: int) -> str:
     """The coin's path through the plan: one of L/R/O per weighing."""
-    t = _checked_int(plan.t, "coin count")
-    if not 0 <= _checked_int(coin, "coin") < t:
-        raise ValidationError(f"coin {coin} outside 0..{t - 1}")
+    if not 0 <= _checked_int(coin, "coin") < plan.t:
+        raise ValidationError(f"coin {coin} outside 0..{plan.t - 1}")
     symbols = []
     for w in plan.weighings:
         if coin in w.left:
@@ -233,9 +238,6 @@ def partition_by_itinerary(plan: WeighingPlan) -> dict:
     coins on the left pan, off the scale and on the right pan, by set
     operations rather than a test per coin.  Since "L" < "O" < "R",
     splitting sorted classes in that order keeps them sorted."""
-    problems = validate_plan(plan)
-    if problems:
-        raise ValidationError("; ".join(problems))
     classes = {"": frozenset(range(plan.t))}
     for w in plan.weighings:
         pan_left, pan_right = w.left, w.right

@@ -203,6 +203,68 @@ def test_verify_reports_an_invalid_plan_before_stray_placement_coins(tmp_path, c
     )
 
 
+# a plan with overlapping pans, each row adding one more fault
+BAD_PLAN = {"t": 4, "weighings": [{"left": [0, 1], "right": [1, 2]}], "placement": [0, 2]}
+BAD_PLAN_ERROR = "weighing 0: pans overlap on coins [1]"
+
+
+@pytest.mark.parametrize("with_outcomes", [False, True], ids=["simulated", "outcomes"])
+@pytest.mark.parametrize(
+    "changes, f, message",
+    [
+        ({}, "2", BAD_PLAN_ERROR),
+        ({"t": 0, "weighings": []}, "2", "coin count must be positive, got t=0"),
+        ({"outcomes": ["balanced", "balanced"]}, "2", BAD_PLAN_ERROR),
+        ({"placement": None}, "2", BAD_PLAN_ERROR),
+        ({"placement": [0.5, 2]}, "2", BAD_PLAN_ERROR),
+        ({}, "4", BAD_PLAN_ERROR),
+        ({"placement": [0, 1, 2]}, "2", BAD_PLAN_ERROR),
+    ],
+    ids=["plan-alone", "no-coins", "outcome-count", "no-placement", "non-integer-placement",
+         "f-not-below-t", "placement-size"],
+)
+def test_verify_reports_a_bad_plan_before_any_other_fault(
+    capsys, monkeypatch, changes, f, message, with_outcomes
+):
+    # the plan is refused as soon as it is read, whether its outcomes are
+    # given or simulated; "outcomes" in `changes` is dropped with the rest
+    data = {**BAD_PLAN, "outcomes": ["balanced"], **changes}
+    if not with_outcomes:
+        del data["outcomes"]
+    data = {key: value for key, value in data.items() if value is not None}
+    assert verify_json(capsys, monkeypatch, data, f=f) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"t": 4, "weighings": [{"left": [0], "right": [1]}], "placement": [0, 2], "t": 5}', "t"),
+        ('{"t": 4, "weighings": [{"left": [0], "right": [1], "left": [2]}], "placement": [0, 2]}',
+         "left"),
+        ('{"t": 4, "weighings": [{"left": [0], "right": [1]}], "placement": [0, 2], '
+         '"placement": [1, 3]}', "placement"),
+    ],
+    ids=["top-level", "weighing", "placement"],
+)
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_verify_refuses_a_repeated_key(tmp_path, capsys, monkeypatch, source, text, key):
+    # json keeps the last of a repeated key, so a document would silently be
+    # judged at t = 5 or with left pan [2]
+    import io
+
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        path = "-"
+    else:
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "verify", str(path), "--f", "2", "--d", "1") == (
+        2,
+        "",
+        f'error: malformed JSON: key "{key}" given more than once\n',
+    )
+
+
 def test_verify_names_stray_placement_coins_with_or_without_outcomes(capsys, monkeypatch):
     # without outcomes the placement is simulated, with them it is judged;
     # both refuse coin 5 of 4 in the same words
@@ -277,6 +339,21 @@ def test_metrics_subcommand(capsys):
 
     code, _, err = run_cli(capsys, "metrics", "--t", "80", "--f", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--t", "-80", "--f", "3", "--new", "1"), "need t >= 0, got t=-80"),
+        (("--t", "80", "--f", "-3", "--new", "1"), "need f >= 0, got f=-3"),
+        (("--t", "80", "--f", "-4", "--a", "2"), "need f >= 0, got f=-4"),
+        (("--t", "-80", "--f", "4", "--a", "2"), "need t >= 0, got t=-80"),
+    ],
+    ids=["new-t", "new-f", "a-f", "a-t"],
+)
+def test_metrics_names_a_negative_count(capsys, argv, message):
+    # math.comb and math.factorial would name their own arguments: n, k
+    assert run_cli(capsys, "metrics", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_metrics_beyond_a_floats_range_print_a_null_approx(capsys):

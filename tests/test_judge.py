@@ -202,7 +202,8 @@ def test_judging_one_transcript_validates_its_plan_once(monkeypatch):
     instance = ProblemInstance(80, 3, 2)
     bundle = build_official(instance)
     transcript = bundle.transcript()
-    calls.clear()
+    # once, when the builder makes the plan; judging it checks nothing again
+    assert calls == [transcript.plan]
     assert verify_proof(instance, transcript, bundle.placement).valid
     assert classify_privacy(instance, transcript).discreet
     assert uniform_best_guess(80, 3, transcript) == (0, Fraction(1, 20))
@@ -257,21 +258,26 @@ def test_a_transcript_is_routed_once(monkeypatch):
         assert len(routes) == 3 and len(partitions) == 1
 
 
-def test_plan_problems_come_before_stray_placement_coins():
-    # and before an out-of-range hypothesis size and an invalid proof
-    transcript = Transcript(WeighingPlan(4, (Weighing({0, 1}, {1, 2}),)), (Outcome.BALANCED,))
+def test_plan_problems_come_before_stray_placement_coins(monkeypatch):
+    # and before an out-of-range hypothesis size and an invalid proof: the
+    # plan is refused when it is built, so no judge request can reach it
+    with pytest.raises(ValidationError, match=r"^weighing 0: pans overlap on coins \[1\]$"):
+        WeighingPlan(4, (Weighing({0, 1}, {1, 2}),))
+    # on a built plan, verify_proof checks the whole placement before it
+    # counts a set
+    counted = []
+    monkeypatch.setattr(judge, "count_consistent", lambda *args: counted.append(args))
     instance = ProblemInstance(4, 2, 1)
     requests = [
-        lambda: verify_proof(instance, transcript, {0, 7}),
-        lambda: verify_proof(instance, transcript, {0.0, 3}),
-        lambda: verify_proof(instance, transcript, {True, "3"}),
-        lambda: count_consistent(4, 9, transcript),
-        lambda: uniform_best_guess(4, 9, transcript),
-        lambda: classify_privacy(instance, transcript),
+        ({0, 1, 2}, ValueError, "^placement has 3 coins but the instance has f=2$"),
+        ({0, 7}, ValidationError, r"^placement coins \[7\] outside 0..3$"),
+        ({0.0, 3}, ValidationError, "^placement coin must be an integer, got 0.0$"),
+        ({True, "3"}, ValidationError, "^placement coin must be an integer, got '3', True$"),
     ]
-    for request in requests:
-        with pytest.raises(ValidationError, match=r"^weighing 0: pans overlap on coins \[1\]$"):
-            request()
+    for placement, error, message in requests:
+        with pytest.raises(error, match=message):
+            verify_proof(instance, BALANCED_PAIR, placement)
+    assert counted == []
 
 
 def test_official_strategy_counts():
@@ -434,11 +440,11 @@ def test_single_pass_matches_brute_force_on_random_plans():
     valid_seen = 0
     for t, f, placement, transcript in _random_transcripts(rng, 400):
         survivors = brute_consistent(t, f, transcript)
-        # an extra weighing with overlapping pans makes the plan invalid
-        invalid = Transcript(
-            WeighingPlan(t, transcript.plan.weighings + (Weighing({0}, {0}),)),
-            transcript.outcomes + (Outcome.BALANCED,),
-        )
+        # an extra weighing with overlapping pans makes the plan invalid,
+        # and it is refused when it is built, before any judge call
+        with pytest.raises(ValidationError) as refused:
+            WeighingPlan(t, transcript.plan.weighings + (Weighing({0}, {0}),))
+        assert str(refused.value).startswith(f"weighing {len(transcript.outcomes)}: pans overlap")
         for d in {0, t, rng.randint(0, t)} - {f}:
             instance = ProblemInstance(t, f, d)
             # the four entry points in random order on one transcript object
@@ -453,10 +459,6 @@ def test_single_pass_matches_brute_force_on_random_plans():
             for name in order_rng.sample(sorted(calls), len(calls)):
                 fresh = Transcript(transcript.plan, transcript.outcomes)
                 assert _answer(calls[name], transcript) == _answer(calls[name], fresh), name
-                refused = _answer(calls[name], invalid)
-                assert refused[0] is ValidationError
-                assert refused[1].startswith(f"weighing {len(transcript.outcomes)}: pans overlap")
-                assert _answer(calls[name], invalid) == refused
             count_d = len(brute_consistent(t, d, transcript))
             verdict = verify_proof(instance, transcript, placement)
             assert verdict.consistent_count_f == len(survivors)

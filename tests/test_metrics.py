@@ -81,6 +81,29 @@ def test_metrics_refuse_non_integer_counts(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: revealing_metrics(-80, 3, 1), "need t >= 0, got t=-80"),
+        (lambda: revealing_metrics(80, -3, 1), "need f >= 0, got f=-3"),
+        (lambda: equal_piles_factor(-80, 4, 2), "need t >= 0, got t=-80"),
+        (lambda: equal_piles_factor(80, -4, 2), "need f >= 0, got f=-4"),
+        (lambda: equal_piles_factor_limit(-4, 2), "need f >= 0, got f=-4"),
+    ],
+    ids=["revealing-t", "revealing-f", "factor-t", "factor-f", "limit-f"],
+)
+def test_metrics_refuse_a_negative_count_by_its_name(call, message):
+    # comb and factorial would refuse it as n, k or factorial()'s argument
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_metrics_of_no_fakes():
+    assert revealing_metrics(80, 0, 1).factor_x == 1
+    assert equal_piles_factor(80, 0, 2) == 1
+    assert equal_piles_factor_limit(0, 2) == 1.0
+
+
 def test_revealing_metrics_json_shape():
     data = revealing_metrics(80, 3, 8000).to_json()
     assert data["old"] == 82160 and data["new"] == 8000

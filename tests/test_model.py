@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -11,7 +14,9 @@ from discreet_weighings import (
     WeighingPlan,
     build_official,
     build_triple_case,
+    classify_privacy,
     conjugate,
+    count_consistent,
     itinerary_of,
     partition_by_itinerary,
     plan_from_json,
@@ -20,12 +25,23 @@ from discreet_weighings import (
     simulate_transcript,
     transcript_from_json,
     transcript_to_json,
+    uniform_best_guess,
     validate_plan,
+    verify_proof,
 )
+from discreet_weighings import model
 from discreet_weighings.model import coins_from_json, transcript_for_plan
 from helpers import itinerary_groups, many_class_plan, random_fakes, random_plan
 
 HALVES = Weighing(frozenset(range(40)), frozenset(range(40, 80)))
+
+
+def refused_plan(t, weighings) -> str:
+    """The message that building the plan raises: every problem
+    `validate_plan` finds, joined by "; "."""
+    with pytest.raises(ValidationError) as caught:
+        WeighingPlan(t, weighings)
+    return str(caught.value)
 
 
 def test_problem_instance_invariants():
@@ -107,9 +123,9 @@ def test_simulate_transcript_range_checks():
     plan = WeighingPlan(4, (Weighing({0, 1}, {2, 3}),))
     with pytest.raises(ValidationError):
         simulate_transcript(plan, {0, 7})
-    bad_plan = WeighingPlan(3, (Weighing({0, 1}, {2, 3}),))
-    with pytest.raises(ValidationError):
-        simulate_transcript(bad_plan, {0})
+    # a plan with a coin past t is refused when it is built, so no
+    # simulation ever runs it
+    assert refused_plan(3, (Weighing({0, 1}, {2, 3}),)) == "weighing 0: coins [3] outside 0..2"
 
 
 def test_transcript_length_must_match_plan():
@@ -145,10 +161,9 @@ def test_itinerary_basics():
 
 @pytest.mark.parametrize("t", ["4", 4.0, True, None])
 def test_itinerary_of_refuses_a_coin_count_that_is_not_an_int(t):
-    # "4" once failed with a bare TypeError, and True was taken as t = 1
-    plan = WeighingPlan(t, (Weighing({0}, {1}),))
-    with pytest.raises(ValidationError, match="^coin count must be an integer"):
-        itinerary_of(plan, 0)
+    # "4" once failed with a bare TypeError, and True was taken as t = 1;
+    # such a plan is refused when it is built, before itinerary_of sees it
+    assert refused_plan(t, (Weighing({0}, {1}),)).startswith("coin count must be an integer")
 
 
 def test_itinerary_of_triple_case_nine_coins():
@@ -216,45 +231,42 @@ def test_partition_matches_coin_by_coin_itineraries():
 
 
 @pytest.mark.parametrize(
-    "plan,message",
+    "t,weighings,message",
     [
-        (WeighingPlan(0, ()), "coin count must be positive, got t=0"),
-        (WeighingPlan(4, (Weighing({0, 1}, {1, 2}),)), "weighing 0: pans overlap on coins [1]"),
+        (0, (), "coin count must be positive, got t=0"),
+        (4, (Weighing({0, 1}, {1, 2}),), "weighing 0: pans overlap on coins [1]"),
         (
-            WeighingPlan(4, (Weighing({0}, {1}), Weighing({0, 1}, {2}))),
+            4,
+            (Weighing({0}, {1}), Weighing({0, 1}, {2})),
             "weighing 1: unequal pans: 2 vs 1 coins",
         ),
-        (WeighingPlan(4, (Weighing(set(), set()),)), "weighing 0: empty pan"),
+        (4, (Weighing(set(), set()),), "weighing 0: empty pan"),
         (
-            WeighingPlan(4, (Weighing({0, 5}, {1, -2}),)),
+            4,
+            (Weighing({0, 5}, {1, -2}),),
             "weighing 0: invalid coin indices ['-2']; weighing 0: coins [-2, 5] outside 0..3",
         ),
-        (WeighingPlan(4, (Weighing({"a"}, {1}),)), "weighing 0: invalid coin indices [\"'a'\"]"),
+        (4, (Weighing({"a"}, {1}),), "weighing 0: invalid coin indices [\"'a'\"]"),
     ],
     ids=["no-coins", "overlap", "unequal", "empty", "out-of-range", "not-an-int"],
 )
-def test_partition_reports_an_invalid_plan_unchanged(plan, message):
-    with pytest.raises(ValidationError) as caught:
-        partition_by_itinerary(plan)
-    assert str(caught.value) == message == "; ".join(validate_plan(plan))
+def test_partition_reports_an_invalid_plan_unchanged(t, weighings, message):
+    # the partition never sees such a plan: building it raises
+    assert refused_plan(t, weighings) == message
 
 
 def test_validate_plan_reports():
     good = build_official(ProblemInstance(80, 3, 2)).plan
     assert validate_plan(good) == []
 
-    overlap = WeighingPlan(4, (Weighing({0, 1}, {1, 2}),))
-    assert any("overlap" in p for p in validate_plan(overlap))
-
-    unequal = WeighingPlan(6, (Weighing({0, 1, 2}, {3, 4}),))
-    assert any("unequal" in p for p in validate_plan(unequal))
-
-    out_of_range = WeighingPlan(3, (Weighing({0}, {5}),))
-    assert any("outside" in p for p in validate_plan(out_of_range))
+    # a bad plan cannot be built, so its problems are read off the refusal
+    assert "overlap" in refused_plan(4, (Weighing({0, 1}, {1, 2}),))
+    assert "unequal" in refused_plan(6, (Weighing({0, 1, 2}, {3, 4}),))
+    assert "outside" in refused_plan(3, (Weighing({0}, {5}),))
 
     # True once passed as coin 1, and could reach a report as true
-    with_bool = WeighingPlan(4, (Weighing({True, 2}, {0, 3}),))
-    assert validate_plan(with_bool) == ["weighing 0: invalid coin indices ['True']"]
+    with_bool = (Weighing({True, 2}, {0, 3}),)
+    assert refused_plan(4, with_bool) == "weighing 0: invalid coin indices ['True']"
 
     # every message of a weighing, in order; at t = 1 a bool is also outside
     mixed = Weighing({0, True, 3}, {0, "a"})
@@ -264,21 +276,54 @@ def test_validate_plan_reports():
         "invalid coin indices [\"'a'\", 'True']",
     ]
     assert mixed.violations() == expected
-    assert validate_plan(WeighingPlan(1, (mixed,))) == [
+    assert refused_plan(1, (mixed,)) == "; ".join(
         f"weighing 0: {p}" for p in expected + ["coins [True, 3] outside 0..0"]
-    ]
+    )
 
-    # a coin count that is not an int is the plan's only problem, and every
-    # entry point that validates the plan refuses it
+    # a coin count that is not an int is the plan's only problem
     pair = (Weighing({0}, {1}),)
     for t, shown in (("4", '"4"'), (4.0, "4.0"), (True, "true"), (None, "null")):
-        plan = WeighingPlan(t, pair)
-        message = f"coin count must be an integer, got {shown}"
-        assert validate_plan(plan) == [message]
-        for call in (lambda: simulate_transcript(plan, [0]), lambda: partition_by_itinerary(plan)):
-            with pytest.raises(ValidationError) as caught:
-                call()
-            assert str(caught.value) == message
+        assert refused_plan(t, pair) == f"coin count must be an integer, got {shown}"
+
+
+def test_a_plan_is_checked_when_it_is_built_and_never_again(monkeypatch):
+    calls = []
+    original = model.validate_plan
+
+    def counted(plan):
+        calls.append(plan)
+        return original(plan)
+
+    monkeypatch.setattr(model, "validate_plan", counted)
+    plan = WeighingPlan(4, (Weighing({0}, {3}),))
+    assert calls == [plan]
+
+    # `dataclasses.replace` builds a new plan, so it checks that one too
+    calls.clear()
+    moved = dataclasses.replace(plan, t=5)
+    assert calls == [moved] and moved.weighings == plan.weighings
+    with pytest.raises(ValidationError, match=r"^weighing 0: coins \[3\] outside 0..2$"):
+        dataclasses.replace(plan, t=3)
+    with pytest.raises(ValidationError, match=r"^weighing 0: pans overlap on coins \[0\]$"):
+        dataclasses.replace(plan, weighings=[Weighing({0}, {0})])
+
+    # a copy or an unpickled plan is the same plan
+    for copied in (copy.copy(plan), copy.deepcopy(plan), pickle.loads(pickle.dumps(plan))):
+        assert copied == plan and hash(copied) == hash(plan)
+        assert repr(copied) == repr(plan)
+
+    # nothing that reads a built plan checks it again: the simulation, the
+    # partition, itinerary_of and the judge's four entry points
+    instance = ProblemInstance(4, 1, 0)
+    calls.clear()
+    transcript = simulate_transcript(plan, {3})
+    assert partition_by_itinerary(plan) == {"L": {0}, "O": {1, 2}, "R": {3}}
+    assert itinerary_of(plan, 3) == "R"
+    assert verify_proof(instance, transcript, {3}).valid
+    assert classify_privacy(instance, transcript).discreet is False
+    assert count_consistent(4, 1, transcript) == 1
+    assert uniform_best_guess(4, 1, transcript) == (3, 1)
+    assert calls == []
 
 
 def test_relabeling_coins_preserves_outcomes():
