@@ -65,7 +65,6 @@ from .model import (
     Transcript,
     _checked_coins,
     _checked_int,
-    _refuse_stray_placement,
     _route,
     partition_by_itinerary,
 )
@@ -243,18 +242,25 @@ class _Tally:
         return coin, Fraction(top, self.count)
 
 
+def _refuse_other_t(t: int, transcript: Transcript) -> None:
+    """Refuse a coin count `t` that is not the transcript's plan's: the
+    first check of every judge request."""
+    if _checked_int(t, "t") != transcript.plan.t:
+        raise ValueError(f"t={t} does not match the plan's t={transcript.plan.t}")
+
+
 def _tally(t: int, transcript: Transcript, size: int) -> _Tally:
     """The `_Tally` of the transcript's consistent size-`size` sets, worked
     out at most once per transcript object.
 
-    The object's memo (`Transcript._judged`) holds its request, made on the
+    The object's memo (its _judged attribute) holds its request, made on the
     first call: the plan's (itinerary, coins) classes, sorted by itinerary,
     their `_routing` and the sign each weighing showed.  It also holds one
     tally per size asked for.  The plan was checked when it was built, so
-    the checks left run on every call, in order: t against the plan's t,
-    then the size.  A step that raises stores nothing."""
-    if _checked_int(t, "t") != transcript.plan.t:
-        raise ValueError(f"t={t} does not match the plan's t={transcript.plan.t}")
+    the checks left run on every call, in order: t against the plan's t
+    (`_refuse_other_t`), then the size.  A step that raises stores
+    nothing."""
+    _refuse_other_t(t, transcript)
     judged = transcript._judged
     request = judged.get("request")
     if request is None:
@@ -300,14 +306,16 @@ def verify_proof(
 ) -> ProofVerdict:
     """Decide whether the transcript proves "exactly f fakes" to a judge whose
     prior allows only the counts d and f.  The plan was checked when it was
-    built; the whole placement is checked next (its size, then that its
-    coins are ints in 0..t-1), and only then are the sets counted."""
+    built.  The instance's t is checked against the plan's first, then the
+    whole placement (its size, then `model._checked_coins`: ints in
+    0..t-1), and only then are the sets counted."""
+    _refuse_other_t(instance.t, transcript)
     placement = frozenset(placement)
     if len(placement) != instance.f:
         raise ValueError(
             f"placement has {len(placement)} coins but the instance has f={instance.f}"
         )
-    _refuse_stray_placement(_checked_coins(placement, "placement coin"), instance.t)
+    _checked_coins(placement, "placement coin", instance.t)
     count_f = count_consistent(instance.t, instance.f, transcript)
     count_d = count_consistent(instance.t, instance.d, transcript)
     placement_consistent = all(

@@ -124,8 +124,6 @@ class Pile:
         object.__setattr__(self, "coins", _checked_coins(self.coins, "pile coin"))
         if not self.coins:
             raise ValueError("a pile must contain at least one coin")
-        if min(self.coins) < 0:
-            raise ValidationError(f"pile coins {sorted(c for c in self.coins if c < 0)} are negative")
         if not 1 <= _checked_int(self.fakes, "fakes") <= len(self.coins):
             raise ValueError(
                 f"pile of {len(self.coins)} coins cannot hold {self.fakes} fakes"

@@ -17,7 +17,8 @@ from __future__ import annotations
 import enum
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Mapping
 
 ITINERARY_SYMBOLS = "LRO"  # left pan, right pan, off the scale
@@ -83,8 +84,9 @@ class Weighing:
         object.__setattr__(self, "right", frozenset(self.right))
 
     def violations(self) -> list[str]:
-        """Structural problems with this weighing alone (range checks against
-        the coin count live in :func:`validate_plan`)."""
+        """Structural problems with this weighing alone.  With no coin count
+        to check against, a pan coin that is an int must be nonnegative;
+        :func:`validate_plan` checks the pans against 0..t-1."""
         return _weighing_problems(self, None)
 
     def outcome(self, fakes: frozenset) -> Outcome:
@@ -114,12 +116,12 @@ class Transcript:
 
     plan: WeighingPlan
     outcomes: tuple
-    # what the judge has worked out of this object (`judge._tally`); it
-    # takes no part in equality, hashing or repr and is freed with it
-    _judged: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
+        # what the judge has worked out of this object (`judge._tally`); not
+        # a field, so equality, hashing, repr, `fields` and `asdict` never
+        # see it, and it is freed with the object
         object.__setattr__(self, "_judged", {})
         if len(self.outcomes) != len(self.plan.weighings):
             raise ValidationError(
@@ -137,8 +139,10 @@ class Transcript:
 
 
 def _weighing_problems(weighing: Weighing, t) -> list[str]:
-    """`Weighing.violations`, then the coins outside 0..t-1 unless t is None.
-    The pans' union is built once and each coin tested once."""
+    """`Weighing.violations` when t is None, else the weighing's problems in
+    a plan of t coins.  Its pan coins are classed by `_coin_faults`, the
+    rule `_checked_coins` raises on, so a coin is named in at most one
+    problem: as invalid, or as outside 0..t-1 (negative when t is None)."""
     left, right = weighing.left, weighing.right
     problems = []
     if left & right:
@@ -147,20 +151,11 @@ def _weighing_problems(weighing: Weighing, t) -> list[str]:
         problems.append(f"unequal pans: {len(left)} vs {len(right)} coins")
     if not left or not right:
         problems.append("empty pan")
-    # a bool equals coin 0 or 1 but is not an index; the partition
-    # keeps whichever of the two a set intersection meets first
-    bad, outside = [], []
-    for c in left | right:
-        if type(c) is not int or c < 0:
-            bad.append(c)
-        elif t is not None and c >= t:
-            outside.append(c)
-    if bad:
-        problems.append(f"invalid coin indices {sorted(map(repr, bad))}")
-    if t is not None:
-        outside += [c for c in bad if isinstance(c, int) and not 0 <= c < t]
-        if outside:
-            problems.append(f"coins {sorted(outside)} outside 0..{t - 1}")
+    invalid, stray = _coin_faults(left | right, t)
+    if invalid:
+        problems.append(f"invalid coin indices {sorted(map(repr, invalid))}")
+    if stray:
+        problems.append(f"coins {stray}")
     return problems
 
 
@@ -188,18 +183,15 @@ def simulate_outcome(weighing: Weighing, fakes: Iterable) -> Outcome:
     problems = weighing.violations()
     if problems:
         raise ValidationError("; ".join(problems))
-    fakes = _checked_coins(fakes, "fake coin")
-    # a lone weighing has no t to range-check against, but no index is negative
-    negative = sorted(c for c in fakes if c < 0)
-    if negative:
-        raise ValidationError(f"fake coins {negative} are negative")
-    return weighing.outcome(fakes)
+    return weighing.outcome(_checked_coins(fakes, "fake coin"))
 
 
 def simulate_transcript(plan: WeighingPlan, fakes: Iterable) -> Transcript:
-    """Run every weighing of the plan against a fixed fake set."""
-    fakes = _checked_coins(fakes, "fake coin")
-    _refuse_stray_placement(fakes, plan.t)
+    """Run every weighing of the plan against a fixed fake set, the
+    placement: its coins must be ints in 0..t-1.  The judge checks a
+    placement in the same words, so `verify` names it the same way whether
+    or not its outcomes are given."""
+    fakes = _checked_coins(fakes, "placement coin", plan.t)
     return Transcript(plan, tuple(w.outcome(fakes) for w in plan.weighings))
 
 
@@ -299,24 +291,37 @@ def _checked_int(value, what: str) -> int:
     return value
 
 
-def _checked_coins(coins: Iterable, what: str) -> frozenset:
-    """`coins` as a set, if each is an int, the rule `_weighing_problems`
-    applies to the pans: 0.0 and True equal coins 0 and 1 but are not
-    indices, and "0" would fail a range check with a bare TypeError."""
+def _coin_faults(coins: Iterable, t) -> tuple:
+    """The coin rule, in one pass over `coins`.  A coin index is an int: a
+    bool, a float or a str is not, though True and 0.0 equal coins 1 and 0.
+    It lies in 0..t-1, or is nonnegative where there is no t (None).
+    Returns the coins that are not ints, and the ints that break the range
+    as text, "[..] outside 0..t-1" or "[..] are negative", or None."""
+    invalid, stray = [], []
+    end = inf if t is None else t
+    for c in coins:
+        if type(c) is not int:
+            invalid.append(c)
+        elif not 0 <= c < end:
+            stray.append(c)
+    if not stray:
+        return invalid, None
+    return invalid, f"{sorted(stray)} " + ("are negative" if t is None else f"outside 0..{t - 1}")
+
+
+def _checked_coins(coins: Iterable, what: str, t=None) -> frozenset:
+    """`coins` as a set, if each is a coin index by `_coin_faults`' rule:
+    in 0..t-1, or nonnegative with no t.  Coins that are not ints are
+    refused first, as "{what} must be an integer", then the ints out of
+    range, as "{what}s [..] outside 0..t-1" or "{what}s [..] are negative".
+    The simulation, the judge and `metrics.Pile` check their coins here."""
     coins = frozenset(coins)
-    bad = [c for c in coins if type(c) is not int]
-    if bad:
-        raise ValidationError(f"{what} must be an integer, got {', '.join(sorted(map(repr, bad)))}")
-    return coins
-
-
-def _refuse_stray_placement(coins: frozenset, t: int) -> None:
-    """Refuse placed fakes outside 0..t-1.  The simulation and the judge
-    both check the placement, so `verify` names it the same way whether
-    or not its outcomes are given."""
-    stray = sorted(c for c in coins if not 0 <= c < t)
+    invalid, stray = _coin_faults(coins, t)
+    if invalid:
+        raise ValidationError(f"{what} must be an integer, got {', '.join(sorted(map(repr, invalid)))}")
     if stray:
-        raise ValidationError(f"placement coins {stray} outside 0..{t - 1}")
+        raise ValidationError(f"{what}s {stray}")
+    return coins
 
 
 def _json_object(data, what: str) -> Mapping:

@@ -274,6 +274,14 @@ def test_verify_names_stray_placement_coins_with_or_without_outcomes(capsys, mon
     assert verify_json(capsys, monkeypatch, {**data, "outcomes": ["left_lighter"]}) == expected
 
 
+def test_verify_names_a_negative_pan_coin_once(capsys, monkeypatch):
+    # -1 is a JSON integer, so it is outside 0..t-1 and not also invalid
+    data = {"t": 4, "weighings": [{"left": [-1], "right": [0]}], "placement": [0, 1]}
+    expected = (2, "", "error: weighing 0: coins [-1] outside 0..3\n")
+    assert verify_json(capsys, monkeypatch, data) == expected
+    assert verify_json(capsys, monkeypatch, {**data, "outcomes": ["balanced"]}) == expected
+
+
 @pytest.mark.parametrize(
     "data, message",
     [

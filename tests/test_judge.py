@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -167,9 +168,9 @@ OFFICIAL_80 = ProblemInstance(80, 3, 2)
         (lambda tr: verify_proof(OFFICIAL_80, tr, {0.0, 20, 79}), "placement coin"),
         (lambda tr: verify_proof(OFFICIAL_80, tr, {True, 20, 79}), "placement coin"),
         (lambda tr: verify_proof(OFFICIAL_80, tr, {"0", 20, 79}), "placement coin"),
-        (lambda tr: simulate_transcript(tr.plan, {0.0, 20, 79}), "fake coin"),
-        (lambda tr: simulate_transcript(tr.plan, {True, 20, 79}), "fake coin"),
-        (lambda tr: simulate_transcript(tr.plan, {"0", 20, 79}), "fake coin"),
+        (lambda tr: simulate_transcript(tr.plan, {0.0, 20, 79}), "placement coin"),
+        (lambda tr: simulate_transcript(tr.plan, {True, 20, 79}), "placement coin"),
+        (lambda tr: simulate_transcript(tr.plan, {"0", 20, 79}), "placement coin"),
         (lambda tr: simulate_outcome(tr.plan.weighings[0], {0.0}), "fake coin"),
         (lambda tr: simulate_outcome(tr.plan.weighings[0], {True}), "fake coin"),
         (lambda tr: simulate_outcome(tr.plan.weighings[0], {"0"}), "fake coin"),
@@ -188,6 +189,42 @@ def test_judge_refuses_non_integer_counts(call, what):
     transcript = build_official(OFFICIAL_80).transcript()
     with pytest.raises(ValidationError, match=f"^{what} must be an integer"):
         call(transcript)
+
+
+@pytest.mark.parametrize(
+    "call, t",
+    [
+        (lambda tr: count_consistent(81, 3, tr), 81),
+        (lambda tr: uniform_best_guess(79, 3, tr), 79),
+        (lambda tr: classify_privacy(ProblemInstance(81, 3, 2), tr), 81),
+        # coin 79 is outside 0..78, but the wrong t is named first
+        (lambda tr: verify_proof(ProblemInstance(79, 3, 2), tr, {0, 40, 79}), 79),
+        # and before the placement's size, 2 coins for f = 3
+        (lambda tr: verify_proof(ProblemInstance(81, 3, 2), tr, {0, 40}), 81),
+    ],
+    ids=["count", "guess", "privacy", "verify-stray-coin", "verify-size"],
+)
+def test_a_wrong_t_is_named_before_anything_else(call, t):
+    transcript = build_official(OFFICIAL_80).transcript()
+    with pytest.raises(ValueError, match=rf"^t={t} does not match the plan's t=80$"):
+        call(transcript)
+    assert transcript._judged == {}
+
+
+def test_the_judges_memo_is_no_field_of_a_transcript():
+    # what the judge works out of a transcript is not part of its value
+    bundle = build_official(OFFICIAL_80)
+    transcript = bundle.transcript()
+    assert [f.name for f in dataclasses.fields(transcript)] == ["plan", "outcomes"]
+    as_dict, as_tuple = dataclasses.asdict(transcript), dataclasses.astuple(transcript)
+    assert verify_proof(OFFICIAL_80, transcript, bundle.placement).valid
+    assert set(transcript._judged) == {"request", 3, 2}
+    assert dataclasses.asdict(transcript) == as_dict
+    assert dataclasses.astuple(transcript) == as_tuple
+    assert "_judged" not in repr(transcript)
+    for copied in (copy.copy(transcript), copy.deepcopy(transcript), pickle.loads(pickle.dumps(transcript))):
+        assert copied == transcript and hash(copied) == hash(transcript)
+        assert copied._judged == {}
 
 
 def test_judging_one_transcript_validates_its_plan_once(monkeypatch):

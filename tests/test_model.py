@@ -7,6 +7,7 @@ import pytest
 
 from discreet_weighings import (
     Outcome,
+    Pile,
     ProblemInstance,
     Transcript,
     ValidationError,
@@ -244,7 +245,7 @@ def test_partition_matches_coin_by_coin_itineraries():
         (
             4,
             (Weighing({0, 5}, {1, -2}),),
-            "weighing 0: invalid coin indices ['-2']; weighing 0: coins [-2, 5] outside 0..3",
+            "weighing 0: coins [-2, 5] outside 0..3",
         ),
         (4, (Weighing({"a"}, {1}),), "weighing 0: invalid coin indices [\"'a'\"]"),
     ],
@@ -268,7 +269,8 @@ def test_validate_plan_reports():
     with_bool = (Weighing({True, 2}, {0, 3}),)
     assert refused_plan(4, with_bool) == "weighing 0: invalid coin indices ['True']"
 
-    # every message of a weighing, in order; at t = 1 a bool is also outside
+    # every message of a weighing, in order; a bool is invalid, never also
+    # outside 0..t-1
     mixed = Weighing({0, True, 3}, {0, "a"})
     expected = [
         "pans overlap on coins [0]",
@@ -277,13 +279,76 @@ def test_validate_plan_reports():
     ]
     assert mixed.violations() == expected
     assert refused_plan(1, (mixed,)) == "; ".join(
-        f"weighing 0: {p}" for p in expected + ["coins [True, 3] outside 0..0"]
+        f"weighing 0: {p}" for p in expected + ["coins [3] outside 0..0"]
     )
 
     # a coin count that is not an int is the plan's only problem
     pair = (Weighing({0}, {1}),)
     for t, shown in (("4", '"4"'), (4.0, "4.0"), (True, "true"), (None, "null")):
         assert refused_plan(t, pair) == f"coin count must be an integer, got {shown}"
+
+
+FOUR_COINS = WeighingPlan(4, (Weighing({0}, {1}),))
+
+# every entry point that reads a coin set, given a set that holds `c`
+COIN_READERS = {
+    "pan": lambda c: WeighingPlan(4, (Weighing({c}, {3}),)),
+    "simulate_transcript": lambda c: simulate_transcript(FOUR_COINS, {c, 2}),
+    "verify_proof": lambda c: verify_proof(
+        ProblemInstance(4, 2, 1), Transcript(FOUR_COINS, (Outcome.BALANCED,)), {c, 2}
+    ),
+    "simulate_outcome": lambda c: simulate_outcome(Weighing({0}, {1}), {c, 2}),
+    "Pile": lambda c: Pile({c, 2}),
+}
+
+
+# (reader, coin, the exact refusal)
+COIN_RULE = [
+    ("pan", 0.0, "weighing 0: invalid coin indices ['0.0']"),
+    ("pan", True, "weighing 0: invalid coin indices ['True']"),
+    ("pan", "0", "weighing 0: invalid coin indices [\"'0'\"]"),
+    ("pan", -1, "weighing 0: coins [-1] outside 0..3"),
+    ("pan", 4, "weighing 0: coins [4] outside 0..3"),
+    ("simulate_transcript", 0.0, "placement coin must be an integer, got 0.0"),
+    ("simulate_transcript", True, "placement coin must be an integer, got True"),
+    ("simulate_transcript", "0", "placement coin must be an integer, got '0'"),
+    ("simulate_transcript", -1, "placement coins [-1] outside 0..3"),
+    ("simulate_transcript", 4, "placement coins [4] outside 0..3"),
+    ("verify_proof", 0.0, "placement coin must be an integer, got 0.0"),
+    ("verify_proof", True, "placement coin must be an integer, got True"),
+    ("verify_proof", "0", "placement coin must be an integer, got '0'"),
+    ("verify_proof", -1, "placement coins [-1] outside 0..3"),
+    ("verify_proof", 4, "placement coins [4] outside 0..3"),
+    # no t: a coin must only be nonnegative
+    ("simulate_outcome", 0.0, "fake coin must be an integer, got 0.0"),
+    ("simulate_outcome", True, "fake coin must be an integer, got True"),
+    ("simulate_outcome", "0", "fake coin must be an integer, got '0'"),
+    ("simulate_outcome", -1, "fake coins [-1] are negative"),
+    ("Pile", 0.0, "pile coin must be an integer, got 0.0"),
+    ("Pile", True, "pile coin must be an integer, got True"),
+    ("Pile", "0", "pile coin must be an integer, got '0'"),
+    ("Pile", -1, "pile coins [-1] are negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, coin, message", COIN_RULE, ids=[f"{r}-{c!r}" for r, c, _ in COIN_RULE]
+)
+def test_every_coin_set_follows_one_rule(reader, coin, message):
+    # a coin index is an int (not a bool, float or str) in 0..t-1, or >= 0
+    # where there is no t, and a bad coin is named exactly once
+    with pytest.raises(ValidationError) as caught:
+        COIN_READERS[reader](coin)
+    assert str(caught.value) == message
+
+
+def test_a_coin_is_named_in_one_problem_of_a_weighing():
+    # -2 is an int, so it is only negative (outside 0..t-1 in a plan)
+    weighing = Weighing({0, 5}, {1, -2})
+    assert weighing.violations() == ["coins [-2] are negative"]
+    with pytest.raises(ValidationError, match=r"^coins \[-2\] are negative$"):
+        simulate_outcome(weighing, {0})
+    assert refused_plan(4, (weighing,)) == "weighing 0: coins [-2, 5] outside 0..3"
 
 
 def test_a_plan_is_checked_when_it_is_built_and_never_again(monkeypatch):
