@@ -54,5 +54,5 @@ print(f"  chance a given coin is fake, before: {per_coin_before}  after: {per_co
 
 # Sanity: shrinking the pile count is impossible here (a must divide f=2),
 # so one weighing with two piles is as gentle as this family gets.
-prefix_count = count_consistent(instance.t, instance.f, transcript)
+prefix_count = count_consistent(instance.f, transcript)
 assert prefix_count == 1600

@@ -36,7 +36,7 @@ for name in ("leftover-reveal", "reference-pile", "official", "triple-case"):
     assert verdict.valid
     privacy = classify_privacy(instance, transcript)
     metrics = revealing_metrics(instance.t, instance.f, verdict.consistent_count_f)
-    _, guess = uniform_best_guess(instance.t, instance.f, transcript)
+    _, guess = uniform_best_guess(instance.f, transcript)
     rows.append(
         (
             name,

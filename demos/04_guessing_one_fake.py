@@ -42,10 +42,10 @@ print(f"  baseline before any weighing: f/t = {Fraction(instance.f, instance.t)}
 # placement and the judge treats every surviving fake set as equally likely,
 # the judge's best coin is one of the A3 coins:
 transcript = bundle.transcript()
-coin, prob = uniform_best_guess(instance.t, instance.f, transcript)
+coin, prob = uniform_best_guess(instance.f, transcript)
 print(
     f"\nuniform-over-survivors view: coin {coin} appears in {prob} of the "
-    f"{count_consistent(instance.t, instance.f, transcript)} surviving sets"
+    f"{count_consistent(instance.f, transcript)} surviving sets"
 )
 print("(that is 576/13254 ~ 1/23, worse for the lawyer than the minimax 1/25;")
 print(" uniform weighting over sets is not how an optimal lawyer plays)")

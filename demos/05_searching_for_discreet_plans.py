@@ -26,7 +26,7 @@ for t in (3, 4, 5, 6, 7, 8, 9):
         print(f"  t = {t}: exhausted, no discreet plan within {BOUND} weighings")
     else:
         profile = ItineraryProfile.from_plan(witness.plan)
-        survivors = count_consistent(t, 2, witness.transcript())
+        survivors = count_consistent(2, witness.transcript())
         print(
             f"  t = {t}: witness with {len(witness.plan.weighings)} weighing(s), "
             f"{len(profile.counts)} itinerary classes, {survivors} survivors"

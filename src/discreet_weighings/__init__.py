@@ -33,7 +33,6 @@ from .model import (
     partition_by_itinerary,
     plan_from_json,
     plan_to_json,
-    simulate_outcome,
     simulate_transcript,
     transcript_from_json,
     transcript_to_json,

@@ -82,7 +82,7 @@ def _evaluate(instance, transcript, placement, name, cases=None):
     report["privacy"] = classify_privacy(instance, transcript).to_json()
     metrics = revealing_metrics(instance.t, instance.f, verdict.consistent_count_f)
     report["metrics"] = metrics.to_json()
-    coin, prob = uniform_best_guess(instance.t, instance.f, transcript)
+    coin, prob = uniform_best_guess(instance.f, transcript)
     guess = {"uniform": {"coin": coin, "prob": rational_to_json(prob, display=False)}}
     if cases is not None:  # the lawyer's minimax placement over the cases
         distribution, value = minimax_distribution(cases)
@@ -250,14 +250,10 @@ def _cmd_reproduce(args):
     return "\n".join(lines), code
 
 
-def _add_instance_arguments(parser, with_a=False):
+def _add_instance_arguments(parser):
     parser.add_argument("--t", type=int, required=True, help="total number of coins")
     parser.add_argument("--f", type=int, required=True, help="actual number of fakes")
     parser.add_argument("--d", type=int, required=True, help="fake count to disprove")
-    if with_a:
-        parser.add_argument(
-            "--a", type=int, default=None, help="pile count for equal-piles"
-        )
 
 
 def _construct_arguments(parser):
@@ -281,7 +277,8 @@ def _metrics_arguments(parser):
 
 def _guess_arguments(parser):
     parser.add_argument("strategy", choices=STRATEGY_NAMES)
-    _add_instance_arguments(parser, with_a=True)
+    _add_instance_arguments(parser)
+    parser.add_argument("--a", type=int, default=None, help="pile count for equal-piles")
 
 
 def _search_arguments(parser):

@@ -25,7 +25,7 @@ size-f and size-d vectors:
     ProofVerdict(valid=True, consistent_count_f=8000, consistent_count_d=0)
     >>> classify_privacy(inst, transcript).discreet
     True
-    >>> uniform_best_guess(80, 3, transcript)  # coin 0 is fake in 1 of every 20 surviving sets
+    >>> uniform_best_guess(3, transcript)  # coin 0 is fake in 1 of every 20 surviving sets
     (0, Fraction(1, 20))
 
 `consistent_count_vectors` finds the vectors by one refinement folded over
@@ -50,7 +50,9 @@ its classes, their routing and the signs shown, and one summary of the
 vectors per hypothesis size.  So `verify_proof`, `classify_privacy` and
 `uniform_best_guess` on one transcript partition and route its plan once
 and fold each size once.  The memo lives on the object and is freed with
-it; an equal but distinct transcript is judged afresh.
+it; an equal but distinct transcript is judged afresh.  The coin count is
+the plan's: only `verify_proof` and `classify_privacy`, whose instance
+brings its own t, check that t against it.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .model import (
     Transcript,
     _checked_coins,
     _checked_int,
+    _coin_set,
     _route,
     partition_by_itinerary,
 )
@@ -134,7 +137,7 @@ def _parts(b: int, l: int, r: int, o: int, c: int) -> tuple:
     the four bench workloads at three seeds, and 4,400 entries and 1.6 MB
     after counting the size-2 and size-3 sets of a plan with 1,499
     classes.  One entry holds O(c²) ways, and every entry stays until
-    `_parts.cache_clear()`: after `count_consistent(1500, 750, ·)` on one
+    `_parts.cache_clear()`: after `count_consistent(750, ·)` on one
     500 v 500 weighing the cache holds about 63 MB."""
     at_o = b + (1 if l else 0)
     at_r = at_o + (1 if o else 0)
@@ -243,24 +246,23 @@ class _Tally:
 
 
 def _refuse_other_t(t: int, transcript: Transcript) -> None:
-    """Refuse a coin count `t` that is not the transcript's plan's: the
-    first check of every judge request."""
+    """Refuse an instance's coin count `t` that is not the transcript's
+    plan's: the first check of `verify_proof` and `classify_privacy`."""
     if _checked_int(t, "t") != transcript.plan.t:
         raise ValueError(f"t={t} does not match the plan's t={transcript.plan.t}")
 
 
-def _tally(t: int, transcript: Transcript, size: int) -> _Tally:
+def _tally(transcript: Transcript, size: int) -> _Tally:
     """The `_Tally` of the transcript's consistent size-`size` sets, worked
     out at most once per transcript object.
 
     The object's memo (its _judged attribute) holds its request, made on the
     first call: the plan's (itinerary, coins) classes, sorted by itinerary,
     their `_routing` and the sign each weighing showed.  It also holds one
-    tally per size asked for.  The plan was checked when it was built, so
-    the checks left run on every call, in order: t against the plan's t
-    (`_refuse_other_t`), then the size.  A step that raises stores
-    nothing."""
-    _refuse_other_t(t, transcript)
+    tally per size asked for.  The plan was checked when it was built and
+    fixes t, so the one check left runs on every call: the size, in 0..t.
+    A step that raises stores nothing."""
+    t = transcript.plan.t
     judged = transcript._judged
     request = judged.get("request")
     if request is None:
@@ -287,18 +289,19 @@ def _tally(t: int, transcript: Transcript, size: int) -> _Tally:
     return tally
 
 
-def count_consistent(t: int, s: int, transcript: Transcript) -> int:
-    """Number of size-s fake sets consistent with the transcript, computed
-    from class count vectors without storing any subset."""
-    return _tally(t, transcript, s).count
+def count_consistent(s: int, transcript: Transcript) -> int:
+    """Number of size-s fake sets consistent with the transcript, over the
+    coins of its plan, computed from class count vectors without storing
+    any subset."""
+    return _tally(transcript, s).count
 
 
-def uniform_best_guess(t: int, s: int, transcript: Transcript):
+def uniform_best_guess(s: int, transcript: Transcript):
     """The judge's best one-coin guess when every consistent size-s set is
     equally likely: (coin, success probability), ties broken by lowest
     index.  A coin's share of the sets follows from its class's share, so
     the sets are never listed."""
-    return _tally(t, transcript, s).best_guess()
+    return _tally(transcript, s).best_guess()
 
 
 def verify_proof(
@@ -307,17 +310,18 @@ def verify_proof(
     """Decide whether the transcript proves "exactly f fakes" to a judge whose
     prior allows only the counts d and f.  The plan was checked when it was
     built.  The instance's t is checked against the plan's first, then the
-    whole placement (its size, then `model._checked_coins`: ints in
-    0..t-1), and only then are the sets counted."""
+    whole placement (`model._coin_set`, which refuses a repeated coin, its
+    size, then `model._checked_coins`: ints in 0..t-1), and only then are
+    the sets counted."""
     _refuse_other_t(instance.t, transcript)
-    placement = frozenset(placement)
+    placement = _coin_set(placement, "placement")
     if len(placement) != instance.f:
         raise ValueError(
             f"placement has {len(placement)} coins but the instance has f={instance.f}"
         )
-    _checked_coins(placement, "placement coin", instance.t)
-    count_f = count_consistent(instance.t, instance.f, transcript)
-    count_d = count_consistent(instance.t, instance.d, transcript)
+    _checked_coins(placement, "placement", instance.t)
+    count_f = count_consistent(instance.f, transcript)
+    count_d = count_consistent(instance.d, transcript)
     placement_consistent = all(
         w.outcome(placement) is o
         for w, o in zip(transcript.plan.weighings, transcript.outcomes)
@@ -329,9 +333,11 @@ def verify_proof(
 def classify_privacy(instance: ProblemInstance, transcript: Transcript) -> PrivacyReport:
     """Split coins into revealed-real (in no consistent set), revealed-fake
     (in all of them), and undetermined.  Discreet means neither set is
-    inhabited.  Only meaningful after a valid proof."""
-    tally_f = _tally(instance.t, transcript, instance.f)
-    if not tally_f.count or _tally(instance.t, transcript, instance.d).count:
+    inhabited.  Only meaningful after a valid proof.  The instance's t is
+    checked against the plan's first."""
+    _refuse_other_t(instance.t, transcript)
+    tally_f = _tally(transcript, instance.f)
+    if not tally_f.count or _tally(transcript, instance.d).count:
         raise InvalidProofError(
             "privacy classification is only defined for a valid proof"
         )

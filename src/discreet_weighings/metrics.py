@@ -121,7 +121,7 @@ class Pile:
     fakes: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coins", _checked_coins(self.coins, "pile coin"))
+        object.__setattr__(self, "coins", _checked_coins(self.coins, "pile"))
         if not self.coins:
             raise ValueError("a pile must contain at least one coin")
         if not 1 <= _checked_int(self.fakes, "fakes") <= len(self.coins):

@@ -8,8 +8,8 @@ how many fakes sit in each pan: the pan with more fakes is lighter.
 All values here are immutable; every operation is a pure function.  A
 `WeighingPlan`, like a `ProblemInstance` and a `Transcript`, checks itself
 when it is built, so a plan that exists is valid and nothing that reads one
-checks it again.  A lone `Weighing` is checked where it is weighed
-(`simulate_outcome`).
+checks it again.  A caller's listing of coins becomes a set in one place,
+`_coin_set`, which refuses a coin listed twice rather than drop it.
 """
 
 from __future__ import annotations
@@ -80,18 +80,13 @@ class Weighing:
     right: frozenset
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left", frozenset(self.left))
-        object.__setattr__(self, "right", frozenset(self.right))
-
-    def violations(self) -> list[str]:
-        """Structural problems with this weighing alone.  With no coin count
-        to check against, a pan coin that is an int must be nonnegative;
-        :func:`validate_plan` checks the pans against 0..t-1."""
-        return _weighing_problems(self, None)
+        object.__setattr__(self, "left", _coin_set(self.left, "left pan"))
+        object.__setattr__(self, "right", _coin_set(self.right, "right pan"))
 
     def outcome(self, fakes: frozenset) -> Outcome:
-        """What this weighing shows when `fakes` are the fake coins; the
-        weighing is assumed valid."""
+        """What this weighing shows when `fakes` are the fake coins, unchecked:
+        the weighing's plan checks its pans, and `simulate_transcript` the
+        fakes."""
         return Outcome.from_sign(len(fakes & self.left) - len(fakes & self.right))
 
 
@@ -138,11 +133,11 @@ class Transcript:
         return Transcript, (self.plan, self.outcomes)
 
 
-def _weighing_problems(weighing: Weighing, t) -> list[str]:
-    """`Weighing.violations` when t is None, else the weighing's problems in
-    a plan of t coins.  Its pan coins are classed by `_coin_faults`, the
-    rule `_checked_coins` raises on, so a coin is named in at most one
-    problem: as invalid, or as outside 0..t-1 (negative when t is None)."""
+def _weighing_problems(weighing: Weighing, t: int) -> list[str]:
+    """The weighing's problems in a plan of t coins.  Its pan coins are
+    classed by `_coin_faults`, the rule `_checked_coins` raises on, so a
+    coin is named in at most one problem: as invalid, or as outside
+    0..t-1."""
     left, right = weighing.left, weighing.right
     problems = []
     if left & right:
@@ -174,24 +169,12 @@ def validate_plan(plan: WeighingPlan) -> list[str]:
     return problems
 
 
-def simulate_outcome(weighing: Weighing, fakes: Iterable) -> Outcome:
-    """Outcome of one weighing given the hidden fake set.
-
-    Balanced iff both pans hold the same number of fakes; otherwise the pan
-    with more fakes is the lighter one.
-    """
-    problems = weighing.violations()
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return weighing.outcome(_checked_coins(fakes, "fake coin"))
-
-
 def simulate_transcript(plan: WeighingPlan, fakes: Iterable) -> Transcript:
     """Run every weighing of the plan against a fixed fake set, the
-    placement: its coins must be ints in 0..t-1.  The judge checks a
-    placement in the same words, so `verify` names it the same way whether
-    or not its outcomes are given."""
-    fakes = _checked_coins(fakes, "placement coin", plan.t)
+    placement: its coins must be ints in 0..t-1, each listed once.  The
+    judge checks a placement in the same words, so `verify` names it the
+    same way whether or not its outcomes are given."""
+    fakes = _checked_coins(fakes, "placement", plan.t)
     return Transcript(plan, tuple(w.outcome(fakes) for w in plan.weighings))
 
 
@@ -309,19 +292,43 @@ def _coin_faults(coins: Iterable, t) -> tuple:
     return invalid, f"{sorted(stray)} " + ("are negative" if t is None else f"outside 0..{t - 1}")
 
 
-def _checked_coins(coins: Iterable, what: str, t=None) -> frozenset:
-    """`coins` as a set, if each is a coin index by `_coin_faults`' rule:
-    in 0..t-1, or nonnegative with no t.  Coins that are not ints are
-    refused first, as "{what} must be an integer", then the ints out of
-    range, as "{what}s [..] outside 0..t-1" or "{what}s [..] are negative".
-    The simulation, the judge and `metrics.Pile` check their coins here."""
-    coins = frozenset(coins)
-    invalid, stray = _coin_faults(coins, t)
-    if invalid:
-        raise ValidationError(f"{what} must be an integer, got {', '.join(sorted(map(repr, invalid)))}")
-    if stray:
-        raise ValidationError(f"{what}s {stray}")
+def _coin_set(values, what: str, check=None) -> frozenset:
+    """`values`, a caller's listing of coins, as a frozenset: the only place
+    where one becomes a set.  A frozenset passes unchanged.  Anything that
+    is not a collection of hashable values is refused, and so is a coin
+    listed twice, which the set would silently drop.  `check`, if given,
+    is called with the set first, so its refusal comes before a repeat."""
+    try:
+        listed = values if type(values) is frozenset else list(values)
+        coins = frozenset(listed)  # a frozenset itself, for a frozenset
+    except TypeError:
+        raise ValidationError(f"{what} must be a collection of coin indices, got {values!r}") from None
+    if check is not None:
+        check(coins)
+    if len(coins) < len(listed):
+        repeated = [c for c, n in Counter(listed).items() if n > 1]
+        # ints in order, then the rest by repr: an int and a str do not compare
+        shown = sorted(repeated, key=lambda c: (type(c) is not int, c if type(c) is int else repr(c)))
+        raise ValidationError(f"{what} lists coins {shown} more than once")
     return coins
+
+
+def _checked_coins(coins, what: str, t=None) -> frozenset:
+    """`_coin_set` of `coins`, a "placement" or a "pile", if each is a coin
+    index by `_coin_faults`' rule: in 0..t-1, or nonnegative with no t.
+    Coins that are not ints are refused first, as "{what} coin must be an
+    integer", then the ints out of range, as "{what} coins [..] outside
+    0..t-1" or "{what} coins [..] are negative", then a repeated coin.  The
+    simulation, the judge and `metrics.Pile` check their coins here."""
+
+    def refuse_faults(coins):
+        invalid, stray = _coin_faults(coins, t)
+        if invalid:
+            raise ValidationError(f"{what} coin must be an integer, got {', '.join(sorted(map(repr, invalid)))}")
+        if stray:
+            raise ValidationError(f"{what} coins {stray}")
+
+    return _coin_set(coins, what, refuse_faults)
 
 
 def _json_object(data, what: str) -> Mapping:
@@ -345,16 +352,11 @@ def _outcome_from_json(value, what: str) -> Outcome:
 
 
 def coins_from_json(values, what: str) -> frozenset:
-    """A list of coin indices from JSON, each checked by `_checked_int`.
-    A repeated index is refused, since the set would silently drop it."""
+    """A list of coin indices from JSON, each checked by `_checked_int`,
+    as a set by `_coin_set`, which refuses a repeated index."""
     if not isinstance(values, (list, tuple)):
         raise ValidationError(f"{what} must be a list of coin indices")
-    listed = [_checked_int(c, f"coin index in {what}") for c in values]
-    coins = frozenset(listed)
-    if len(coins) < len(listed):
-        repeated = sorted(c for c, n in Counter(listed).items() if n > 1)
-        raise ValidationError(f"{what} lists coins {repeated} more than once")
-    return coins
+    return _coin_set([_checked_int(c, f"coin index in {what}") for c in values], what)
 
 
 def plan_from_json(data: Mapping) -> WeighingPlan:

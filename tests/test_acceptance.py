@@ -50,7 +50,7 @@ def test_criterion_01_two_fakes_in_two_piles():
     instance = ProblemInstance(80, 2, 1)
     bundle = build_equal_piles(instance, 2)
     transcript = bundle.transcript()
-    assert count_consistent(80, 2, transcript) == 1600
+    assert count_consistent(2, transcript) == 1600
     assert brute_consistent(80, 2, transcript) == consistent_family_from_cases(bundle.cases)
     metrics = revealing_metrics(80, 2, 1600)
     assert metrics.factor_x == Fraction(3160, 1600)
@@ -88,7 +88,7 @@ def test_criterion_03_leftover_reveal():
     assert float(round(metrics.factor_x, 2)) == 4.86
     assert approx3(metrics.coefficient_r) == 0.794
     _, prob = brute_best_guess(brute_consistent(80, 3, transcript))
-    assert prob == Fraction(1, 25) == uniform_best_guess(80, 3, transcript)[1]
+    assert prob == Fraction(1, 25) == uniform_best_guess(3, transcript)[1]
     report(3, "80-3-2 leftover-reveal: 3 coins exposed, count 16900, guess 1/25")
 
 
@@ -109,7 +109,7 @@ def test_criterion_04_reference_pile():
     metrics = revealing_metrics(80, 3, 8000)
     assert approx3(metrics.factor_x) == 10.27
     _, prob = brute_best_guess(brute_consistent(80, 3, transcript))
-    assert prob == Fraction(1, 20) == uniform_best_guess(80, 3, transcript)[1]
+    assert prob == Fraction(1, 20) == uniform_best_guess(3, transcript)[1]
     report(4, "80-3-2 reference-pile: 20 coins exposed, count 8000, guess 1/20")
 
 
@@ -123,7 +123,7 @@ def test_criterion_05_triple_case_structure():
     survivors = brute_consistent(80, 3, transcript)
     assert len(survivors) == 13254
     assert survivors == consistent_family_from_cases(bundle.cases)
-    assert count_consistent(80, 3, transcript) == 13254
+    assert count_consistent(3, transcript) == 13254
 
     distribution, value = minimax_distribution(bundle.cases)
     assert distribution == (Fraction(23, 25), Fraction(1, 25), Fraction(1, 25))
@@ -196,7 +196,7 @@ def test_criterion_09_leftover_reveal_generalized():
         privacy = classify_privacy(instance, transcript)
         assert not privacy.discreet
         assert len(privacy.revealed_real) == d + 1
-        _, prob = uniform_best_guess(t, f, transcript)
+        _, prob = uniform_best_guess(f, transcript)
         assert prob == Fraction(1, t // f - ceil(d / f))
     report(9, "leftover-reveal at (80,3,2), (100,3,2), (50,4,3): d+1 coins, guess bound met")
 
@@ -221,7 +221,6 @@ def test_criterion_10_property_suite():
         for s in (1, 2, 3):
             counts = [
                 count_consistent(
-                    t,
                     s,
                     Transcript(
                         WeighingPlan(t, plan.weighings[:cut]),
@@ -238,7 +237,7 @@ def test_criterion_10_property_suite():
         f = rng.randint(1, t - 1)
         plan = random_plan(rng, t, rng.randint(1, 3))
         transcript = simulate_transcript(plan, random_fakes(rng, t, f))
-        metrics = revealing_metrics(t, f, count_consistent(t, f, transcript))
+        metrics = revealing_metrics(t, f, count_consistent(f, transcript))
         assert metrics.factor_x > 1
         assert 0 < metrics.coefficient_r < 1
 
@@ -263,7 +262,7 @@ def test_criterion_10_property_suite():
         instance = bundle.instance
         transcript = bundle.transcript()
         assert verify_proof(instance, transcript, bundle.placement).valid
-        _, prob = uniform_best_guess(instance.t, instance.f, transcript)
+        _, prob = uniform_best_guess(instance.f, transcript)
         floor_rate = Fraction(instance.f, instance.t)
         assert prob >= floor_rate
         if not classify_privacy(instance, transcript).discreet:

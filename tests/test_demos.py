@@ -1,4 +1,6 @@
-"""Each narrative demo runs to completion; their asserts are checks too."""
+"""Each narrative demo runs to completion; their asserts are checks too.
+Demos run in dev mode with warnings as errors, so a warning from the public
+API they call fails the suite."""
 
 import os
 import subprocess
@@ -19,6 +21,6 @@ def test_all_five_demos_are_found():
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)], capture_output=True, text=True, env=env, cwd=ROOT
     )
     assert proc.returncode == 0, proc.stderr

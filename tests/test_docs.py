@@ -74,7 +74,6 @@ def test_public_api_is_pinned():
         "plan_to_json",
         "revealing_metrics",
         "search_discreet",
-        "simulate_outcome",
         "simulate_transcript",
         "transcript_from_json",
         "transcript_to_json",

@@ -191,10 +191,10 @@ def test_best_single_guess_uniform_and_ties():
     # {0, 1} v {2, 3} balanced: every coin is fake in 2 of the 4 surviving
     # pairs, so the tie goes to coin 0; no single fake can balance it
     balanced = Transcript(WeighingPlan(4, (Weighing({0, 1}, {2, 3}),)), (Outcome.BALANCED,))
-    assert uniform_best_guess(4, 2, balanced) == (0, Fraction(1, 2))
+    assert uniform_best_guess(2, balanced) == (0, Fraction(1, 2))
     assert brute_best_guess(brute_consistent(4, 2, balanced)) == (0, Fraction(1, 2))
     with pytest.raises(ValueError):
-        uniform_best_guess(4, 1, balanced)
+        uniform_best_guess(1, balanced)
 
 
 def test_case_marginals_triple_case():

@@ -22,7 +22,6 @@ from discreet_weighings import (
     partition_by_itinerary,
     plan_from_json,
     plan_to_json,
-    simulate_outcome,
     simulate_transcript,
     transcript_from_json,
     transcript_to_json,
@@ -45,6 +44,11 @@ def refused_plan(t, weighings) -> str:
     return str(caught.value)
 
 
+def weigh(t, weighing, fakes) -> Outcome:
+    """The outcome of `weighing` alone, checked as a plan of t coins."""
+    return simulate_transcript(WeighingPlan(t, (weighing,)), fakes).outcomes[0]
+
+
 def test_problem_instance_invariants():
     ProblemInstance(80, 3, 2)
     with pytest.raises(ValueError):
@@ -65,10 +69,10 @@ def test_problem_instance_refuses_non_integer_counts():
             ProblemInstance(t, f, d)
 
 
-def test_simulate_outcome_examples():
-    assert simulate_outcome(HALVES, {5, 50}) is Outcome.BALANCED
-    assert simulate_outcome(HALVES, {5, 6}) is Outcome.LEFT_LIGHTER
-    assert simulate_outcome(Weighing({0}, {1}), set()) is Outcome.BALANCED
+def test_one_weighing_plan_outcomes():
+    assert weigh(80, HALVES, {5, 50}) is Outcome.BALANCED
+    assert weigh(80, HALVES, {5, 6}) is Outcome.LEFT_LIGHTER
+    assert weigh(2, Weighing({0}, {1}), set()) is Outcome.BALANCED
 
 
 def test_outcome_depends_only_on_pan_fake_counts():
@@ -81,26 +85,24 @@ def test_outcome_depends_only_on_pan_fake_counts():
             len(b & weighing.left),
             len(b & weighing.right),
         ):
-            assert simulate_outcome(weighing, a) is simulate_outcome(weighing, b)
+            assert weigh(30, weighing, a) is weigh(30, weighing, b)
 
 
-def test_simulate_outcome_rejects_bad_weighings():
-    with pytest.raises(ValidationError):
-        simulate_outcome(Weighing({0, 1}, {1, 2}), set())  # overlap
-    with pytest.raises(ValidationError):
-        simulate_outcome(Weighing({0, 1, 2}, {3, 4}), set())  # unequal pans
-    with pytest.raises(ValidationError):
-        simulate_outcome(Weighing(set(), set()), set())  # empty pans
+def test_a_one_weighing_plan_rejects_bad_weighings():
+    assert refused_plan(4, (Weighing({0, 1}, {1, 2}),)) == "weighing 0: pans overlap on coins [1]"
+    assert refused_plan(5, (Weighing({0, 1, 2}, {3, 4}),)) == "weighing 0: unequal pans: 3 vs 2 coins"
+    assert refused_plan(1, (Weighing(set(), set()),)) == "weighing 0: empty pan"
 
 
-def test_simulate_outcome_refuses_negative_fakes():
-    # a lone weighing has no t to range-check against, but a negative
-    # index names no coin, as for a pile's coins
-    with pytest.raises(ValidationError, match=r"fake coins \[-5\] are negative"):
-        simulate_outcome(Weighing({0}, {1}), {-5})
-    with pytest.raises(ValidationError, match=r"fake coins \[-2, -1\] are negative"):
-        simulate_outcome(HALVES, {-1, 3, -2})
-    assert simulate_outcome(Weighing({0}, {1}), {0, 7}) is Outcome.LEFT_LIGHTER
+def test_a_one_weighing_plan_refuses_fakes_outside_its_coins():
+    with pytest.raises(ValidationError, match=r"^placement coins \[-5\] outside 0..1$"):
+        weigh(2, Weighing({0}, {1}), {-5})
+    with pytest.raises(ValidationError, match=r"^placement coins \[-2, -1\] outside 0..79$"):
+        weigh(80, HALVES, {-1, 3, -2})
+    # `Weighing.outcome` weighs any fakes, unchecked
+    with pytest.raises(ValidationError, match=r"^placement coins \[7\] outside 0..1$"):
+        weigh(2, Weighing({0}, {1}), {0, 7})
+    assert Weighing({0}, {1}).outcome(frozenset({0, 7})) is Outcome.LEFT_LIGHTER
 
 
 def test_simulate_transcript_examples():
@@ -277,7 +279,7 @@ def test_validate_plan_reports():
         "unequal pans: 3 vs 2 coins",
         "invalid coin indices [\"'a'\", 'True']",
     ]
-    assert mixed.violations() == expected
+    assert refused_plan(4, (mixed,)) == "; ".join(f"weighing 0: {p}" for p in expected)
     assert refused_plan(1, (mixed,)) == "; ".join(
         f"weighing 0: {p}" for p in expected + ["coins [3] outside 0..0"]
     )
@@ -297,7 +299,6 @@ COIN_READERS = {
     "verify_proof": lambda c: verify_proof(
         ProblemInstance(4, 2, 1), Transcript(FOUR_COINS, (Outcome.BALANCED,)), {c, 2}
     ),
-    "simulate_outcome": lambda c: simulate_outcome(Weighing({0}, {1}), {c, 2}),
     "Pile": lambda c: Pile({c, 2}),
 }
 
@@ -320,10 +321,6 @@ COIN_RULE = [
     ("verify_proof", -1, "placement coins [-1] outside 0..3"),
     ("verify_proof", 4, "placement coins [4] outside 0..3"),
     # no t: a coin must only be nonnegative
-    ("simulate_outcome", 0.0, "fake coin must be an integer, got 0.0"),
-    ("simulate_outcome", True, "fake coin must be an integer, got True"),
-    ("simulate_outcome", "0", "fake coin must be an integer, got '0'"),
-    ("simulate_outcome", -1, "fake coins [-1] are negative"),
     ("Pile", 0.0, "pile coin must be an integer, got 0.0"),
     ("Pile", True, "pile coin must be an integer, got True"),
     ("Pile", "0", "pile coin must be an integer, got '0'"),
@@ -342,12 +339,59 @@ def test_every_coin_set_follows_one_rule(reader, coin, message):
     assert str(caught.value) == message
 
 
+# every entry point that reads a coin set, given the caller's listing as it is
+LISTING_READERS = {
+    "pan": lambda listing: WeighingPlan(4, (Weighing(listing, {3}),)),
+    "simulate_transcript": lambda listing: simulate_transcript(FOUR_COINS, listing),
+    "verify_proof": lambda listing: verify_proof(
+        ProblemInstance(4, 2, 1), Transcript(FOUR_COINS, (Outcome.BALANCED,)), listing
+    ),
+    "Pile": Pile,
+}
+
+# (reader, listing, the exact refusal)
+COIN_LISTING = [
+    ("pan", [0, 0], "left pan lists coins [0] more than once"),
+    ("pan", 5, "left pan must be a collection of coin indices, got 5"),
+    ("pan", [[0]], "left pan must be a collection of coin indices, got [[0]]"),
+    # repeats of an int and a str are named without comparing them
+    ("pan", ["a", 0, "a", 0], "left pan lists coins [0, 'a'] more than once"),
+    ("simulate_transcript", [2, 2], "placement lists coins [2] more than once"),
+    ("simulate_transcript", 5, "placement must be a collection of coin indices, got 5"),
+    ("verify_proof", [0, 0, 1], "placement lists coins [0] more than once"),
+    ("verify_proof", 5, "placement must be a collection of coin indices, got 5"),
+    ("Pile", [0, 0], "pile lists coins [0] more than once"),
+    ("Pile", 5, "pile must be a collection of coin indices, got 5"),
+    ("Pile", [[0]], "pile must be a collection of coin indices, got [[0]]"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, listing, message", COIN_LISTING, ids=[f"{r}-{c!r}" for r, c, _ in COIN_LISTING]
+)
+def test_a_listing_becomes_a_coin_set_only_if_it_lists_each_coin_once(reader, listing, message):
+    # a set would silently drop the repeat, and a listing that is not a
+    # collection of hashable values would fail with a bare TypeError
+    with pytest.raises(ValidationError) as caught:
+        LISTING_READERS[reader](listing)
+    assert str(caught.value) == message
+
+
+def test_a_coin_that_is_not_an_int_is_named_before_a_repeat():
+    with pytest.raises(ValidationError, match=r"^pile coin must be an integer, got 0.0$"):
+        Pile([0.0, 0.0, 1])
+    with pytest.raises(ValidationError, match=r"^placement coins \[7\] outside 0..3$"):
+        simulate_transcript(FOUR_COINS, [7, 7])
+    # a frozenset is taken as it is, and a generator is read once
+    coins = frozenset({1, 2})
+    assert Pile(coins).coins is coins
+    assert Pile(c for c in (1, 2)).coins == coins
+
+
 def test_a_coin_is_named_in_one_problem_of_a_weighing():
-    # -2 is an int, so it is only negative (outside 0..t-1 in a plan)
+    # -2 is an int, so it is only outside 0..t-1
     weighing = Weighing({0, 5}, {1, -2})
-    assert weighing.violations() == ["coins [-2] are negative"]
-    with pytest.raises(ValidationError, match=r"^coins \[-2\] are negative$"):
-        simulate_outcome(weighing, {0})
+    assert refused_plan(6, (weighing,)) == "weighing 0: coins [-2] outside 0..5"
     assert refused_plan(4, (weighing,)) == "weighing 0: coins [-2, 5] outside 0..3"
 
 
@@ -386,8 +430,8 @@ def test_a_plan_is_checked_when_it_is_built_and_never_again(monkeypatch):
     assert itinerary_of(plan, 3) == "R"
     assert verify_proof(instance, transcript, {3}).valid
     assert classify_privacy(instance, transcript).discreet is False
-    assert count_consistent(4, 1, transcript) == 1
-    assert uniform_best_guess(4, 1, transcript) == (3, 1)
+    assert count_consistent(1, transcript) == 1
+    assert uniform_best_guess(1, transcript) == (3, 1)
     assert calls == []
 
 

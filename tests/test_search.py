@@ -73,7 +73,7 @@ def test_even_t_two_fakes_has_single_weighing_witness():
     verdict = verify_proof(witness.instance, transcript, witness.placement)
     assert verdict.valid
     assert classify_privacy(witness.instance, transcript).discreet
-    assert count_consistent(4, 2, transcript) == 4  # the (2,2) split
+    assert count_consistent(2, transcript) == 4  # the (2,2) split
 
     # with a higher bound some witness is still found (not necessarily the same)
     deeper = search_discreet(4, 2, 1, 3)
@@ -92,7 +92,7 @@ def test_nine_coins_witness_matches_triple_case_structure():
     transcript = witness.transcript()
     assert verify_proof(witness.instance, transcript, witness.placement).valid
     assert classify_privacy(witness.instance, transcript).discreet
-    assert count_consistent(9, 2, transcript) == 6
+    assert count_consistent(2, transcript) == 6
 
     profile = ItineraryProfile.from_plan(witness.plan)
     assert len(profile.counts) == 6
@@ -109,7 +109,7 @@ def test_nine_coins_witness_matches_triple_case_structure():
 
     # same judged structure as the explicit nine-coin construction
     reference = build_triple_case(ProblemInstance(9, 2, 1))
-    assert count_consistent(9, 2, reference.transcript()) == 6
+    assert count_consistent(2, reference.transcript()) == 6
 
 
 @pytest.mark.parametrize(

@@ -86,12 +86,12 @@ def test_equal_piles_bundles(t, f, d, a):
 def test_equal_piles_reference_counts():
     inst = ProblemInstance(80, 2, 1)
     bundle = build_equal_piles(inst, 2)
-    assert count_consistent(80, 2, bundle.transcript()) == 1600
+    assert count_consistent(2, bundle.transcript()) == 1600
     assert bundle.plan.weighings[0].left == frozenset(range(40))
 
     inst = ProblemInstance(80, 4, 3)
-    assert count_consistent(80, 4, build_equal_piles(inst, 4).transcript()) == 160000
-    assert count_consistent(80, 4, build_equal_piles(inst, 2).transcript()) == 608400
+    assert count_consistent(4, build_equal_piles(inst, 4).transcript()) == 160000
+    assert count_consistent(4, build_equal_piles(inst, 2).transcript()) == 608400
 
 
 def test_equal_piles_small_family_matches_judge():
@@ -133,7 +133,7 @@ def test_triple_case_layout_matches_documented_sizes():
 
 def test_triple_case_judge_count_at_scale():
     bundle = build_triple_case(ProblemInstance(80, 3, 2))
-    assert count_consistent(80, 3, bundle.transcript()) == 24 * 24 * 23 + 2 + 4
+    assert count_consistent(3, bundle.transcript()) == 24 * 24 * 23 + 2 + 4
     assert_bundle_claims_hold(bundle)
 
 
@@ -146,7 +146,7 @@ def test_triple_case_bundles(t, f, d):
 def test_triple_case_nine_coins_family():
     bundle = build_triple_case(ProblemInstance(9, 2, 1))
     transcript = bundle.transcript()
-    assert count_consistent(9, 2, transcript) == 6
+    assert count_consistent(2, transcript) == 6
     assert consistent_family_from_cases(bundle.cases) == brute_consistent(
         9, 2, transcript
     )
@@ -232,7 +232,7 @@ def test_leftover_reveal_bundles(t, f, d):
     transcript, verdict, report = assert_bundle_claims_hold(bundle)
     r = t % f
     assert len(report.revealed_real) == max(r, d + 1)
-    _, prob = uniform_best_guess(t, f, transcript)
+    _, prob = uniform_best_guess(f, transcript)
     assert prob == Fraction(1, t // f - ceil(d / f))
 
 
@@ -258,7 +258,7 @@ def test_reference_pile_cases():
     transcript, verdict, report = assert_bundle_claims_hold(bundle)
     assert verdict.consistent_count_f == 8000
     assert report.revealed_real == frozenset(range(60, 80))
-    _, prob = uniform_best_guess(80, 3, transcript)
+    _, prob = uniform_best_guess(3, transcript)
     assert prob == Fraction(1, 20)
 
     small = build_reference_pile(ProblemInstance(8, 3, 2))
